@@ -12,26 +12,33 @@ Two constructions live here:
   the Knill-Laflamme matrix.
 
 All constructions go through :func:`fermiqec.reference.apply_c` and friends,
-so they work identically on physical and compressed states.
+so they work identically on physical and compressed states.  Maps that the
+shots apply over and over (stabilizers, the transversal swap, the logical
+tunnelings built on it) are :class:`LabelMap` memos owned by the code: each
+label's image is derived once, from the literal operators on one basis
+label, and then looked up.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .gates import apply_annihilation, apply_fswap
 from .reference import apply_c, apply_c_dagger, apply_majorana, h_basis_state
 from .registers import RegisterLayout
-from .states import SparseState, add_states, basis_state, scale_state
+from .states import SparseState, add_states, apply_map, basis_state, scale_state
 
 __all__ = [
+    "LabelMap",
     "RepetitionCode",
     "apply_stabilizer",
+    "stabilizer_majoranas",
     "stabilizer_expectation",
     "prepare_logical_vacuum",
     "apply_logical_C",
@@ -51,6 +58,34 @@ __all__ = [
 ]
 
 
+class LabelMap(dict):
+    """Memoized ``image`` for :func:`fermiqec.states.apply_map`.
+
+    The map acts on the bits under ``mask`` only: ``derive(part)`` gives the
+    image of ``part = label & mask`` and every other bit of the label passes
+    through.  ``derive`` runs once per part; the image of each full label is
+    then cached, so applying the map costs one dict lookup per label.
+    """
+
+    __call__ = dict.__getitem__
+
+    def __init__(
+        self, mask: int, derive: Callable[[int], tuple[tuple[int, complex], ...]]
+    ):
+        super().__init__()
+        self.mask = mask
+        self.part = functools.cache(derive)
+
+    def __missing__(self, label: int) -> tuple[tuple[int, complex], ...]:
+        part = label & self.mask
+        rest = label ^ part
+        image = self.part(part)
+        if rest:
+            image = tuple((t | rest, c) for t, c in image)
+        self[label] = image
+        return image
+
+
 class RepetitionCode:
     """Three-mode repetition blocks over the system register.
 
@@ -66,8 +101,7 @@ class RepetitionCode:
             raise ValueError("system register must tile into three-mode blocks")
         self.layout = layout
         self.num_blocks = layout.num_system_modes // 3
-        self._compiled: dict[tuple[str, int], tuple[list[int], list[complex]]] = {}
-        self._fswaps: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._maps: dict[Hashable, tuple[Hashable, LabelMap]] = {}
         self._words: dict[bool, list[tuple[tuple[int, ...], SparseState]]] = {}
 
     def block_modes(self, block: int) -> tuple[int, int, int]:
@@ -79,60 +113,66 @@ class RepetitionCode:
     def block_mask(self, block: int) -> int:
         return 0b111 << self.block_modes(block)[0]
 
-    def compiled_stabilizer(
-        self, which: str, block: int
-    ) -> tuple[list[int], list[complex]]:
-        """Label permutation + phase of a stabilizer on compressed labels.
+    def label_map(
+        self,
+        key: Hashable,
+        variant: Hashable,
+        mask: int,
+        derive: Callable[[int], tuple[tuple[int, complex], ...]],
+    ) -> LabelMap:
+        """The :class:`LabelMap` stored under ``key``, made from ``derive``
+        on first use.  The code keeps one map per key: asking for another
+        ``variant`` (a new tunneling angle, say) replaces it, so maps for
+        one-off parameters do not pile up."""
+        held = self._maps.get(key)
+        if held is not None and held[0] == variant:
+            return held[1]
+        lmap = LabelMap(mask, derive)
+        self._maps[key] = (variant, lmap)
+        return lmap
 
-        A stabilizer maps every occupation label to at most one label, so
-        its action is a (partial) permutation with phases; precomputing it
-        makes repeated measurements cheap.  Labels whose system count cannot
-        occur in a valid compressed state get phase 0.
+    def compiled_stabilizer(self, which: str, block: int) -> LabelMap:
+        """A stabilizer as a label map on compressed labels.
+
+        A stabilizer sends every occupation label to at most one label with
+        a phase; the image of a system label is :func:`apply_stabilizer` on
+        that one label, and ancilla bits pass through.  Labels whose system
+        count cannot occur in a valid compressed state are annihilated.
         """
-        key = (which, block)
-        if key not in self._compiled:
-            lay = self.layout
-            dim = 1 << lay.num_system_modes
-            perm = [0] * dim
-            phase = [0.0 + 0.0j] * dim
-            for sys in range(dim):
-                n = sys.bit_count()
-                if n > lay.total_atoms or lay.total_atoms - n > lay.num_reference_modes:
-                    continue
-                img = apply_stabilizer(
-                    SparseState(lay, {sys: 1.0 + 0.0j}, compressed=True),
-                    self,
-                    block,
-                    which,
-                )
-                if len(img.entries) > 1:
-                    raise AssertionError("stabilizer image of a label is not a label")
-                for l, a in img.entries.items():
-                    perm[sys] = l
-                    phase[sys] = a
-            self._compiled[key] = (perm, phase)
-        return self._compiled[key]
+        lay = self.layout
+        majoranas = stabilizer_majoranas(self, block, which)
 
-    def compiled_fswap(
-        self, block_a: int, block_b: int
-    ) -> tuple[list[int], list[int]]:
-        """Label permutation + sign of the transversal block fswap."""
-        key = (block_a, block_b)
-        if key not in self._fswaps:
-            lay = self.layout
-            pairs = list(zip(self.block_modes(block_a), self.block_modes(block_b)))
-            dim = 1 << lay.num_system_modes
-            perm = [0] * dim
-            sign = [1] * dim
-            for sys in range(dim):
-                img = SparseState(lay, {sys: 1.0 + 0.0j}, compressed=True)
-                for ma, mb in pairs:
-                    img = apply_fswap(img, ma, mb)
-                ((l, a),) = img.entries.items()
-                perm[sys] = l
-                sign[sys] = 1 if a.real > 0 else -1
-            self._fswaps[key] = (perm, sign)
-        return self._fswaps[key]
+        def derive(sys: int) -> tuple[tuple[int, complex], ...]:
+            n = sys.bit_count()
+            if n > lay.total_atoms or lay.total_atoms - n > lay.num_reference_modes:
+                return ()
+            img = _majorana_pair(basis_state(lay, sys, True), *majoranas)
+            if len(img.entries) > 1:
+                raise AssertionError("stabilizer image of a label is not a label")
+            return tuple(img.entries.items())
+
+        return self.label_map(
+            ("stabilizer", which, block), None, lay.system_mask, derive
+        )
+
+    def compiled_fswap(self, block_a: int, block_b: int) -> LabelMap:
+        """The transversal block fswap as a label map on system bits.
+
+        Its signs only count system modes, so the map serves both
+        representations: reference and ancilla bits pass through.
+        """
+        lay = self.layout
+        pairs = list(zip(self.block_modes(block_a), self.block_modes(block_b)))
+
+        def derive(sys: int) -> tuple[tuple[int, complex], ...]:
+            img = basis_state(lay, sys, True)
+            for ma, mb in pairs:
+                img = apply_fswap(img, ma, mb)
+            return tuple(img.entries.items())
+
+        return self.label_map(
+            ("fswap", block_a, block_b), None, lay.system_mask, derive
+        )
 
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:
         """Orthonormal logical basis states the register can hold."""
@@ -145,20 +185,28 @@ class RepetitionCode:
         return [w for _, w in self._words[compressed]]
 
 
+def stabilizer_majoranas(
+    code: RepetitionCode, block: int, which: str
+) -> tuple[int, int, str]:
+    """``(hi, lo, kind)`` of a block stabilizer ``i k_hi k_lo``, whose
+    Majoranas act higher mode first: ``s12`` is i x1 x2, ``s23`` is i y2 y3."""
+    m1, m2, m3 = code.block_modes(block)
+    if which == "s12":
+        return m2, m1, "x"
+    if which == "s23":
+        return m3, m2, "y"
+    raise ValueError(f"unknown stabilizer {which!r}")
+
+
+def _majorana_pair(state: SparseState, hi: int, lo: int, kind: str) -> SparseState:
+    return scale_state(apply_majorana(apply_majorana(state, hi, kind), lo, kind), 1j)
+
+
 def apply_stabilizer(
     state: SparseState, code: RepetitionCode, block: int, which: str
 ) -> SparseState:
     """One block stabilizer: ``s12`` is i x1 x2, ``s23`` is i y2 y3."""
-    m1, m2, m3 = code.block_modes(block)
-    if which == "s12":
-        out = apply_majorana(state, m2, "x")
-        out = apply_majorana(out, m1, "x")
-    elif which == "s23":
-        out = apply_majorana(state, m3, "y")
-        out = apply_majorana(out, m2, "y")
-    else:
-        raise ValueError(f"unknown stabilizer {which!r}")
-    return scale_state(out, 1j)
+    return _majorana_pair(state, *stabilizer_majoranas(code, block, which))
 
 
 def stabilizer_expectation(
@@ -385,11 +433,8 @@ class SteaneCode:
         mask = 0
         for i in self.GROUPS[group]:
             mask |= 1 << i
-        return state.with_entries(
-            {
-                l: (-a if (l & mask).bit_count() & 1 else a)
-                for l, a in state.entries.items()
-            }
+        return apply_map(
+            state, lambda l: ((l, -1.0 if (l & mask).bit_count() & 1 else 1.0),)
         )
 
     def apply_x_stabilizer(self, state: SparseState, group: int) -> SparseState:
@@ -440,9 +485,9 @@ def apply_loss_kraus(state: SparseState, index: int, p: float) -> SparseState:
         return scale_state(state, math.sqrt(1.0 - m * p))
     if index <= m:
         return scale_state(apply_annihilation(state, index - 1), math.sqrt(p))
-    mode = index - m - 1
-    kept = {l: a for l, a in state.entries.items() if not (l >> mode) & 1}
-    return scale_state(state.with_entries(kept), math.sqrt(p))
+    bit = 1 << (index - m - 1)
+    root_p = math.sqrt(p)
+    return apply_map(state, lambda l: () if l & bit else ((l, root_p),))
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 The small frozen dataclasses double as circuit instructions (consumed by
 ``backend.run_circuit``); the ``apply_*`` functions do the actual work on
-sparse states.  Everything is functional — inputs are never mutated.
+sparse states, each by handing the image of one basis label to
+:func:`fermiqec.states.apply_map`.  Everything is functional — inputs are
+never mutated.
 
 Sign conventions all flow from the Jordan-Wigner ordering fixed in
 :mod:`fermiqec.registers`: a site operator on mode ``i`` picks up
@@ -23,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .registers import RegisterLayout, jw_sign
-from .states import SparseState, phase_factor
+from .states import SparseState, add_states, apply_map, phase_factor
 
 __all__ = [
     "LocalPhase",
@@ -31,7 +33,6 @@ __all__ = [
     "Tunneling",
     "FSwap",
     "QubitGate",
-    "ControlledComposite",
     "MeasureQubit",
     "MeasureModeNumber",
     "GateOp",
@@ -114,14 +115,6 @@ class QubitGate:
 
 
 @dataclass(frozen=True)
-class ControlledComposite:
-    """Apply a sequence of operations on the |1> branch of an ancilla."""
-
-    qubit: int
-    ops: tuple["GateOp", ...]
-
-
-@dataclass(frozen=True)
 class MeasureQubit:
     qubit: int
     basis: str = "z"
@@ -138,7 +131,6 @@ GateOp = Union[
     Tunneling,
     FSwap,
     QubitGate,
-    ControlledComposite,
     MeasureQubit,
     MeasureModeNumber,
 ]
@@ -197,16 +189,36 @@ def _check_literal_pair(state: SparseState, a: int, b: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _phase_where_occupied(
+    state: SparseState, modes: tuple[int, ...], ph: complex
+) -> Callable[[int], tuple[tuple[int, complex]]]:
+    """Diagonal image: ``ph`` on labels where every one of ``modes`` is
+    occupied (implied reference occupations included), 1 elsewhere."""
+    lay = state.layout
+    mask = 0
+    implied = -1
+    for m in modes:
+        _check_fermion_mode(lay, m)
+        if state.compressed and m >= lay.num_system_modes:
+            implied = max(implied, m - lay.num_system_modes)
+        else:
+            mask |= 1 << m
+    if implied < 0:
+        return lambda l: ((l, ph if l & mask == mask else 1.0),)
+    # implied reference mode j is occupied when j < N - n_sys
+    smask = lay.system_mask
+    below = lay.total_atoms - implied
+    return lambda l: (
+        (l, ph if l & mask == mask and (l & smask).bit_count() < below else 1.0),
+    )
+
+
 def apply_local_phase(state: SparseState, mode: int, theta: float) -> SparseState:
     _check_fermion_mode(state.layout, mode)
     ph = phase_factor(theta)
     if ph == 1.0:
         return state.copy()
-    out = {
-        l: (a * ph if mode_occupation(state, l, mode) else a)
-        for l, a in state.entries.items()
-    }
-    return state.with_entries(out)
+    return apply_map(state, _phase_where_occupied(state, (mode,), ph))
 
 
 def apply_density_phase(
@@ -217,13 +229,7 @@ def apply_density_phase(
     if mode_a == mode_b:
         raise ValueError("density-density phase needs two distinct modes")
     ph = phase_factor(theta)
-    out = {}
-    for l, a in state.entries.items():
-        if mode_occupation(state, l, mode_a) and mode_occupation(state, l, mode_b):
-            out[l] = a * ph
-        else:
-            out[l] = a
-    return state.with_entries(out)
+    return apply_map(state, _phase_where_occupied(state, (mode_a, mode_b), ph))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +237,10 @@ def apply_density_phase(
 # ---------------------------------------------------------------------------
 
 
-def _between_sign(label: int, a: int, b: int) -> int:
-    """Parity of the occupation strictly between modes a and b."""
+def _between_mask(a: int, b: int) -> int:
+    """Bits of the modes strictly between modes a and b."""
     lo, hi = (a, b) if a < b else (b, a)
-    mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    return -1 if (label & mask).bit_count() & 1 else 1
+    return ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
 
 
 def apply_tunneling(
@@ -251,18 +256,17 @@ def apply_tunneling(
     _check_literal_pair(state, mode_a, mode_b, "tunneling")
     c, s_amp = math.cos(theta), math.sin(theta)
     flip = (1 << mode_a) | (1 << mode_b)
-    out: dict[int, complex] = {}
-    for l, amp in state.entries.items():
-        occ_a = (l >> mode_a) & 1
-        occ_b = (l >> mode_b) & 1
-        if occ_a == occ_b:
-            out[l] = out.get(l, 0.0) + amp
-            continue
-        sgn = _between_sign(l, mode_a, mode_b)
-        out[l] = out.get(l, 0.0) + c * amp
-        moved = l ^ flip
-        out[moved] = out.get(moved, 0.0) + 1j * sgn * s_amp * amp
-    return state.with_entries(out)
+    between = _between_mask(mode_a, mode_b)
+    hop_even, hop_odd = 1j * s_amp, -1j * s_amp
+
+    def image(l: int) -> tuple[tuple[int, complex], ...]:
+        occupied = l & flip
+        if not occupied or occupied == flip:
+            return ((l, 1.0),)
+        odd = (l & between).bit_count() & 1
+        return ((l, c), (l ^ flip, hop_odd if odd else hop_even))
+
+    return apply_map(state, image)
 
 
 def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
@@ -270,19 +274,17 @@ def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
     parity sign of the modes in between, empty pairs untouched."""
     _check_literal_pair(state, mode_a, mode_b, "fswap")
     flip = (1 << mode_a) | (1 << mode_b)
-    out: dict[int, complex] = {}
-    for l, amp in state.entries.items():
-        occ_a = (l >> mode_a) & 1
-        occ_b = (l >> mode_b) & 1
-        if occ_a and occ_b:
-            out[l] = out.get(l, 0.0) - amp
-        elif occ_a or occ_b:
-            sgn = _between_sign(l, mode_a, mode_b)
-            moved = l ^ flip
-            out[moved] = out.get(moved, 0.0) + sgn * amp
-        else:
-            out[l] = out.get(l, 0.0) + amp
-    return state.with_entries(out)
+    between = _between_mask(mode_a, mode_b)
+
+    def image(l: int) -> tuple[tuple[int, complex]]:
+        occupied = l & flip
+        if occupied == flip:
+            return ((l, -1.0),)
+        if occupied:
+            return ((l ^ flip, -1 if (l & between).bit_count() & 1 else 1),)
+        return ((l, 1.0),)
+
+    return apply_map(state, image)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +292,28 @@ def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
 # ---------------------------------------------------------------------------
 
 
-def _site_op_entries(
-    entries: dict[int, complex], mode: int, create: bool
-) -> dict[int, complex]:
-    """Raw signed ladder operator on labels; no representation checks."""
-    out: dict[int, complex] = {}
+def _site_op(state: SparseState, mode: int, create: bool) -> SparseState:
+    """Signed ladder operator on one literal mode of a physical state."""
+    _check_fermion_mode(state.layout, mode)
+    if state.compressed:
+        raise ValueError("bare site operators are undefined on compressed states")
     bit = 1 << mode
-    for l, amp in entries.items():
-        occupied = bool(l & bit)
-        if create == occupied:
-            continue
-        out[l ^ bit] = jw_sign(l, mode) * amp
-    return out
+    return apply_map(
+        state,
+        lambda l: () if bool(l & bit) == create else ((l ^ bit, jw_sign(l, mode)),),
+    )
 
 
 def apply_annihilation(state: SparseState, mode: int) -> SparseState:
     """Site annihilation s_mode (with string sign).  Physical states only:
     removing an atom has no compressed representation because the implied
     reference prefix would no longer match."""
-    _check_fermion_mode(state.layout, mode)
-    if state.compressed:
-        raise ValueError("bare site operators are undefined on compressed states")
-    return state.with_entries(_site_op_entries(state.entries, mode, create=False))
+    return _site_op(state, mode, create=False)
 
 
 def apply_creation(state: SparseState, mode: int) -> SparseState:
     """Site creation s_mode^dag (with string sign).  Physical states only."""
-    _check_fermion_mode(state.layout, mode)
-    if state.compressed:
-        raise ValueError("bare site operators are undefined on compressed states")
-    return state.with_entries(_site_op_entries(state.entries, mode, create=True))
+    return _site_op(state, mode, create=True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +334,14 @@ def apply_qubit_gate(
 ) -> SparseState:
     bit = _ancilla_bit(state, qubit)
     if kind == "h":
-        out: dict[int, complex] = {}
-        for l, amp in state.entries.items():
-            lo = l & ~bit
-            hi = l | bit
-            half = SQRT_HALF * amp
-            if l & bit:
-                out[lo] = out.get(lo, 0.0) + half
-                out[hi] = out.get(hi, 0.0) - half
-            else:
-                out[lo] = out.get(lo, 0.0) + half
-                out[hi] = out.get(hi, 0.0) + half
-        return state.with_entries(out)
+        minus = -SQRT_HALF
+        return apply_map(
+            state,
+            lambda l: (
+                (l & ~bit, SQRT_HALF),
+                (l | bit, minus if l & bit else SQRT_HALF),
+            ),
+        )
     if kind in _QUBIT_DIAGONAL or kind == "phase":
         if kind == "phase":
             if theta is None:
@@ -359,10 +349,8 @@ def apply_qubit_gate(
             ph = phase_factor(theta)
         else:
             ph = _QUBIT_DIAGONAL[kind]
-        return state.with_entries(
-            {l: (a * ph if l & bit else a) for l, a in state.entries.items()}
-        )
-    if kind in ("cz", "cphase"):
+        mask = bit
+    elif kind in ("cz", "cphase"):
         if qubit_b is None:
             raise ValueError(f"{kind} needs a second qubit")
         if kind == "cz":
@@ -371,14 +359,10 @@ def apply_qubit_gate(
             if theta is None:
                 raise ValueError("cphase needs theta")
             ph = phase_factor(theta)
-        bit_b = _ancilla_bit(state, qubit_b)
-        return state.with_entries(
-            {
-                l: (a * ph if (l & bit) and (l & bit_b) else a)
-                for l, a in state.entries.items()
-            }
-        )
-    raise ValueError(f"unknown qubit gate {kind!r}")
+        mask = bit | _ancilla_bit(state, qubit_b)
+    else:
+        raise ValueError(f"unknown qubit gate {kind!r}")
+    return apply_map(state, lambda l: ((l, ph if l & mask == mask else 1.0),))
 
 
 def apply_controlled(
@@ -389,17 +373,13 @@ def apply_controlled(
     ``fn`` must not touch the control qubit itself.
     """
     bit = _ancilla_bit(state, qubit)
-    idle = {l: a for l, a in state.entries.items() if not l & bit}
-    active = {l: a for l, a in state.entries.items() if l & bit}
-    branch = fn(SparseState(state.layout, active, state.compressed))
+    idle = apply_map(state, lambda l: () if l & bit else ((l, 1.0),))
+    branch = fn(apply_map(state, lambda l: ((l, 1.0),) if l & bit else ()))
     if branch.layout != state.layout or branch.compressed != state.compressed:
         raise ValueError("controlled operation changed the representation")
-    out = dict(idle)
-    for l, a in branch.entries.items():
-        if not l & bit:
-            raise ValueError("controlled operation moved amplitude off the |1> branch")
-        out[l] = out.get(l, 0.0) + a
-    return state.with_entries(out)
+    if not all(l & bit for l in branch.entries):
+        raise ValueError("controlled operation moved amplitude off the |1> branch")
+    return add_states(idle, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +422,8 @@ def measure_qubit(
     if p_sel <= 0.0:
         raise ValueError("selected a zero-probability branch")
     scale = 1.0 / math.sqrt(p_sel * total)
-    keep = (lambda l: not l & bit) if chose_zero else (lambda l: bool(l & bit))
-    post = state.with_entries(
-        {l: a * scale for l, a in state.entries.items() if keep(l)}
-    )
+    keep = 0 if chose_zero else bit
+    post = apply_map(state, lambda l: ((l, scale),) if l & bit == keep else ())
     return (1 if chose_zero else -1), post
 
 
@@ -488,8 +466,8 @@ def measure_mode_number(
             selected = cnt
             break
     scale = 1.0 / math.sqrt(probs[selected] * total)
-    post = state.with_entries(
-        {l: a * scale for l, a in state.entries.items() if count_of[l] == selected}
+    post = apply_map(
+        state, lambda l: ((l, scale),) if count_of[l] == selected else ()
     )
     return selected, post
 
@@ -513,15 +491,6 @@ def apply_gate_op(
         return apply_fswap(state, op.mode_a, op.mode_b), None
     if isinstance(op, QubitGate):
         return apply_qubit_gate(state, op.kind, op.qubit, op.qubit_b, op.theta), None
-    if isinstance(op, ControlledComposite):
-        def _run(branch: SparseState) -> SparseState:
-            for inner in op.ops:
-                if isinstance(inner, (MeasureQubit, MeasureModeNumber)):
-                    raise ValueError("measurements cannot be controlled")
-                branch, _ = apply_gate_op(branch, inner)
-            return branch
-
-        return apply_controlled(state, op.qubit, _run), None
     if isinstance(op, MeasureQubit):
         if rng is None:
             raise ValueError("measurement instruction needs an rng")

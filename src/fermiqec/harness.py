@@ -26,7 +26,7 @@ from .gates import apply_qubit_gate, measure_qubit
 from .logical import controlled_tunneling_logical
 from .qec import measure_reference_and_recover, qec_round
 from .registers import RegisterLayout
-from .states import SparseState
+from .states import SparseState, apply_map
 from .stats import clopper_pearson
 
 __all__ = [
@@ -94,8 +94,8 @@ def sample_phase_error_layer(
             sys_mask |= 1 << m
         else:
             ref_flips.append(m - lay.num_system_modes)
-    out: dict[int, complex] = {}
-    for l, a in state.entries.items():
+
+    def image(l: int) -> tuple[tuple[int, complex]]:
         par = (l & sys_mask).bit_count()
         if ref_flips:
             if state.compressed:
@@ -103,8 +103,9 @@ def sample_phase_error_layer(
                 par += sum(1 for j in ref_flips if j < n_ref)
             else:
                 par += sum(1 for j in ref_flips if (l >> lay.reference_mode(j)) & 1)
-        out[l] = -a if par & 1 else a
-    return state.with_entries(out), tuple(flipped)
+        return ((l, -1.0 if par & 1 else 1.0),)
+
+    return apply_map(state, image), tuple(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,8 @@ def run_experiment(
     """
     if config.seed < 0:
         raise ValueError("seed must be non-negative")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
     t0 = time.perf_counter()
     points: list[PointResult] = []
     for point_index, p in enumerate(config.p_values):

@@ -4,7 +4,9 @@ The logical occupation of a block is its parity, so logical phase-type gates
 are diagonal and can be teleported onto an ancilla with parity-controlled
 sign flips; the logical tunneling at pi/2 reduces to a transversal fermionic
 swap plus two logical S gates.  Exact diagonal oracles live alongside the
-gadget constructions so the two can be checked against each other.
+gadget constructions so the two can be checked against each other.  The
+swap and the exact tunnelings are label maps memoized by the code (see
+:meth:`fermiqec.codes.RepetitionCode.label_map`).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import RepetitionCode, block_parity
-from .gates import apply_controlled, apply_fswap, apply_qubit_gate
-from .states import SparseState, add_states, phase_factor
+from .codes import LabelMap, RepetitionCode, block_parity
+from .gates import apply_controlled, apply_qubit_gate
+from .states import SparseState, apply_map, phase_factor
 
 __all__ = [
     "FSwapL",
@@ -93,19 +95,7 @@ def fswap_logical(
     """Transversal fermionic swap of two blocks (mode k with mode k)."""
     if block_a == block_b:
         raise ValueError("logical fswap needs two distinct blocks")
-    if state.compressed:
-        perm, sign = code.compiled_fswap(block_a, block_b)
-        smask = state.layout.system_mask
-        out = {}
-        for l, a in state.entries.items():
-            sys = l & smask
-            out[perm[sys] | (l & ~smask)] = a if sign[sys] > 0 else -a
-        return state.with_entries(out)
-    modes_a = code.block_modes(block_a)
-    modes_b = code.block_modes(block_b)
-    for ma, mb in zip(modes_a, modes_b):
-        state = apply_fswap(state, ma, mb)
-    return state
+    return apply_map(state, code.compiled_fswap(block_a, block_b))
 
 
 def logical_phase_exact(
@@ -113,11 +103,8 @@ def logical_phase_exact(
 ) -> SparseState:
     """Diagonal oracle for exp(i theta N_block)."""
     ph = phase_factor(theta)
-    return state.with_entries(
-        {
-            l: (a * ph if block_parity(code, l, block) else a)
-            for l, a in state.entries.items()
-        }
+    return apply_map(
+        state, lambda l: ((l, ph if block_parity(code, l, block) else 1.0),)
     )
 
 
@@ -130,16 +117,12 @@ def logical_density_exact(
 ) -> SparseState:
     """Diagonal oracle for exp(i theta N_a N_b)."""
     ph = phase_factor(theta)
-    return state.with_entries(
-        {
-            l: (
-                a * ph
-                if block_parity(code, l, block_a) and block_parity(code, l, block_b)
-                else a
-            )
-            for l, a in state.entries.items()
-        }
-    )
+
+    def image(l: int) -> tuple[tuple[int, complex]]:
+        both = block_parity(code, l, block_a) and block_parity(code, l, block_b)
+        return ((l, ph if both else 1.0),)
+
+    return apply_map(state, image)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +136,9 @@ def _controlled_block_z(
     """(-1)^(block parity) on the |1> branch of an ancilla."""
     bit = 1 << state.layout.ancilla_bit(ancilla, compressed=state.compressed)
     mask = code.block_mask(block)
-    return state.with_entries(
-        {
-            l: (-a if (l & bit) and (l & mask).bit_count() & 1 else a)
-            for l, a in state.entries.items()
-        }
+    return apply_map(
+        state,
+        lambda l: ((l, -1.0 if l & bit and (l & mask).bit_count() & 1 else 1.0),),
     )
 
 
@@ -218,6 +199,30 @@ def density_gadget_logical(
 # ---------------------------------------------------------------------------
 
 
+def _tunneling_map(
+    code: RepetitionCode, block_a: int, block_b: int, theta: float, control: int = 0
+) -> LabelMap:
+    """exp(i theta (C_a^dag C_b + h.c.)) as a label map, applied where the
+    ``control`` bits of a label are all set (every label when 0).
+
+    Even joint parity is left alone; on odd parity the label keeps
+    ``cos theta`` and its transversal swap image gains ``i sin theta``.
+    """
+    swap = code.compiled_fswap(block_a, block_b)
+    pair = code.block_mask(block_a) | code.block_mask(block_b)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def derive(part: int) -> tuple[tuple[int, complex], ...]:
+        if part & control != control or not (part & pair).bit_count() & 1:
+            return ((part, 1.0),)
+        ((t, sign),) = swap.part(part & swap.mask)
+        return ((part, c), (t | part & ~swap.mask, 1j * s * sign))
+
+    return code.label_map(
+        ("tunneling", block_a, block_b, control), theta, swap.mask | control, derive
+    )
+
+
 def tunneling_logical(
     state: SparseState,
     code: RepetitionCode,
@@ -235,21 +240,7 @@ def tunneling_logical(
     transversal swap followed by logical S gates on both blocks.
     """
     if method == "exact":
-        odd: dict[int, complex] = {}
-        even: dict[int, complex] = {}
-        for l, a in state.entries.items():
-            par = block_parity(code, l, block_a) ^ block_parity(code, l, block_b)
-            (odd if par else even)[l] = a
-        out = dict(even)
-        c, s = math.cos(theta), math.sin(theta)
-        swapped = fswap_logical(
-            SparseState(state.layout, odd, state.compressed), code, block_a, block_b
-        )
-        for l, a in odd.items():
-            out[l] = out.get(l, 0.0) + c * a
-        for l, a in swapped.entries.items():
-            out[l] = out.get(l, 0.0) + 1j * s * a
-        return state.with_entries(out)
+        return apply_map(state, _tunneling_map(code, block_a, block_b, theta))
 
     if method == "hardware":
         if not math.isclose(theta, math.pi / 2, abs_tol=1e-12):
@@ -273,6 +264,9 @@ def controlled_tunneling_logical(
     ancilla: int = 1,
 ) -> SparseState:
     """Logical tunneling on the |1> branch of a control qubit."""
+    if method == "exact":
+        bit = 1 << state.layout.ancilla_bit(qubit, compressed=state.compressed)
+        return apply_map(state, _tunneling_map(code, block_a, block_b, theta, bit))
     if method == "hardware" and ancilla == qubit:
         raise ValueError("gadget ancilla must differ from the control qubit")
     return apply_controlled(

@@ -2,15 +2,18 @@
 
 Stabilizers are read out either through the hardware ancilla gadget
 (Hadamard, two controlled pi/2 Majorana rotations split by S-dagger, then a
-computational-basis measurement) or through direct projection.  Both consume
-exactly one random draw per stabilizer with the same outcome orientation, so
-runs agree draw-for-draw across the two methods and representations.
+computational-basis measurement) or through direct projection with
+``(1 + S)/2``, a label map memoized by the code on compressed states.  Both
+consume exactly one random draw per stabilizer with the same outcome
+orientation, so runs agree draw-for-draw across the two methods and
+representations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,11 +23,12 @@ from .codes import (
     prepare_logical_vacuum,
     project_codespace,
     stabilizer_expectation,
+    stabilizer_majoranas,
 )
 from .gates import apply_local_phase, apply_qubit_gate, measure_mode_number, measure_qubit
 from .reference import controlled_D
 from .registers import RegisterLayout
-from .states import SparseState, add_states
+from .states import SparseState, add_states, apply_map, scale_state
 
 __all__ = [
     "QecRound",
@@ -85,29 +89,24 @@ def decode(syndrome: tuple[int, int]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_stabilizer_fast(
-    state: SparseState, code: RepetitionCode, block: int, which: str
-) -> SparseState:
-    """Stabilizer application, via the compiled label map when compressed."""
-    if not state.compressed:
-        return apply_stabilizer(state, code, block, which)
-    perm, phase = code.compiled_stabilizer(which, block)
-    smask = state.layout.system_mask
-    out: dict[int, complex] = {}
-    for l, a in state.entries.items():
-        sys = l & smask
-        ph = phase[sys]
-        if ph == 0:
-            continue
-        # stabilizers square to one, so the label map is injective
-        out[perm[sys] | (l & ~smask)] = ph * a
-    return state.with_entries(out)
+def _plus_projector(
+    code: RepetitionCode, block: int, which: str
+) -> Callable[[int], tuple[tuple[int, complex], ...]]:
+    """(1 + S)/2 on compressed labels: the label itself plus half its image
+    under the code's memoized stabilizer map."""
+    stab = code.compiled_stabilizer(which, block)
+    return code.label_map(
+        ("plus", which, block),
+        None,
+        stab.mask,
+        lambda sys: ((sys, 0.5), *((t, 0.5 * c) for t, c in stab.part(sys))),
+    )
 
 
 def _reset_ancilla(state: SparseState, qubit: int) -> SparseState:
     """Return the measured-out ancilla to |0> so it can be reused."""
     bit = 1 << state.layout.ancilla_bit(qubit, compressed=state.compressed)
-    return state.with_entries({l & ~bit: a for l, a in state.entries.items()})
+    return apply_map(state, lambda l: ((l & ~bit, 1.0),))
 
 
 def measure_stabilizer(
@@ -127,14 +126,7 @@ def measure_stabilizer(
     state into the two eigencomponents directly.  Outcome +1 corresponds to
     the (1 + S)/2 branch in both.
     """
-    m1, m2, m3 = code.block_modes(block)
-    if which == "s12":
-        hi, lo, kind = m2, m1, "x"
-    elif which == "s23":
-        hi, lo, kind = m3, m2, "y"
-    else:
-        raise ValueError(f"unknown stabilizer {which!r}")
-
+    hi, lo, kind = stabilizer_majoranas(code, block, which)
     if method == "gadget":
         work = apply_qubit_gate(state, "h", ancilla)
         work = controlled_D(work, ancilla, hi, math.pi / 2, kind)
@@ -146,38 +138,20 @@ def measure_stabilizer(
 
     if method == "projection":
         if state.compressed:
-            # fused (1 + S)/2 pass through the compiled label map
-            perm, phase = code.compiled_stabilizer(which, block)
-            smask = state.layout.system_mask
-            plus_entries: dict[int, complex] = {}
-            for l, a in state.entries.items():
-                half = 0.5 * a
-                plus_entries[l] = plus_entries.get(l, 0.0) + half
-                sys = l & smask
-                ph = phase[sys]
-                if ph != 0:
-                    new = perm[sys] | (l & ~smask)
-                    plus_entries[new] = plus_entries.get(new, 0.0) + ph * half
-            plus = state.with_entries(plus_entries)
+            plus = apply_map(state, _plus_projector(code, block, which))
         else:
-            image = _apply_stabilizer_fast(state, code, block, which)
+            image = apply_stabilizer(state, code, block, which)
             plus = add_states(state, image, 0.5, 0.5)
         total = state.norm_sq()
         p_plus = plus.norm_sq() / total
         u = rng.random()
         if u < p_plus:
-            scale = 1.0 / math.sqrt(p_plus * total)
-            return 1, plus.with_entries(
-                {l: a * scale for l, a in plus.entries.items()}
-            )
+            return 1, scale_state(plus, 1.0 / math.sqrt(p_plus * total))
         minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
         p_minus = minus.norm_sq() / total
         if p_minus <= 0.0:
             raise ValueError("selected a zero-probability branch")
-        scale = 1.0 / math.sqrt(p_minus * total)
-        return -1, minus.with_entries(
-            {l: a * scale for l, a in minus.entries.items()}
-        )
+        return -1, scale_state(minus, 1.0 / math.sqrt(p_minus * total))
 
     raise ValueError(f"unknown readout method {method!r}")
 
@@ -225,11 +199,7 @@ def measure_reference_and_recover(
     under the sector projection and is only approximately removed.  Raises
     if the projection is numerically zero.
     """
-    lay = state.layout
-    modes = tuple(
-        range(lay.num_system_modes, lay.num_system_modes + lay.num_reference_modes)
-    )
-    _, state = measure_mode_number(state, modes, rng)
+    _, state = measure_mode_number(state, state.layout.reference_modes(), rng)
     projected = project_codespace(state, code)
     norm = projected.norm()
     if norm < 1e-12:

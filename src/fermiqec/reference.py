@@ -37,7 +37,7 @@ from .gates import (
     apply_local_phase,
 )
 from .registers import RegisterLayout, jw_sign
-from .states import SparseState, add_states, phase_factor
+from .states import SparseState, add_states, apply_map, phase_factor
 
 __all__ = [
     "ReferencePhase",
@@ -48,7 +48,6 @@ __all__ = [
     "is_in_H",
     "apply_R",
     "apply_R_dagger",
-    "apply_R_term",
     "apply_c",
     "apply_c_dagger",
     "apply_majorana",
@@ -150,66 +149,50 @@ def is_in_H(state: SparseState) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _r_term_entries(
-    state: SparseState, j: int, create: bool, out: dict[int, complex]
-) -> None:
-    """Accumulate one guarded edge term into ``out``.
+def _require_physical(state: SparseState, what: str) -> None:
+    if state.compressed:
+        raise ValueError(f"{what} is undefined on compressed states")
+
+
+def _apply_edge(state: SparseState, create: bool) -> SparseState:
+    """Sum of the guarded edge terms, one per reference mode ``j``.
 
     Annihilation fires on labels where reference mode ``j`` is occupied, the
     mode below is occupied (or ``j`` is the bottom), and the mode above is
     empty (or ``j`` is the top).  Creation fires where mode ``j`` is empty
     under the same neighbor guards, so the prefix grows by one.
     """
-    lay = state.layout
-    top = lay.num_reference_modes - 1
-    pos = lay.reference_mode(j)
-    bit = 1 << pos
-    below = 1 << lay.reference_mode(j - 1) if j > 0 else 0
-    above = 1 << lay.reference_mode(j + 1) if j < top else 0
-    for l, a in state.entries.items():
-        if bool(l & bit) == create:
-            continue
-        if below and not l & below:
-            continue
-        if above and l & above:
-            continue
-        new = l ^ bit
-        out[new] = out.get(new, 0.0) + jw_sign(l, pos) * a
-
-
-def _require_physical(state: SparseState, what: str) -> None:
-    if state.compressed:
-        raise ValueError(f"{what} is undefined on compressed states")
-
-
-def apply_R_term(state: SparseState, j: int) -> SparseState:
-    """Single guarded term of R (exposed for algebra checks)."""
     _require_physical(state, "the reference edge operator")
-    if j < 0 or j >= state.layout.num_reference_modes:
-        raise ValueError(f"reference mode {j} outside register")
-    out: dict[int, complex] = {}
-    _r_term_entries(state, j, create=False, out=out)
-    return state.with_entries(out)
+    lay = state.layout
+    shift = lay.num_system_modes
+    full = (1 << lay.num_reference_modes) - 1
+    flip = full if create else 0
+
+    def image(l: int) -> list[tuple[int, int]]:
+        ref = (l >> shift) & full
+        # bit j of ``fire``: mode j has the wanted occupation, j - 1 is
+        # occupied (or j is the bottom) and j + 1 is empty (or j is the top)
+        fire = (ref ^ flip) & (ref << 1 | 1) & ~(ref >> 1) & full
+        terms = []
+        while fire:
+            low = fire & -fire
+            terms.append((l ^ low << shift, jw_sign(l, shift + low.bit_length() - 1)))
+            fire ^= low
+        return terms
+
+    return apply_map(state, image)
 
 
 def apply_R(state: SparseState) -> SparseState:
     """Edge annihilation: on prefix states, remove the topmost reference
     atom.  Output is generally unnormalized; on non-prefix configurations
     several terms may fire."""
-    _require_physical(state, "the reference edge operator")
-    out: dict[int, complex] = {}
-    for j in range(state.layout.num_reference_modes):
-        _r_term_entries(state, j, create=False, out=out)
-    return state.with_entries(out)
+    return _apply_edge(state, create=False)
 
 
 def apply_R_dagger(state: SparseState) -> SparseState:
     """Edge creation: on prefix states, grow the reference prefix by one."""
-    _require_physical(state, "the reference edge operator")
-    out: dict[int, complex] = {}
-    for j in range(state.layout.num_reference_modes):
-        _r_term_entries(state, j, create=True, out=out)
-    return state.with_entries(out)
+    return _apply_edge(state, create=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +215,19 @@ def _compressed_ladder(state: SparseState, mode: int, create: bool) -> SparseSta
     lay = state.layout
     sign_ref = -1 if (lay.total_atoms - 1) & 1 else 1
     bit = 1 << mode
-    out: dict[int, complex] = {}
-    for l, a in state.entries.items():
+
+    def image(l: int) -> tuple[tuple[int, int], ...]:
         if bool(l & bit) == create:
-            continue
+            return ()
         n_sys = lay.system_part(l).bit_count()
         if create:
             if n_sys >= lay.total_atoms:  # reference empty, nothing to borrow
-                continue
-        else:
-            if lay.total_atoms - (n_sys - 1) > lay.num_reference_modes:
-                continue  # reference block full, nowhere to repay
-        out[l ^ bit] = sign_ref * jw_sign(l, mode) * a
-    return state.with_entries(out)
+                return ()
+        elif lay.total_atoms - (n_sys - 1) > lay.num_reference_modes:
+            return ()  # reference block full, nowhere to repay
+        return ((l ^ bit, sign_ref * jw_sign(l, mode)),)
+
+    return apply_map(state, image)
 
 
 def apply_c(state: SparseState, mode: int) -> SparseState:
@@ -283,14 +266,11 @@ def apply_global_reference_phase(state: SparseState, theta: float) -> SparseStat
     """exp(i theta N_ref); diagonal, so well defined on both representations."""
     ph = phase_factor(theta)
     lay = state.layout
-    out: dict[int, complex] = {}
-    for l, a in state.entries.items():
-        if state.compressed:
-            k = lay.total_atoms - lay.system_part(l).bit_count()
-        else:
-            k = lay.reference_part(l).bit_count()
-        out[l] = a * ph**k
-    return state.with_entries(out)
+    if state.compressed:
+        count = lambda l: lay.total_atoms - lay.system_part(l).bit_count()
+    else:
+        count = lambda l: lay.reference_part(l).bit_count()
+    return apply_map(state, lambda l: ((l, ph ** count(l)),))
 
 
 # ---------------------------------------------------------------------------

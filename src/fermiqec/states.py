@@ -4,6 +4,12 @@ A state is a dict from int basis labels (see :mod:`fermiqec.registers`) to
 complex amplitudes.  Exact states in this simulator have few nonzero
 amplitudes, so a dict beats a dense vector by orders of magnitude.
 
+Every gate in the package acts on one basis label at a time: a label goes
+to at most one other label with a phase (swaps, phases, stabilizers), or to
+a sum of two such terms (tunneling, Hadamard, projectors).  :func:`apply_map`
+is the one kernel for all of them; a gate only supplies ``image(label)``,
+the ``(label, coefficient)`` pairs that label is sent to.
+
 All operations in this package are functional: they return new states and
 never mutate their inputs.  Amplitudes below ``PRUNE_EPS`` are dropped on
 construction; norms and probabilities are accumulated with ``math.fsum`` so
@@ -16,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +39,7 @@ __all__ = [
     "difference_norm",
     "random_full_state",
     "phase_factor",
+    "apply_map",
 ]
 
 PRUNE_EPS = 1e-14
@@ -133,6 +141,26 @@ def add_states(
     for l, amp in b.entries.items():
         out[l] = out.get(l, 0.0) + cb * amp
     return a.with_entries(out)
+
+
+def apply_map(
+    state: SparseState,
+    image: Callable[[int], Iterable[tuple[int, complex]]],
+) -> SparseState:
+    """The linear map sending each basis label ``l`` to ``sum(c * |t>)``
+    over the pairs ``(t, c)`` of ``image(l)``.
+
+    An empty image annihilates the label, one pair is a monomial (or
+    diagonal) map, two pairs a sum of two.  Output amplitudes accumulate in
+    the order of the input entries and of each image's pairs; the result is
+    pruned like any other state.
+    """
+    out: dict[int, complex] = {}
+    get = out.get
+    for l, a in state.entries.items():
+        for t, c in image(l):
+            out[t] = get(t, 0j) + c * a
+    return state.with_entries(out)
 
 
 def scale_state(a: SparseState, c: complex) -> SparseState:

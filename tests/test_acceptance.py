@@ -311,6 +311,7 @@ def test_06_gadget_oracles_and_fswap_conjugation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_07_noiseless_exchange_estimate():
     t0 = time.perf_counter()
     result = run_experiment(
@@ -337,6 +338,7 @@ def _epsilon_intervals(points, power):
     return out
 
 
+@pytest.mark.slow
 def test_08_quadratic_suppression_scaling():
     t0 = time.perf_counter()
     p_values = (0.002, 0.005, 0.01)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fermiqec import __version__
+from fermiqec import __version__, harness
 from fermiqec.cli import main
 
 
@@ -108,3 +108,15 @@ def test_runtime_value_errors_exit_cleanly(capsys):
     code = main(["exchange", "--p", "0", "--shots", "1", "--confidence", "1.5"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bad_confidence_fails_before_any_shot(monkeypatch, capsys):
+    def no_shots(*args):
+        raise AssertionError("a shot ran before the confidence was checked")
+
+    monkeypatch.setattr(harness, "_run_shot_range", no_shots)
+    argv = ["exchange", "--p", "0.01", "--shots", "512", "--confidence", "1.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "confidence" in err

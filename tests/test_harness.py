@@ -9,6 +9,8 @@ from fermiqec.backend import compress
 from fermiqec.codes import RepetitionCode, logical_basis_state
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
+    _build_code,
+    _resolve_schedule,
     ExperimentConfig,
     NoiseSpec,
     noise_modes,
@@ -142,3 +144,54 @@ def test_exchange_pairs_cycle_the_three_blocks():
     assert EXCHANGE_PAIRS == ((0, 2), (0, 1), (1, 2))
     touched = sorted({b for pair in EXCHANGE_PAIRS for b in pair})
     assert touched == [0, 1, 2]
+
+#: Outcomes (+ for +1, - for -1) of the first 200 shots at p = 0.05 over
+#: three layers, seed 0, point 0: a change that keeps every amplitude's
+#: arithmetic must reproduce them draw for draw.
+PINNED_OUTCOMES = {
+    "corrected": (
+        "+++++++-+++++++++++++++++++-++++++++++++++++-+++++"
+        "++++++++++++++++++++++++++++++++++++++++++++++++++"
+        "++++++++-++++++++++++++++++++-++++-+++++++++++++++"
+        "++++++++++++++++++++++++++++++++++++++-+++++++++++"
+    ),
+    "uncorrected": (
+        "-+-+-++-++++-++++-+-++-++++-++-+-+++-+++++++----++"
+        "+--++++-+-++++-++-++++-++-++-+++--+-+---++-+++-++-"
+        "+++---++++++-++--+++++-+-++++-++-++-+++-+++-++--++"
+        "-+-+++++---+----++-+-++++++--+++---++-+-++-+++++-+"
+    ),
+    "reference": (
+        "+-+++++-++++---+-+++++-++-++++++++-++++-++++-+++++"
+        "-++-+++++++++-+++-++++++-+-+++-++++++-++++++++++-+"
+        "++++++-+-+-+++--++++++++++--++++++++++++++++++++-+"
+        "++-++-++++--+-++--+-+++-+++-++++++-+-++-++++-+++++"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, correct, reference",
+    [
+        ("corrected", True, False),
+        ("uncorrected", False, False),
+        ("reference", True, True),
+    ],
+)
+def test_first_shots_are_pinned(case, correct, reference):
+    config = ExperimentConfig(
+        (0.05,),
+        shots=200,
+        correction_enabled=correct,
+        include_reference_errors=reference,
+    )
+    code = _build_code(config)
+    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    spec = NoiseSpec(0.05, include_reference=reference)
+    schedule = _resolve_schedule(config)
+    outcomes = []
+    for shot in range(config.shots):  # the seeding of harness._run_shot_range
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, shot]))
+        outcome = run_exchange_shot(base, code, spec, schedule, correct, rng)
+        outcomes.append("+" if outcome > 0 else "-")
+    assert "".join(outcomes) == PINNED_OUTCOMES[case]
