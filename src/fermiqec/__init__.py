@@ -17,10 +17,8 @@ from .codes import (
     apply_logical_C_dagger,
     apply_loss_kraus,
     apply_stabilizer,
-    codespace_states,
     kl_check,
     logical_basis_state,
-    logical_number_expectation,
     prepare_logical_vacuum,
     project_codespace,
     random_codespace_state,
@@ -53,11 +51,6 @@ from .harness import (
     sample_phase_error_layer,
 )
 from .logical import (
-    ControlledTunnelL,
-    DensityL,
-    FSwapL,
-    PhaseL,
-    TunnelL,
     controlled_tunneling_logical,
     density_gadget_logical,
     fswap_logical,

@@ -3,8 +3,8 @@
 On the consistent subspace every basis label's reference occupation is a
 function of its system count, so the reference bits can be dropped entirely:
 ``compress`` relabels system+ancilla bits only, ``decompress`` reinstates the
-prefix.  ``run_circuit`` executes the same instruction list on either
-representation (picking native implementations where they differ), and
+prefix.  ``run_circuit`` executes the same list of hardware gates, Majorana
+rotations, reference phases and QEC rounds on either representation, and
 ``run_dual`` runs both sides off identical rng streams and reports how far
 apart they end up — the workhorse consistency check for the whole package.
 """
@@ -26,18 +26,6 @@ from .gates import (
     QubitGate,
     Tunneling,
     apply_gate_op,
-)
-from .logical import (
-    ControlledTunnelL,
-    DensityL,
-    FSwapL,
-    PhaseL,
-    TunnelL,
-    controlled_tunneling_logical,
-    density_gadget_logical,
-    fswap_logical,
-    phase_gadget_logical,
-    tunneling_logical,
 )
 from .qec import QecRound, qec_round
 from .reference import (
@@ -107,12 +95,13 @@ def run_circuit(
     rng: np.random.Generator,
     code: RepetitionCode | None = None,
 ) -> tuple[SparseState, list[int]]:
-    """Execute a mixed instruction list; returns (state, measured outcomes).
+    """Execute an instruction list; returns (state, measured outcomes).
 
-    Plain gates run the same way on both representations.  Majorana
-    rotations use the hardware decomposition on physical states and the
-    exact rotation on compressed ones; a QEC round defaults to the ancilla
-    gadget physically and to projection when compressed.
+    Hardware gates (:data:`fermiqec.gates.GateOp`) go to
+    :func:`fermiqec.gates.apply_gate_op`.  Majorana rotations use the
+    hardware decomposition on physical states and the exact rotation on
+    compressed ones; a QEC round reads each block's two stabilizers through
+    the ancilla gadget physically and by projection when compressed.
     """
     outcomes: list[int] = []
     for op in ops:
@@ -126,42 +115,10 @@ def run_circuit(
         elif isinstance(op, QecRound):
             if code is None:
                 raise ValueError("a QEC round needs a code")
-            method = op.method or ("projection" if state.compressed else "gadget")
+            method = "projection" if state.compressed else "gadget"
             state, syndromes = qec_round(state, code, rng, op.ancilla, method)
             for pair in syndromes:
                 outcomes.extend(pair)
-        elif isinstance(op, (FSwapL, PhaseL, DensityL, TunnelL, ControlledTunnelL)):
-            if code is None:
-                raise ValueError("logical instructions need a code")
-            if isinstance(op, FSwapL):
-                state = fswap_logical(state, code, op.block_a, op.block_b)
-            elif isinstance(op, PhaseL):
-                state = phase_gadget_logical(state, code, op.block, op.theta, op.ancilla)
-            elif isinstance(op, DensityL):
-                state = density_gadget_logical(
-                    state,
-                    code,
-                    op.block_a,
-                    op.block_b,
-                    op.theta,
-                    op.ancilla_a,
-                    op.ancilla_b,
-                )
-            elif isinstance(op, TunnelL):
-                state = tunneling_logical(
-                    state, code, op.block_a, op.block_b, op.theta, op.method, op.ancilla
-                )
-            else:
-                state = controlled_tunneling_logical(
-                    state,
-                    op.qubit,
-                    code,
-                    op.block_a,
-                    op.block_b,
-                    op.theta,
-                    op.method,
-                    op.ancilla,
-                )
         else:
             state, outcome = apply_gate_op(state, op, rng)
             if outcome is not None:

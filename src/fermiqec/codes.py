@@ -44,9 +44,7 @@ __all__ = [
     "apply_logical_C",
     "apply_logical_C_dagger",
     "logical_basis_state",
-    "logical_number_expectation",
     "block_parity",
-    "codespace_states",
     "random_codespace_state",
     "project_codespace",
     "SteaneCode",
@@ -264,29 +262,38 @@ def prepare_logical_vacuum(code: RepetitionCode, compressed: bool = False) -> Sp
     return state.normalized()
 
 
-def _ladder_product(
-    state: SparseState, ops: Sequence[tuple[int, bool]]
+#: The terms of a block's logical lowering operator C as (position in the
+#: block, create) factors, first applied first: C is i times their sum.
+_LOGICAL_C_TERMS = (
+    ((2, False), (1, False), (0, False)),
+    ((2, True), (1, True), (0, False)),
+    ((2, True), (1, False), (0, True)),
+    ((2, False), (1, True), (0, True)),
+)
+
+
+def _logical_ladder(
+    state: SparseState, code: RepetitionCode, block: int, dagger: bool
 ) -> SparseState:
-    """Apply dressed ladder operators in the given order (first op first)."""
-    for mode, create in ops:
-        state = apply_c_dagger(state, mode) if create else apply_c(state, mode)
-    return state
+    """C, or C^dag: -i times the sum of C's terms, each reversed with
+    creation and annihilation swapped."""
+    modes = code.block_modes(block)
+    out = state.with_entries({})
+    for term in _LOGICAL_C_TERMS:
+        if dagger:
+            term = tuple((k, not create) for k, create in reversed(term))
+        product = state
+        for k, create in term:
+            ladder = apply_c_dagger if create else apply_c
+            product = ladder(product, modes[k])
+        out = add_states(out, product)
+    return scale_state(out, -1j if dagger else 1j)
 
 
 def apply_logical_C(state: SparseState, code: RepetitionCode, block: int) -> SparseState:
     """Logical lowering operator of one block:
     i (c1 c2 c3 + c1 c2+ c3+ + c1+ c2 c3+ + c1+ c2+ c3)."""
-    m1, m2, m3 = code.block_modes(block)
-    terms = [
-        [(m3, False), (m2, False), (m1, False)],
-        [(m3, True), (m2, True), (m1, False)],
-        [(m3, True), (m2, False), (m1, True)],
-        [(m3, False), (m2, True), (m1, True)],
-    ]
-    out = state.with_entries({})
-    for t in terms:
-        out = add_states(out, _ladder_product(state, t))
-    return scale_state(out, 1j)
+    return _logical_ladder(state, code, block, dagger=False)
 
 
 def apply_logical_C_dagger(
@@ -294,17 +301,7 @@ def apply_logical_C_dagger(
 ) -> SparseState:
     """Adjoint of the logical lowering operator:
     -i (c3+ c2+ c1+ + c3 c2 c1+ + c3 c2+ c1 + c3+ c2 c1)."""
-    m1, m2, m3 = code.block_modes(block)
-    terms = [
-        [(m1, True), (m2, True), (m3, True)],
-        [(m1, True), (m2, False), (m3, False)],
-        [(m1, False), (m2, True), (m3, False)],
-        [(m1, False), (m2, False), (m3, True)],
-    ]
-    out = state.with_entries({})
-    for t in terms:
-        out = add_states(out, _ladder_product(state, t))
-    return scale_state(out, -1j)
+    return _logical_ladder(state, code, block, dagger=True)
 
 
 def logical_basis_state(
@@ -333,23 +330,6 @@ def block_parity(code: RepetitionCode, label: int, block: int) -> int:
     return (label & code.block_mask(block)).bit_count() & 1
 
 
-def logical_number_expectation(
-    state: SparseState, code: RepetitionCode, block: int
-) -> float:
-    """<N_b>: the diagonal logical occupation, i.e. the block parity."""
-    mask = code.block_mask(block)
-    num = math.fsum(
-        a.real * a.real + a.imag * a.imag
-        for l, a in state.entries.items()
-        if (l & mask).bit_count() & 1
-    )
-    return num / state.norm_sq()
-
-
-def codespace_states(code: RepetitionCode, compressed: bool = False) -> list[SparseState]:
-    return code.codespace_states(compressed)
-
-
 def random_codespace_state(
     code: RepetitionCode, rng: np.random.Generator, compressed: bool = False
 ) -> SparseState:
@@ -373,13 +353,6 @@ def project_codespace(state: SparseState, code: RepetitionCode) -> SparseState:
     """
     lay = state.layout
     words = code.codespace_states(state.compressed)
-    if lay.num_ancilla_qubits == 0:
-        out = state.with_entries({})
-        for w in words:
-            ov = w.inner(state)
-            if ov != 0.0:
-                out = add_states(out, w, 1.0, ov)
-        return out
     shift = lay.num_system_modes
     if not state.compressed:
         shift += lay.num_reference_modes

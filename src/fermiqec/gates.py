@@ -1,8 +1,10 @@
 """Fermionic mode gates, ancilla-qubit gates, and projective measurements.
 
-The small frozen dataclasses double as circuit instructions (consumed by
-``backend.run_circuit``); the ``apply_*`` functions do the actual work on
-sparse states, each by handing the image of one basis label to
+The small frozen dataclasses are hardware gate records (``GateOp``) that
+:func:`apply_gate_op` dispatches; instruction lists hold them, and
+:func:`fermiqec.reference.apply_D_decomposed` runs its gate sequence
+through the same dispatcher.  The ``apply_*`` functions do the actual work
+on sparse states, each by handing the image of one basis label to
 :func:`fermiqec.states.apply_map`.  Everything is functional — inputs are
 never mutated.
 

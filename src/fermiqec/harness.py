@@ -44,9 +44,6 @@ __all__ = [
 #: Block pairs of the three controlled tunnelings, in time order.
 EXCHANGE_PAIRS = ((0, 2), (0, 1), (1, 2))
 
-#: Shots per work unit when fanning out over processes.
-CHUNK = 256
-
 _INTERFEROMETER = 0  # ancilla carrying the exchange phase
 _GADGET = 1  # ancilla reserved for in-shot correction machinery
 
@@ -223,32 +220,27 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
-def _run_shot_range(
-    config: ExperimentConfig, point_index: int, start: int, stop: int
-) -> int:
-    """Count -1 outcomes over a shot range (one picklable work unit)."""
+def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
+    """Count -1 outcomes of shots ``start..stop-1`` at every point (one
+    picklable work unit; the code and its label-map memos serve them all)."""
     code = _build_code(config)
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    spec = NoiseSpec(
-        config.p_values[point_index],
-        include_reference=config.include_reference_errors,
-    )
     schedule = _resolve_schedule(config)
-    minus = 0
-    for shot in range(start, stop):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, point_index, shot])
-        )
-        outcome = run_exchange_shot(
-            base, code, spec, schedule, config.correction_enabled, rng
-        )
-        if outcome < 0:
-            minus += 1
-    return minus
-
-
-def _run_shot_range_star(args: tuple) -> int:
-    return _run_shot_range(*args)
+    counts = []
+    for point_index, p in enumerate(config.p_values):
+        spec = NoiseSpec(p, include_reference=config.include_reference_errors)
+        minus = 0
+        for shot in range(start, stop):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, point_index, shot])
+            )
+            outcome = run_exchange_shot(
+                base, code, spec, schedule, config.correction_enabled, rng
+            )
+            if outcome < 0:
+                minus += 1
+        counts.append(minus)
+    return counts
 
 
 def run_experiment(
@@ -256,26 +248,28 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every noise point; estimate = -<Y> with an exact binomial CI.
 
-    ``threads`` only sets how shots are fanned out over processes; the
-    per-shot seeding makes the counts — and therefore every number in the
-    result — identical for any worker count.
+    ``threads`` only sets how many processes share the shots, each taking a
+    contiguous shot range of every point; the per-shot seeding makes the
+    counts — and therefore every number in the result — identical for any
+    worker count.
     """
     if config.seed < 0:
         raise ValueError("seed must be non-negative")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     t0 = time.perf_counter()
+    workers = min(threads, config.shots)
+    if workers > 1:
+        bounds = [config.shots * k // workers for k in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(_run_shot_range, [config] * workers, bounds[:-1], bounds[1:])
+            )
+    else:
+        parts = [_run_shot_range(config, 0, config.shots)]
     points: list[PointResult] = []
-    for point_index, p in enumerate(config.p_values):
-        tasks = [
-            (config, point_index, start, min(start + CHUNK, config.shots))
-            for start in range(0, config.shots, CHUNK)
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                minus = sum(pool.map(_run_shot_range_star, tasks))
-        else:
-            minus = sum(_run_shot_range_star(t) for t in tasks)
+    for p, *counts in zip(config.p_values, *parts):
+        minus = sum(counts)
         estimate = (2 * minus - config.shots) / config.shots
         lo, hi = clopper_pearson(minus, config.shots, confidence)
         points.append(

@@ -6,24 +6,20 @@ sign flips; the logical tunneling at pi/2 reduces to a transversal fermionic
 swap plus two logical S gates.  Exact diagonal oracles live alongside the
 gadget constructions so the two can be checked against each other.  The
 swap and the exact tunnelings are label maps memoized by the code (see
-:meth:`fermiqec.codes.RepetitionCode.label_map`).
+:meth:`fermiqec.codes.RepetitionCode.label_map`).  Callers apply these
+functions directly; they have no instruction records in
+:func:`fermiqec.backend.run_circuit`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .codes import LabelMap, RepetitionCode, block_parity
 from .gates import apply_controlled, apply_qubit_gate
 from .states import SparseState, apply_map, phase_factor
 
 __all__ = [
-    "FSwapL",
-    "PhaseL",
-    "DensityL",
-    "TunnelL",
-    "ControlledTunnelL",
     "fswap_logical",
     "logical_phase_exact",
     "logical_density_exact",
@@ -32,56 +28,6 @@ __all__ = [
     "tunneling_logical",
     "controlled_tunneling_logical",
 ]
-
-
-# ---------------------------------------------------------------------------
-# circuit instruction records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FSwapL:
-    block_a: int
-    block_b: int
-
-
-@dataclass(frozen=True)
-class PhaseL:
-    """exp(i theta N_block) via the ancilla gadget."""
-
-    block: int
-    theta: float
-    ancilla: int = 0
-
-
-@dataclass(frozen=True)
-class DensityL:
-    """exp(i theta N_a N_b) via two ancillas."""
-
-    block_a: int
-    block_b: int
-    theta: float
-    ancilla_a: int = 0
-    ancilla_b: int = 1
-
-
-@dataclass(frozen=True)
-class TunnelL:
-    block_a: int
-    block_b: int
-    theta: float
-    method: str = "exact"
-    ancilla: int = 0
-
-
-@dataclass(frozen=True)
-class ControlledTunnelL:
-    qubit: int
-    block_a: int
-    block_b: int
-    theta: float
-    method: str = "exact"
-    ancilla: int = 1
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,9 @@ __all__ = [
 @dataclass(frozen=True)
 class QecRound:
     """Circuit instruction: one full round of syndrome extraction plus
-    correction.  ``method=None`` lets the backend pick its native readout."""
+    correction; the backend picks the readout native to the representation."""
 
     ancilla: int = 0
-    method: str | None = None
 
 
 #: Syndrome (s12, s23) -> block-local mode offset of the phase error, or

@@ -281,11 +281,28 @@ def apply_global_reference_phase(state: SparseState, theta: float) -> SparseStat
 def apply_D_exact(
     state: SparseState, mode: int, theta: float, kind: str = "x"
 ) -> SparseState:
-    """exp(i theta x_mode) (or y) using x^2 = 1 on the consistent subspace."""
+    """exp(i theta x_mode) (or y) = cos theta + i sin theta x_mode.
+
+    That uses x^2 = 1, which holds on the consistent subspace except on
+    labels with an empty bank and an empty ``mode``: x annihilates those
+    and no label maps onto them, so the rotation leaves them unchanged.
+    They exist only when the system can hold every atom with ``mode`` empty
+    (N < M_s).
+    """
     if not is_in_H(state):
         raise ValueError("exact Majorana rotation needs a reference-consistent state")
     rotated = apply_majorana(state, mode, kind)
-    return add_states(state, rotated, math.cos(theta), 1j * math.sin(theta))
+    out = add_states(state, rotated, math.cos(theta), 1j * math.sin(theta))
+    lay = state.layout
+    if lay.total_atoms >= lay.num_system_modes:
+        return out
+    bit = 1 << mode
+    idle = {
+        l: a
+        for l, a in state.entries.items()
+        if not l & bit and lay.system_part(l).bit_count() == lay.total_atoms
+    }
+    return out.with_entries({**out.entries, **idle}) if idle else out
 
 
 def majorana_rotation_gates(
@@ -340,29 +357,17 @@ def apply_D_decomposed(
     return state
 
 
-def apply_D_prime(
-    state: SparseState, mode: int, theta: float, decomposed: bool = False
-) -> SparseState:
+def apply_D_prime(state: SparseState, mode: int, theta: float) -> SparseState:
     """The conjugated rotation exp(i theta y) = P(pi/2) exp(i theta x) P(-pi/2)."""
     out = apply_local_phase(state, mode, -math.pi / 2)
-    if decomposed:
-        out = apply_D_decomposed(out, mode, theta, "x")
-    else:
-        out = apply_D_exact(out, mode, theta, "x")
+    out = apply_D_exact(out, mode, theta, "x")
     return apply_local_phase(out, mode, math.pi / 2)
 
 
 def controlled_D(
-    state: SparseState,
-    qubit: int,
-    mode: int,
-    theta: float,
-    kind: str = "x",
-    decomposed: bool = False,
+    state: SparseState, qubit: int, mode: int, theta: float, kind: str = "x"
 ) -> SparseState:
-    """Majorana rotation on the |1> branch of an ancilla qubit."""
-    if decomposed:
-        fn = lambda s: apply_D_decomposed(s, mode, theta, kind)
-    else:
-        fn = lambda s: apply_D_exact(s, mode, theta, kind)
-    return apply_controlled(state, qubit, fn)
+    """Exact Majorana rotation on the |1> branch of an ancilla qubit."""
+    return apply_controlled(
+        state, qubit, lambda s: apply_D_exact(s, mode, theta, kind)
+    )

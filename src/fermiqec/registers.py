@@ -66,10 +66,6 @@ class RegisterLayout:
     def reference_mask(self) -> int:
         return ((1 << self.num_reference_modes) - 1) << self.num_system_modes
 
-    @property
-    def fermion_mask(self) -> int:
-        return (1 << self.num_fermion_modes) - 1
-
     # -- bit positions ---------------------------------------------------
 
     def reference_mode(self, j: int) -> int:
@@ -102,25 +98,6 @@ class RegisterLayout:
     def ancilla_part(self, label: int, compressed: bool = False) -> int:
         shift = self.num_system_modes if compressed else self.num_fermion_modes
         return label >> shift
-
-    def format_label(self, label: int, compressed: bool = False) -> str:
-        """Human-readable ``sys|ref|anc`` occupation string for messages."""
-        sys_bits = "".join(
-            str((label >> i) & 1) for i in range(self.num_system_modes)
-        )
-        if compressed:
-            anc = label >> self.num_system_modes
-            ref_bits = "(implied)"
-        else:
-            anc = label >> self.num_fermion_modes
-            ref_bits = "".join(
-                str((label >> self.reference_mode(j)) & 1)
-                for j in range(self.num_reference_modes)
-            )
-        anc_bits = "".join(
-            str((anc >> a) & 1) for a in range(self.num_ancilla_qubits)
-        )
-        return f"sys={sys_bits} ref={ref_bits} anc={anc_bits or '-'}"
 
 
 def jw_sign(label: int, i: int) -> int:

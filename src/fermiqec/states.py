@@ -30,7 +30,6 @@ from .registers import RegisterLayout
 
 __all__ = [
     "PRUNE_EPS",
-    "NORM_TOL",
     "SparseState",
     "basis_state",
     "zero_state",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 PRUNE_EPS = 1e-14
-NORM_TOL = 1e-12
 
 
 def _pruned(entries: dict[int, complex]) -> dict[int, complex]:

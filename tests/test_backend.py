@@ -1,10 +1,19 @@
 """Compressed <-> physical representation round trips and dual execution."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fermiqec.backend import compress, decompress, random_h_circuit, run_dual
-from fermiqec.codes import RepetitionCode
+from fermiqec.backend import (
+    compress,
+    decompress,
+    random_h_circuit,
+    run_circuit,
+    run_dual,
+)
+from fermiqec.codes import RepetitionCode, random_codespace_state
+from fermiqec.gates import LocalPhase
 from fermiqec.qec import QecRound
 from fermiqec.reference import apply_c, random_h_state
 from fermiqec.registers import RegisterLayout
@@ -63,3 +72,27 @@ def test_dual_run_insists_on_a_physical_start():
     initial = compress(random_h_state(LAY, rng))
     with pytest.raises(ValueError):
         run_dual(initial, [], seed=1)
+
+def test_qec_round_needs_a_code():
+    lay = RegisterLayout(3, 5, 4, num_ancilla_qubits=2)
+    psi = random_h_state(lay, np.random.default_rng(66))
+    with pytest.raises(ValueError):
+        run_circuit(psi, [QecRound()], np.random.default_rng(1))
+
+
+def test_unknown_instruction_is_rejected():
+    psi = random_h_state(LAY, np.random.default_rng(67))
+    with pytest.raises(TypeError):
+        run_circuit(psi, ["not an instruction"], np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_qec_round_reports_two_outcomes_per_block(compressed):
+    lay = RegisterLayout(6, 6, 6, num_ancilla_qubits=1)
+    code = RepetitionCode(lay)
+    psi = random_codespace_state(code, np.random.default_rng(68), compressed)
+    # a phase flip on the first mode of block 1 reads (-1, +1) there
+    ops = [LocalPhase(3, math.pi), QecRound()]
+    out, outcomes = run_circuit(psi, ops, np.random.default_rng(2), code)
+    assert outcomes == [1, 1, -1, 1]
+    assert difference_norm(out, psi) < 1e-12

@@ -140,6 +140,18 @@ def test_decomposed_rotation_composes_like_the_exact_one():
     assert difference_norm(a, b) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["x", "y"])
+def test_exact_rotation_is_unitary_when_the_system_can_hold_every_atom(kind):
+    # N < M_s: labels with an empty bank and an empty target mode are
+    # annihilated by x and y, so the rotation must leave them alone
+    lay = RegisterLayout(6, 5, 5)
+    psi = random_h_state(lay, np.random.default_rng(28))
+    for mode in range(lay.num_system_modes):
+        exact = apply_D_exact(psi, mode, 0.7, kind)
+        assert difference_norm(exact, apply_D_decomposed(psi, mode, 0.7, kind)) < 1e-12
+        assert exact.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_controlled_D_acts_only_on_the_set_branch():
     lay = RegisterLayout(3, 3, 3, num_ancilla_qubits=1)
     rng = np.random.default_rng(26)
