@@ -34,8 +34,8 @@ from .reference import (
     apply_D_decomposed,
     apply_D_exact,
     apply_global_reference_phase,
+    h_label,
     is_in_H,
-    reference_basis_bits,
 )
 from .registers import RegisterLayout
 from .states import SparseState, difference_norm
@@ -71,16 +71,10 @@ def decompress(state: SparseState) -> SparseState:
     if not state.compressed:
         return state.copy()
     lay = state.layout
-    out: dict[int, complex] = {}
-    for l, a in state.entries.items():
-        sys = lay.system_part(l)
-        anc = l >> lay.num_system_modes
-        full = (
-            sys
-            | reference_basis_bits(lay, sys.bit_count())
-            | anc << (lay.num_system_modes + lay.num_reference_modes)
-        )
-        out[full] = a
+    out = {
+        h_label(lay, lay.system_part(l), l >> lay.num_system_modes): a
+        for l, a in state.entries.items()
+    }
     return SparseState(lay, out, compressed=False)
 
 

@@ -100,7 +100,7 @@ class RepetitionCode:
         self.layout = layout
         self.num_blocks = layout.num_system_modes // 3
         self._maps: dict[Hashable, tuple[Hashable, LabelMap]] = {}
-        self._words: dict[bool, list[tuple[tuple[int, ...], SparseState]]] = {}
+        self._words: dict[bool, list[SparseState]] = {}
 
     def block_modes(self, block: int) -> tuple[int, int, int]:
         if not 0 <= block < self.num_blocks:
@@ -141,8 +141,7 @@ class RepetitionCode:
         majoranas = stabilizer_majoranas(self, block, which)
 
         def derive(sys: int) -> tuple[tuple[int, complex], ...]:
-            n = sys.bit_count()
-            if n > lay.total_atoms or lay.total_atoms - n > lay.num_reference_modes:
+            if not lay.holds(sys.bit_count()):
                 return ()
             img = _majorana_pair(basis_state(lay, sys, True), *majoranas)
             if len(img.entries) > 1:
@@ -175,12 +174,12 @@ class RepetitionCode:
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:
         """Orthonormal logical basis states the register can hold."""
         if compressed not in self._words:
-            words = []
-            for bits in itertools.product((0, 1), repeat=self.num_blocks):
-                if 2 * self.num_blocks + sum(bits) <= self.layout.total_atoms:
-                    words.append((bits, logical_basis_state(self, bits, compressed)))
-            self._words[compressed] = words
-        return [w for _, w in self._words[compressed]]
+            self._words[compressed] = [
+                logical_basis_state(self, bits, compressed)
+                for bits in itertools.product((0, 1), repeat=self.num_blocks)
+                if 2 * self.num_blocks + sum(bits) <= self.layout.total_atoms
+            ]
+        return list(self._words[compressed])
 
 
 def stabilizer_majoranas(

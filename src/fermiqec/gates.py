@@ -13,9 +13,11 @@ Sign conventions all flow from the Jordan-Wigner ordering fixed in
 ``(-1)**(number of occupied modes below i)``.  Ancilla qubits sit above every
 fermionic mode and carry no string.
 
-On compressed states (reference occupations implied by the system count)
-diagonal gates remain well defined for reference modes, but gates that move
-atoms between literal and implied modes do not; those raise.
+On compressed states the reference occupations are implied by the system
+count (the occupation rule of :mod:`fermiqec.registers`).  Diagonal gates
+and number measurements stay well defined on reference modes: they count
+atoms through :meth:`~fermiqec.registers.RegisterLayout.occupation`.  Gates
+that move atoms between literal and implied modes do not; those raise.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ __all__ = [
     "MeasureQubit",
     "MeasureModeNumber",
     "GateOp",
-    "mode_occupation",
+    "ancilla_mask",
+    "measurable_norm_sq",
     "number_expectation",
     "apply_local_phase",
     "apply_density_phase",
@@ -143,35 +146,32 @@ GateOp = Union[
 # ---------------------------------------------------------------------------
 
 
-def mode_occupation(state: SparseState, label: int, mode: int) -> int:
-    """Occupation of fermionic ``mode`` in ``label`` under the state's rep.
-
-    On compressed states the reference modes are implied: reference mode
-    ``j`` (0-based) is occupied exactly when ``j < N - n_sys``.
-    """
-    lay = state.layout
+def _check_fermion_mode(lay: RegisterLayout, mode: int) -> None:
     if mode < 0 or mode >= lay.num_fermion_modes:
         raise ValueError(f"mode {mode} outside fermionic register")
-    if not state.compressed or mode < lay.num_system_modes:
-        return (label >> mode) & 1
-    j = mode - lay.num_system_modes
-    n_sys = lay.system_part(label).bit_count()
-    return 1 if j < lay.total_atoms - n_sys else 0
+
+
+def measurable_norm_sq(state: SparseState) -> float:
+    """Squared norm of a state about to be measured; raises on a
+    (numerically) zero state."""
+    total = state.norm_sq()
+    if total < 1e-12:
+        raise ValueError("cannot measure a (numerically) zero state")
+    return total
 
 
 def number_expectation(state: SparseState, mode: int) -> float:
     """<n_mode> on a (not necessarily normalized) state."""
+    lay = state.layout
+    _check_fermion_mode(lay, mode)
+    total = measurable_norm_sq(state)
+    bit = 1 << mode
     num = math.fsum(
         a.real * a.real + a.imag * a.imag
         for l, a in state.entries.items()
-        if mode_occupation(state, l, mode)
+        if lay.occupation(l, bit, state.compressed)
     )
-    return num / state.norm_sq()
-
-
-def _check_fermion_mode(lay: RegisterLayout, mode: int) -> None:
-    if mode < 0 or mode >= lay.num_fermion_modes:
-        raise ValueError(f"mode {mode} outside fermionic register")
+    return num / total
 
 
 def _check_literal_pair(state: SparseState, a: int, b: int, what: str) -> None:
@@ -198,21 +198,13 @@ def _phase_where_occupied(
     occupied (implied reference occupations included), 1 elsewhere."""
     lay = state.layout
     mask = 0
-    implied = -1
     for m in modes:
         _check_fermion_mode(lay, m)
-        if state.compressed and m >= lay.num_system_modes:
-            implied = max(implied, m - lay.num_system_modes)
-        else:
-            mask |= 1 << m
-    if implied < 0:
+        mask |= 1 << m
+    if not state.compressed or not mask & lay.reference_mask:
         return lambda l: ((l, ph if l & mask == mask else 1.0),)
-    # implied reference mode j is occupied when j < N - n_sys
-    smask = lay.system_mask
-    below = lay.total_atoms - implied
-    return lambda l: (
-        (l, ph if l & mask == mask and (l & smask).bit_count() < below else 1.0),
-    )
+    full = mask.bit_count()
+    return lambda l: ((l, ph if lay.occupation(l, mask, True) == full else 1.0),)
 
 
 def apply_local_phase(state: SparseState, mode: int, theta: float) -> SparseState:
@@ -323,7 +315,8 @@ def apply_creation(state: SparseState, mode: int) -> SparseState:
 # ---------------------------------------------------------------------------
 
 
-def _ancilla_bit(state: SparseState, qubit: int) -> int:
+def ancilla_mask(state: SparseState, qubit: int) -> int:
+    """The bit of ancilla ``qubit`` in the state's representation."""
     return 1 << state.layout.ancilla_bit(qubit, compressed=state.compressed)
 
 
@@ -334,7 +327,7 @@ def apply_qubit_gate(
     qubit_b: int | None = None,
     theta: float | None = None,
 ) -> SparseState:
-    bit = _ancilla_bit(state, qubit)
+    bit = ancilla_mask(state, qubit)
     if kind == "h":
         minus = -SQRT_HALF
         return apply_map(
@@ -361,7 +354,7 @@ def apply_qubit_gate(
             if theta is None:
                 raise ValueError("cphase needs theta")
             ph = phase_factor(theta)
-        mask = bit | _ancilla_bit(state, qubit_b)
+        mask = bit | ancilla_mask(state, qubit_b)
     else:
         raise ValueError(f"unknown qubit gate {kind!r}")
     return apply_map(state, lambda l: ((l, ph if l & mask == mask else 1.0),))
@@ -374,7 +367,7 @@ def apply_controlled(
 
     ``fn`` must not touch the control qubit itself.
     """
-    bit = _ancilla_bit(state, qubit)
+    bit = ancilla_mask(state, qubit)
     idle = apply_map(state, lambda l: () if l & bit else ((l, 1.0),))
     branch = fn(apply_map(state, lambda l: ((l, 1.0),) if l & bit else ()))
     if branch.layout != state.layout or branch.compressed != state.compressed:
@@ -409,15 +402,13 @@ def measure_qubit(
         state = apply_qubit_gate(state, "h", qubit)
     elif basis != "z":
         raise ValueError(f"unknown measurement basis {basis!r}")
-    bit = _ancilla_bit(state, qubit)
+    bit = ancilla_mask(state, qubit)
     p0 = math.fsum(
         a.real * a.real + a.imag * a.imag
         for l, a in state.entries.items()
         if not l & bit
     )
-    total = state.norm_sq()
-    if total < 1e-12:
-        raise ValueError("cannot measure a (numerically) zero state")
+    total = measurable_norm_sq(state)
     u = rng.random()
     chose_zero = u < p0 / total
     p_sel = p0 / total if chose_zero else 1.0 - p0 / total
@@ -444,19 +435,18 @@ def measure_mode_number(
     mode_list = sorted(set(modes))
     if not mode_list:
         raise ValueError("need at least one mode to measure")
+    lay = state.layout
+    mask = 0
     for m in mode_list:
-        _check_fermion_mode(state.layout, m)
-    if not state.entries:
-        raise ValueError("cannot measure a zero state")
+        _check_fermion_mode(lay, m)
+        mask |= 1 << m
+    total = measurable_norm_sq(state)
     by_count: dict[int, list[float]] = {}
     count_of: dict[int, int] = {}
     for l, a in state.entries.items():
-        cnt = sum(mode_occupation(state, l, m) for m in mode_list)
+        cnt = lay.occupation(l, mask, state.compressed)
         count_of[l] = cnt
         by_count.setdefault(cnt, []).append(a.real * a.real + a.imag * a.imag)
-    total = state.norm_sq()
-    if total < 1e-12:
-        raise ValueError("cannot measure a (numerically) zero state")
     probs = {cnt: math.fsum(terms) / total for cnt, terms in by_count.items()}
     u = rng.random()
     cum = 0.0

@@ -84,23 +84,11 @@ def sample_phase_error_layer(
     flipped = [m for m in noise_modes(spec, lay) if rng.random() < spec.p]
     if not flipped:
         return state.copy(), ()
-    sys_mask = 0
-    ref_flips = []
-    for m in flipped:
-        if m < lay.num_system_modes:
-            sys_mask |= 1 << m
-        else:
-            ref_flips.append(m - lay.num_system_modes)
+    flip_mask = sum(1 << m for m in flipped)
+    compressed = state.compressed
 
     def image(l: int) -> tuple[tuple[int, complex]]:
-        par = (l & sys_mask).bit_count()
-        if ref_flips:
-            if state.compressed:
-                n_ref = lay.total_atoms - lay.system_part(l).bit_count()
-                par += sum(1 for j in ref_flips if j < n_ref)
-            else:
-                par += sum(1 for j in ref_flips if (l >> lay.reference_mode(j)) & 1)
-        return ((l, -1.0 if par & 1 else 1.0),)
+        return ((l, -1.0 if lay.occupation(l, flip_mask, compressed) & 1 else 1.0),)
 
     return apply_map(state, image), tuple(flipped)
 
@@ -185,14 +173,7 @@ def run_exchange_shot(
         if slot < 3:
             block_a, block_b = EXCHANGE_PAIRS[slot]
             state = controlled_tunneling_logical(
-                state,
-                _INTERFEROMETER,
-                code,
-                block_a,
-                block_b,
-                math.pi / 2,
-                method="exact",
-                ancilla=_GADGET,
+                state, _INTERFEROMETER, code, block_a, block_b, math.pi / 2
             )
     outcome, _ = measure_qubit(state, _INTERFEROMETER, rng, basis="y")
     return outcome

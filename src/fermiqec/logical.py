@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .codes import LabelMap, RepetitionCode, block_parity
-from .gates import apply_controlled, apply_qubit_gate
+from .gates import ancilla_mask, apply_controlled, apply_qubit_gate
 from .states import SparseState, apply_map, phase_factor
 
 __all__ = [
@@ -80,7 +80,7 @@ def _controlled_block_z(
     state: SparseState, code: RepetitionCode, block: int, ancilla: int
 ) -> SparseState:
     """(-1)^(block parity) on the |1> branch of an ancilla."""
-    bit = 1 << state.layout.ancilla_bit(ancilla, compressed=state.compressed)
+    bit = ancilla_mask(state, ancilla)
     mask = code.block_mask(block)
     return apply_map(
         state,
@@ -211,8 +211,8 @@ def controlled_tunneling_logical(
 ) -> SparseState:
     """Logical tunneling on the |1> branch of a control qubit."""
     if method == "exact":
-        bit = 1 << state.layout.ancilla_bit(qubit, compressed=state.compressed)
-        return apply_map(state, _tunneling_map(code, block_a, block_b, theta, bit))
+        control = ancilla_mask(state, qubit)
+        return apply_map(state, _tunneling_map(code, block_a, block_b, theta, control))
     if method == "hardware" and ancilla == qubit:
         raise ValueError("gadget ancilla must differ from the control qubit")
     return apply_controlled(

@@ -25,7 +25,14 @@ from .codes import (
     stabilizer_expectation,
     stabilizer_majoranas,
 )
-from .gates import apply_local_phase, apply_qubit_gate, measure_mode_number, measure_qubit
+from .gates import (
+    ancilla_mask,
+    apply_local_phase,
+    apply_qubit_gate,
+    measurable_norm_sq,
+    measure_mode_number,
+    measure_qubit,
+)
 from .reference import controlled_D
 from .registers import RegisterLayout
 from .states import SparseState, add_states, apply_map, scale_state
@@ -104,7 +111,7 @@ def _plus_projector(
 
 def _reset_ancilla(state: SparseState, qubit: int) -> SparseState:
     """Return the measured-out ancilla to |0> so it can be reused."""
-    bit = 1 << state.layout.ancilla_bit(qubit, compressed=state.compressed)
+    bit = ancilla_mask(state, qubit)
     return apply_map(state, lambda l: ((l & ~bit, 1.0),))
 
 
@@ -123,9 +130,14 @@ def measure_stabilizer(
     rotations (higher mode first, split by S-dagger so the branch phases
     cancel), measures it, and resets it.  The projection route splits the
     state into the two eigencomponents directly.  Outcome +1 corresponds to
-    the (1 + S)/2 branch in both.
+    the (1 + S)/2 branch in both.  Needs ``N >= M_s``: with every atom on
+    the system and the target mode empty, c^dag there has nothing to borrow
+    and the stabilizer does not square to one.
     """
     hi, lo, kind = stabilizer_majoranas(code, block, which)
+    lay = state.layout
+    if lay.total_atoms < lay.num_system_modes:
+        raise ValueError(f"stabilizer readout needs N >= M_s, got {lay}")
     if method == "gadget":
         work = apply_qubit_gate(state, "h", ancilla)
         work = controlled_D(work, ancilla, hi, math.pi / 2, kind)
@@ -136,12 +148,12 @@ def measure_stabilizer(
         return outcome, _reset_ancilla(work, ancilla)
 
     if method == "projection":
+        total = measurable_norm_sq(state)
         if state.compressed:
             plus = apply_map(state, _plus_projector(code, block, which))
         else:
             image = apply_stabilizer(state, code, block, which)
             plus = add_states(state, image, 0.5, 0.5)
-        total = state.norm_sq()
         p_plus = plus.norm_sq() / total
         u = rng.random()
         if u < p_plus:

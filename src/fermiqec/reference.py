@@ -43,6 +43,7 @@ __all__ = [
     "ReferencePhase",
     "MajoranaRotation",
     "reference_basis_bits",
+    "h_label",
     "h_basis_state",
     "random_h_state",
     "is_in_H",
@@ -85,12 +86,19 @@ def reference_basis_bits(layout: RegisterLayout, n_system: int) -> int:
     """Reference bits matching a system occupation of ``n_system`` atoms:
     a contiguous prefix holding the remaining ``N - n_system``."""
     missing = layout.total_atoms - n_system
-    if missing < 0 or missing > layout.num_reference_modes:
+    if not layout.holds(n_system):
         raise ValueError(
             f"no reference prefix holds {missing} atoms "
             f"(register has {layout.num_reference_modes} reference modes)"
         )
     return ((1 << missing) - 1) << layout.num_system_modes
+
+
+def h_label(layout: RegisterLayout, system_label: int, ancilla_label: int = 0) -> int:
+    """Physical label of a system label with its implied reference prefix."""
+    shift = layout.num_system_modes + layout.num_reference_modes
+    bank = reference_basis_bits(layout, system_label.bit_count())
+    return system_label | bank | ancilla_label << shift
 
 
 def h_basis_state(
@@ -99,12 +107,7 @@ def h_basis_state(
     """Basis state with the reference prefix implied by the system label."""
     if system_label < 0 or system_label >> layout.num_system_modes:
         raise ValueError("system label outside the system register")
-    n_sys = system_label.bit_count()
-    label = (
-        system_label
-        | reference_basis_bits(layout, n_sys)
-        | ancilla_label << (layout.num_system_modes + layout.num_reference_modes)
-    )
+    label = h_label(layout, system_label, ancilla_label)
     return SparseState(layout, {label: 1.0 + 0.0j}, compressed=False)
 
 
@@ -113,17 +116,12 @@ def random_h_state(
 ) -> SparseState:
     """Random normalized state spanning the reference-consistent subspace."""
     sys_labels = [
-        s
-        for s in range(1 << layout.num_system_modes)
-        if s.bit_count() <= layout.total_atoms
-        and layout.total_atoms - s.bit_count() <= layout.num_reference_modes
+        s for s in range(1 << layout.num_system_modes) if layout.holds(s.bit_count())
     ]
     amps = rng.normal(size=len(sys_labels)) + 1j * rng.normal(size=len(sys_labels))
     amps /= np.linalg.norm(amps)
-    anc = ancilla_label << (layout.num_system_modes + layout.num_reference_modes)
     entries = {
-        s | reference_basis_bits(layout, s.bit_count()) | anc: complex(a)
-        for s, a in zip(sys_labels, amps)
+        h_label(layout, s, ancilla_label): complex(a) for s, a in zip(sys_labels, amps)
     }
     return SparseState(layout, entries, compressed=False)
 
@@ -136,10 +134,10 @@ def is_in_H(state: SparseState) -> bool:
         return True
     lay = state.layout
     for l in state.entries:
-        missing = lay.total_atoms - lay.system_part(l).bit_count()
-        if missing < 0 or missing > lay.num_reference_modes:
+        n_sys = lay.system_part(l).bit_count()
+        if not lay.holds(n_sys):
             return False
-        if lay.reference_part(l) != (1 << missing) - 1:
+        if l & lay.reference_mask != reference_basis_bits(lay, n_sys):
             return False
     return True
 
@@ -219,12 +217,9 @@ def _compressed_ladder(state: SparseState, mode: int, create: bool) -> SparseSta
     def image(l: int) -> tuple[tuple[int, int], ...]:
         if bool(l & bit) == create:
             return ()
-        n_sys = lay.system_part(l).bit_count()
-        if create:
-            if n_sys >= lay.total_atoms:  # reference empty, nothing to borrow
-                return ()
-        elif lay.total_atoms - (n_sys - 1) > lay.num_reference_modes:
-            return ()  # reference block full, nowhere to repay
+        # the bank must lend the created atom or take back the removed one
+        if not lay.holds(lay.system_part(l).bit_count() + (1 if create else -1)):
+            return ()
         return ((l ^ bit, sign_ref * jw_sign(l, mode)),)
 
     return apply_map(state, image)
@@ -266,11 +261,10 @@ def apply_global_reference_phase(state: SparseState, theta: float) -> SparseStat
     """exp(i theta N_ref); diagonal, so well defined on both representations."""
     ph = phase_factor(theta)
     lay = state.layout
-    if state.compressed:
-        count = lambda l: lay.total_atoms - lay.system_part(l).bit_count()
-    else:
-        count = lambda l: lay.reference_part(l).bit_count()
-    return apply_map(state, lambda l: ((l, ph ** count(l)),))
+    bank, compressed = lay.reference_mask, state.compressed
+    return apply_map(
+        state, lambda l: ((l, ph ** lay.occupation(l, bank, compressed)),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +294,7 @@ def apply_D_exact(
     idle = {
         l: a
         for l, a in state.entries.items()
-        if not l & bit and lay.system_part(l).bit_count() == lay.total_atoms
+        if not l & bit and not lay.occupation(l, lay.reference_mask, state.compressed)
     }
     return out.with_entries({**out.entries, **idle}) if idle else out
 

@@ -16,10 +16,17 @@ fermionic modes carry a canonical ordering that fixes every exchange sign:
 Basis labels are plain ints interpreted through this bit layout.  Keeping
 labels as ints makes sign bookkeeping a popcount and lets states live in
 ordinary dicts.
+
+The occupation rule: a consistent label with ``n_sys`` system atoms holds
+the other ``N - n_sys`` on a contiguous reference prefix, so reference mode
+``j`` is occupied exactly when ``j < N - n_sys``.  That is why compressed
+labels can drop the reference bits.  :meth:`RegisterLayout.holds` and
+:meth:`RegisterLayout.occupation` apply the rule for every other module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 __all__ = ["RegisterLayout", "jw_sign"]
@@ -58,11 +65,11 @@ class RegisterLayout:
     def num_fermion_modes(self) -> int:
         return self.num_system_modes + self.num_reference_modes
 
-    @property
+    @functools.cached_property
     def system_mask(self) -> int:
         return (1 << self.num_system_modes) - 1
 
-    @property
+    @functools.cached_property
     def reference_mask(self) -> int:
         return ((1 << self.num_reference_modes) - 1) << self.num_system_modes
 
@@ -85,6 +92,26 @@ class RegisterLayout:
             raise ValueError(f"ancilla {a} out of range")
         base = self.num_system_modes if compressed else self.num_fermion_modes
         return base + a
+
+    # -- the occupation rule ----------------------------------------------
+
+    def holds(self, n_system: int) -> bool:
+        """True when the bank can balance ``n_system`` system atoms:
+        ``0 <= N - n_system <= M_r``."""
+        return 0 <= self.total_atoms - n_system <= self.num_reference_modes
+
+    def occupation(self, label: int, mask: int, compressed: bool = False) -> int:
+        """Number of atoms on the fermionic modes under ``mask`` (physical bit
+        positions).  On compressed labels reference mode ``j`` counts when
+        ``j < N - n_sys``, so more than ``N`` system atoms leave it empty."""
+        if not compressed:
+            return (label & mask).bit_count()
+        system = label & self.system_mask
+        if not mask & self.reference_mask:
+            return (system & mask).bit_count()
+        bank = max(self.total_atoms - system.bit_count(), 0)
+        prefix = ((1 << bank) - 1) << self.num_system_modes
+        return ((system | prefix) & mask).bit_count()
 
     # -- label dissection ------------------------------------------------
 

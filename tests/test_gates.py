@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fermiqec.backend import compress
 from fermiqec.gates import (
     apply_annihilation,
     apply_creation,
@@ -17,8 +18,15 @@ from fermiqec.gates import (
     measure_qubit,
     number_expectation,
 )
+from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, basis_state, difference_norm, random_full_state
+from fermiqec.states import (
+    add_states,
+    basis_state,
+    difference_norm,
+    random_full_state,
+    zero_state,
+)
 
 LAY = RegisterLayout(3, 3, 3)
 
@@ -143,3 +151,30 @@ def test_measure_mode_number_definite_count_is_deterministic():
         count, post = measure_mode_number(psi, (0, 1, 2), np.random.default_rng(seed))
         assert count == 2
         assert post.fidelity(psi) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_zero_states_fail_cleanly(compressed):
+    lay = RegisterLayout(3, 3, 3, num_ancilla_qubits=1)
+    zero = zero_state(lay, compressed)
+    for measure in (
+        lambda: number_expectation(zero, 0),
+        lambda: number_expectation(zero, lay.reference_mode(1)),
+        lambda: measure_qubit(zero, 0, np.random.default_rng(0)),
+        lambda: measure_mode_number(zero, (0, 4), np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match=r"cannot measure a \(numerically\) zero"):
+            measure()
+
+
+def test_number_expectation_checks_the_mode():
+    with pytest.raises(ValueError, match="outside"):
+        number_expectation(basis_state(LAY, 0b001), LAY.num_fermion_modes)
+
+
+def test_number_expectation_agrees_across_representations():
+    lay = RegisterLayout(6, 7, 5)
+    psi = random_h_state(lay, np.random.default_rng(8))
+    short = compress(psi)
+    for mode in range(lay.num_fermion_modes):
+        assert number_expectation(short, mode) == number_expectation(psi, mode)

@@ -21,7 +21,7 @@ from fermiqec.qec import (
 )
 from fermiqec.reference import h_basis_state
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, difference_norm
+from fermiqec.states import add_states, difference_norm, zero_state
 
 LAY = RegisterLayout(3, 3, 3, num_ancilla_qubits=1)
 
@@ -134,3 +134,41 @@ def test_recovery_rejects_states_outside_the_code_span():
     )
     with pytest.raises(ValueError):
         measure_reference_and_recover(stray, code, rng)
+
+
+@pytest.mark.parametrize("register", [(6, 5, 5), (9, 8, 8)])
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("method", ["gadget", "projection"])
+def test_readout_refuses_registers_with_fewer_atoms_than_system_modes(
+    register, compressed, method
+):
+    # a codeword reaches N atoms on the system, where c^dag has nothing to
+    # borrow and the stabilizer is not +-1
+    code = RepetitionCode(RegisterLayout(*register, num_ancilla_qubits=1))
+    state = random_codespace_state(code, np.random.default_rng(68), compressed)
+    rng = CountingRng(2)
+    with pytest.raises(ValueError, match="N >= M_s"):
+        measure_stabilizer(state, code, 0, "s12", rng, method=method)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("method", ["gadget", "projection"])
+def test_clean_round_leaves_a_code_state_alone(compressed, method):
+    code = RepetitionCode(RegisterLayout(6, 6, 6, num_ancilla_qubits=1))
+    state = random_codespace_state(code, np.random.default_rng(68), compressed)
+    fixed, syndromes = qec_round(state, code, np.random.default_rng(2), method=method)
+    assert syndromes == [(+1, +1), (+1, +1)]
+    assert difference_norm(fixed, state) < 1e-12
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("method", ["gadget", "projection"])
+def test_readout_of_a_zero_state_fails_cleanly(compressed, method):
+    code = RepetitionCode(LAY)
+    rng = CountingRng(5)
+    with pytest.raises(ValueError, match="zero state"):
+        measure_stabilizer(
+            zero_state(LAY, compressed), code, 0, "s12", rng, method=method
+        )
+    assert rng.draws == 0

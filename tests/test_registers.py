@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from fermiqec.backend import compress
+from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout, jw_sign
+from fermiqec.states import add_states
 
 
 def test_layout_validation():
@@ -44,3 +48,49 @@ def test_jw_sign_is_prefix_parity():
         for i in range(6):
             prefix = bin(label & ((1 << i) - 1)).count("1")
             assert jw_sign(label, i) == (-1 if prefix & 1 else 1)
+
+
+def _spread_state(layout, seed):
+    """Random reference-consistent state over every ancilla pattern."""
+    rng = np.random.default_rng(seed)
+    out = random_h_state(layout, rng)
+    for anc in range(1, 1 << layout.num_ancilla_qubits):
+        out = add_states(out, random_h_state(layout, rng, ancilla_label=anc))
+    return out
+
+
+def test_occupation_matches_the_decompressed_label():
+    lay = RegisterLayout(9, 9, 9, num_ancilla_qubits=2)
+    physical = _spread_state(lay, 3)
+    compressed = compress(physical)
+    fermions = (1 << lay.num_fermion_modes) - 1
+    rng = np.random.default_rng(4)
+    masks = [1 << m for m in range(lay.num_fermion_modes)]
+    masks += [lay.reference_mask, lay.system_mask, fermions]
+    masks += [int(m) & fermions for m in rng.integers(1 << 18, size=20)]
+    assert any(m & lay.system_mask and m & lay.reference_mask for m in masks[-20:])
+    assert len(physical.entries) == len(compressed.entries) > 2000
+    for full, short in zip(physical.entries, compressed.entries):
+        assert lay.ancilla_part(full) == lay.ancilla_part(short, compressed=True)
+        for mask in masks:
+            want = (full & mask).bit_count()
+            assert lay.occupation(full, mask) == want
+            assert lay.occupation(short, mask, compressed=True) == want
+
+
+def test_occupation_outside_the_bank_range_does_not_raise():
+    lay = RegisterLayout(3, 4, 2, num_ancilla_qubits=1)
+    every = (1 << lay.num_fermion_modes) - 1
+    # three system atoms but only two in the register: an empty bank
+    assert not lay.holds(3)
+    assert lay.occupation(0b1_111, lay.reference_mask, compressed=True) == 0
+    assert lay.occupation(0b1_111, every, compressed=True) == 3
+    assert lay.occupation(0b1_1111_111, every) == 7
+
+
+def test_holds_boundaries():
+    lay = RegisterLayout(3, 5, 4)
+    # the bank has room for one atom more than the register holds
+    assert [n for n in range(-2, 7) if lay.holds(n)] == [-1, 0, 1, 2, 3, 4]
+    square = RegisterLayout(9, 9, 9)
+    assert [n for n in range(-2, 12) if square.holds(n)] == list(range(10))
