@@ -94,8 +94,8 @@ def run_circuit(
     Hardware gates (:data:`fermiqec.gates.GateOp`) go to
     :func:`fermiqec.gates.apply_gate_op`.  Majorana rotations use the
     hardware decomposition on physical states and the exact rotation on
-    compressed ones; a QEC round reads each block's two stabilizers through
-    the ancilla gadget physically and by projection when compressed.
+    compressed ones; a QEC round reads each block's two stabilizers the way
+    :func:`fermiqec.qec.measure_stabilizer` does for the representation.
     """
     outcomes: list[int] = []
     for op in ops:
@@ -109,8 +109,7 @@ def run_circuit(
         elif isinstance(op, QecRound):
             if code is None:
                 raise ValueError("a QEC round needs a code")
-            method = "projection" if state.compressed else "gadget"
-            state, syndromes = qec_round(state, code, rng, op.ancilla, method)
+            state, syndromes = qec_round(state, code, rng, op.ancilla)
             for pair in syndromes:
                 outcomes.extend(pair)
         else:
@@ -180,15 +179,13 @@ def random_h_circuit(
     layout: RegisterLayout,
     rng: np.random.Generator,
     length: int = 50,
-    qec_ancilla: int = 0,
-    free_ancilla: int = 1,
 ) -> list:
     """Random instruction list that preserves the consistent subspace.
 
     Mixes diagonal gates (any fermionic mode), system-system tunnelings and
-    swaps, qubit gates on a free ancilla, Majorana rotations, reference
-    phases, sparse measurements, and exactly one full QEC round (which keeps
-    its own reserved ancilla).
+    swaps, qubit gates on ancilla 1, Majorana rotations, reference phases,
+    sparse measurements, and exactly one full QEC round, which reads
+    through ancilla 0 and so finds it in |0>.
     """
     m_s = layout.num_system_modes
     m_f = layout.num_fermion_modes
@@ -222,7 +219,7 @@ def random_h_circuit(
         elif kind == "qubit":
             g = rng.choice(["h", "s", "sdg", "t", "z", "phase"])
             theta = float(rng.uniform(0, 2 * math.pi)) if g == "phase" else None
-            ops.append(QubitGate(str(g), free_ancilla, theta=theta))
+            ops.append(QubitGate(str(g), 1, theta=theta))
         elif kind == "rotation":
             ops.append(
                 MajoranaRotation(
@@ -234,11 +231,11 @@ def random_h_circuit(
         elif kind == "refphase":
             ops.append(ReferencePhase(float(rng.uniform(0, 2 * math.pi))))
         elif kind == "measure_qubit":
-            ops.append(MeasureQubit(free_ancilla, str(rng.choice(["z", "x", "y"]))))
+            ops.append(MeasureQubit(1, str(rng.choice(["z", "x", "y"]))))
         else:
             count = int(rng.integers(1, m_f + 1))
             modes = tuple(int(m) for m in rng.choice(m_f, size=count, replace=False))
             ops.append(MeasureModeNumber(modes))
     slot = int(rng.integers(len(ops) + 1))
-    ops.insert(slot, QecRound(ancilla=qec_ancilla))
+    ops.insert(slot, QecRound(ancilla=0))
     return ops

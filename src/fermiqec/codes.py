@@ -93,8 +93,6 @@ class RepetitionCode:
     """
 
     def __init__(self, layout: RegisterLayout):
-        if layout.block_size != 3:
-            raise ValueError("repetition blocks hold exactly three modes")
         if layout.num_system_modes % 3:
             raise ValueError("system register must tile into three-mode blocks")
         self.layout = layout
@@ -351,28 +349,17 @@ def project_codespace(state: SparseState, code: RepetitionCode) -> SparseState:
     content survives the projection.
     """
     lay = state.layout
-    words = code.codespace_states(state.compressed)
-    shift = lay.num_system_modes
-    if not state.compressed:
-        shift += lay.num_reference_modes
-    fermion_mask = (1 << shift) - 1
+    compressed = state.compressed
+    words = code.codespace_states(compressed)
+    fermions = lay.system_mask if compressed else lay.system_mask | lay.reference_mask
     groups: dict[int, dict[int, complex]] = {}
     for l, a in state.entries.items():
-        groups.setdefault(l >> shift, {})[l & fermion_mask] = a
+        groups.setdefault(l & ~fermions, {})[l & fermions] = a
     out_entries: dict[int, complex] = {}
-    for anc, sub in groups.items():
-        base = anc << shift
+    for base, sub in groups.items():
+        part = SparseState(lay, sub, compressed)
         for w in words:
-            re: list[float] = []
-            im: list[float] = []
-            for l, wl in w.entries.items():
-                b = sub.get(l)
-                if b is None:
-                    continue
-                t = wl.conjugate() * b
-                re.append(t.real)
-                im.append(t.imag)
-            ov = complex(math.fsum(re), math.fsum(im))
+            ov = w.inner(part)
             if ov != 0.0:
                 for l, wl in w.entries.items():
                     key = base | l

@@ -100,6 +100,9 @@ def sample_phase_error_layer(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One exchange run.  The fields are checked here, the register (which
+    needs a code) by :func:`run_experiment`, both before any shot."""
+
     p_values: tuple[float, ...]
     shots: int = 100_000
     num_error_layers: int = 3
@@ -108,6 +111,17 @@ class ExperimentConfig:
     seed: int = 0
     layer_schedule: tuple[int, ...] | None = None
     register: tuple[int, int, int] = (9, 9, 9)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.shots < 1:
+            raise ValueError("shots must be positive")
+        if self.num_error_layers < 0:
+            raise ValueError("num_error_layers must be non-negative")
+        if not all(0.0 <= p <= 1.0 for p in self.p_values):
+            raise ValueError("error probabilities must lie in [0, 1]")
+        _resolve_schedule(self)
 
 
 def _resolve_schedule(config: ExperimentConfig) -> tuple[int, ...]:
@@ -128,6 +142,10 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
     code = RepetitionCode(lay)
     if code.num_blocks != 3:
         raise ValueError("the exchange sequence runs on three logical modes")
+    if lay.total_atoms < 8:
+        raise ValueError(f"|1,1,0> needs 8 atoms, got {lay}")
+    if config.correction_enabled and lay.total_atoms < lay.num_system_modes:
+        raise ValueError(f"stabilizer readout needs N >= M_s, got {lay}")
     return code
 
 
@@ -156,20 +174,15 @@ def run_exchange_shot(
     the exact-correctability conditions).
     """
     lay = base.layout
+    recover_bank = any(m >= lay.num_system_modes for m in noise_modes(spec, lay))
     state = apply_qubit_gate(base, "h", _INTERFEROMETER)
-    qec_method = "projection" if state.compressed else "gadget"
     for slot in range(4):
-        for layer, layer_slot in enumerate(schedule):
-            if layer_slot != slot:
-                continue
+        for _ in range(schedule.count(slot)):
             state, _ = sample_phase_error_layer(state, spec, rng)
             if correction_enabled:
-                if spec.include_reference or (
-                    spec.targets is not None
-                    and any(m >= lay.num_system_modes for m in spec.targets)
-                ):
+                if recover_bank:
                     state = measure_reference_and_recover(state, code, rng)
-                state, _ = qec_round(state, code, rng, _GADGET, qec_method)
+                state, _ = qec_round(state, code, rng, _GADGET)
         if slot < 3:
             block_a, block_b = EXCHANGE_PAIRS[slot]
             state = controlled_tunneling_logical(
@@ -234,10 +247,9 @@ def run_experiment(
     counts — and therefore every number in the result — identical for any
     worker count.
     """
-    if config.seed < 0:
-        raise ValueError("seed must be non-negative")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    _build_code(config)  # register checks, before any shot
     t0 = time.perf_counter()
     workers = min(threads, config.shots)
     if workers > 1:

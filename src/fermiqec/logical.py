@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .codes import LabelMap, RepetitionCode, block_parity
-from .gates import ancilla_mask, apply_controlled, apply_qubit_gate
+from .gates import ancilla_mask, apply_qubit_gate
 from .states import SparseState, apply_map, phase_factor
 
 __all__ = [
@@ -76,16 +76,20 @@ def logical_density_exact(
 # ---------------------------------------------------------------------------
 
 
-def _controlled_block_z(
+def _copy_parity(
     state: SparseState, code: RepetitionCode, block: int, ancilla: int
 ) -> SparseState:
-    """(-1)^(block parity) on the |1> branch of an ancilla."""
+    """H, then (-1)^(block parity) on the |1> branch of ``ancilla``, then H:
+    adds the block parity onto the ancilla bit, so a second call undoes
+    the first."""
+    state = apply_qubit_gate(state, "h", ancilla)
     bit = ancilla_mask(state, ancilla)
     mask = code.block_mask(block)
-    return apply_map(
+    state = apply_map(
         state,
         lambda l: ((l, -1.0 if l & bit and (l & mask).bit_count() & 1 else 1.0),),
     )
+    return apply_qubit_gate(state, "h", ancilla)
 
 
 def phase_gadget_logical(
@@ -97,18 +101,12 @@ def phase_gadget_logical(
 ) -> SparseState:
     """exp(i theta N_block) without touching the block directly.
 
-    The Hadamard / parity-kickback sandwich copies the block parity onto the
-    ancilla, a plain qubit phase imprints theta, and the mirrored sandwich
-    returns the ancilla to |0>.
+    The block parity is copied onto the ancilla, a plain qubit phase
+    imprints theta, and a second copy returns the ancilla to |0>.
     """
-    state = apply_qubit_gate(state, "h", ancilla)
-    state = _controlled_block_z(state, code, block, ancilla)
-    state = apply_qubit_gate(state, "h", ancilla)
+    state = _copy_parity(state, code, block, ancilla)
     state = apply_qubit_gate(state, "phase", ancilla, theta=theta)
-    state = apply_qubit_gate(state, "h", ancilla)
-    state = _controlled_block_z(state, code, block, ancilla)
-    state = apply_qubit_gate(state, "h", ancilla)
-    return state
+    return _copy_parity(state, code, block, ancilla)
 
 
 def density_gadget_logical(
@@ -124,20 +122,11 @@ def density_gadget_logical(
     two-qubit controlled phase, then uncompute."""
     if ancilla_a == ancilla_b:
         raise ValueError("density gadget needs two distinct ancillas")
-    state = apply_qubit_gate(state, "h", ancilla_a)
-    state = _controlled_block_z(state, code, block_a, ancilla_a)
-    state = apply_qubit_gate(state, "h", ancilla_a)
-    state = apply_qubit_gate(state, "h", ancilla_b)
-    state = _controlled_block_z(state, code, block_b, ancilla_b)
-    state = apply_qubit_gate(state, "h", ancilla_b)
+    state = _copy_parity(state, code, block_a, ancilla_a)
+    state = _copy_parity(state, code, block_b, ancilla_b)
     state = apply_qubit_gate(state, "cphase", ancilla_a, ancilla_b, theta)
-    state = apply_qubit_gate(state, "h", ancilla_a)
-    state = _controlled_block_z(state, code, block_a, ancilla_a)
-    state = apply_qubit_gate(state, "h", ancilla_a)
-    state = apply_qubit_gate(state, "h", ancilla_b)
-    state = _controlled_block_z(state, code, block_b, ancilla_b)
-    state = apply_qubit_gate(state, "h", ancilla_b)
-    return state
+    state = _copy_parity(state, code, block_a, ancilla_a)
+    return _copy_parity(state, code, block_b, ancilla_b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +195,8 @@ def controlled_tunneling_logical(
     block_a: int,
     block_b: int,
     theta: float,
-    method: str = "exact",
-    ancilla: int = 1,
 ) -> SparseState:
-    """Logical tunneling on the |1> branch of a control qubit."""
-    if method == "exact":
-        control = ancilla_mask(state, qubit)
-        return apply_map(state, _tunneling_map(code, block_a, block_b, theta, control))
-    if method == "hardware" and ancilla == qubit:
-        raise ValueError("gadget ancilla must differ from the control qubit")
-    return apply_controlled(
-        state,
-        qubit,
-        lambda s: tunneling_logical(s, code, block_a, block_b, theta, method, ancilla),
-    )
+    """Logical tunneling on the |1> branch of a control qubit: the exact
+    label map with the control bit in its mask."""
+    control = ancilla_mask(state, qubit)
+    return apply_map(state, _tunneling_map(code, block_a, block_b, theta, control))

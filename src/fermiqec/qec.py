@@ -1,12 +1,12 @@
 """Syndrome extraction, decoding, and recovery for the repetition code.
 
-Stabilizers are read out either through the hardware ancilla gadget
-(Hadamard, two controlled pi/2 Majorana rotations split by S-dagger, then a
-computational-basis measurement) or through direct projection with
-``(1 + S)/2``, a label map memoized by the code on compressed states.  Both
-consume exactly one random draw per stabilizer with the same outcome
-orientation, so runs agree draw-for-draw across the two methods and
-representations.
+Each representation reads a stabilizer its own way.  Physical states run
+the hardware ancilla gadget (Hadamard, two controlled pi/2 Majorana
+rotations split by S-dagger, then a computational-basis measurement);
+compressed states project directly with ``(1 + S)/2``, a label map memoized
+by the code.  Both consume exactly one random draw per stabilizer with the
+same outcome orientation, so the two representations agree draw for draw.
+The gadget needs its readout ancilla in |0>.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .codes import (
     RepetitionCode,
-    apply_stabilizer,
     prepare_logical_vacuum,
     project_codespace,
     stabilizer_expectation,
@@ -51,7 +50,7 @@ __all__ = [
 @dataclass(frozen=True)
 class QecRound:
     """Circuit instruction: one full round of syndrome extraction plus
-    correction; the backend picks the readout native to the representation."""
+    correction, read through ``ancilla`` (which must be in |0>)."""
 
     ancilla: int = 0
 
@@ -122,23 +121,24 @@ def measure_stabilizer(
     which: str,
     rng: np.random.Generator,
     ancilla: int = 0,
-    method: str = "gadget",
 ) -> tuple[int, SparseState]:
-    """Measure one block stabilizer; exactly one rng draw either way.
+    """Measure one block stabilizer; exactly one rng draw.
 
-    The gadget route entangles an ancilla via two controlled pi/2 Majorana
-    rotations (higher mode first, split by S-dagger so the branch phases
-    cancel), measures it, and resets it.  The projection route splits the
-    state into the two eigencomponents directly.  Outcome +1 corresponds to
-    the (1 + S)/2 branch in both.  Needs ``N >= M_s``: with every atom on
-    the system and the target mode empty, c^dag there has nothing to borrow
-    and the stabilizer does not square to one.
+    A physical state runs the gadget: it entangles ``ancilla`` via two
+    controlled pi/2 Majorana rotations (higher mode first, split by
+    S-dagger so the branch phases cancel), measures it, and resets it.
+    ``ancilla`` must start in |0>, or the outcome means nothing.  A
+    compressed state is split into the two eigencomponents directly and
+    ``ancilla`` is ignored.  Outcome +1 corresponds to the (1 + S)/2 branch
+    in both.  Needs ``N >= M_s``: with every atom on the system and the
+    target mode empty, c^dag there has nothing to borrow and the stabilizer
+    does not square to one.
     """
     hi, lo, kind = stabilizer_majoranas(code, block, which)
     lay = state.layout
     if lay.total_atoms < lay.num_system_modes:
         raise ValueError(f"stabilizer readout needs N >= M_s, got {lay}")
-    if method == "gadget":
+    if not state.compressed:
         work = apply_qubit_gate(state, "h", ancilla)
         work = controlled_D(work, ancilla, hi, math.pi / 2, kind)
         work = apply_qubit_gate(work, "sdg", ancilla)
@@ -147,24 +147,17 @@ def measure_stabilizer(
         outcome, work = measure_qubit(work, ancilla, rng)
         return outcome, _reset_ancilla(work, ancilla)
 
-    if method == "projection":
-        total = measurable_norm_sq(state)
-        if state.compressed:
-            plus = apply_map(state, _plus_projector(code, block, which))
-        else:
-            image = apply_stabilizer(state, code, block, which)
-            plus = add_states(state, image, 0.5, 0.5)
-        p_plus = plus.norm_sq() / total
-        u = rng.random()
-        if u < p_plus:
-            return 1, scale_state(plus, 1.0 / math.sqrt(p_plus * total))
-        minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
-        p_minus = minus.norm_sq() / total
-        if p_minus <= 0.0:
-            raise ValueError("selected a zero-probability branch")
-        return -1, scale_state(minus, 1.0 / math.sqrt(p_minus * total))
-
-    raise ValueError(f"unknown readout method {method!r}")
+    total = measurable_norm_sq(state)
+    plus = apply_map(state, _plus_projector(code, block, which))
+    p_plus = plus.norm_sq() / total
+    u = rng.random()
+    if u < p_plus:
+        return 1, scale_state(plus, 1.0 / math.sqrt(p_plus * total))
+    minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
+    p_minus = minus.norm_sq() / total
+    if p_minus <= 0.0:
+        raise ValueError("selected a zero-probability branch")
+    return -1, scale_state(minus, 1.0 / math.sqrt(p_minus * total))
 
 
 def qec_round(
@@ -172,14 +165,14 @@ def qec_round(
     code: RepetitionCode,
     rng: np.random.Generator,
     ancilla: int = 0,
-    method: str = "gadget",
 ) -> tuple[SparseState, list[tuple[int, int]]]:
     """One round: per block, read both stabilizers, decode, apply the pi
-    phase correction.  Blocks in ascending order, s12 before s23."""
+    phase correction.  Blocks in ascending order, s12 before s23; the
+    readout ``ancilla`` must start in |0> (see :func:`measure_stabilizer`)."""
     syndromes: list[tuple[int, int]] = []
     for block in range(code.num_blocks):
-        o12, state = measure_stabilizer(state, code, block, "s12", rng, ancilla, method)
-        o23, state = measure_stabilizer(state, code, block, "s23", rng, ancilla, method)
+        o12, state = measure_stabilizer(state, code, block, "s12", rng, ancilla)
+        o23, state = measure_stabilizer(state, code, block, "s23", rng, ancilla)
         syndromes.append((o12, o23))
         offset = decode((o12, o23))
         if offset is not None:

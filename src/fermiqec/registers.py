@@ -44,7 +44,6 @@ class RegisterLayout:
     num_reference_modes: int
     total_atoms: int
     num_ancilla_qubits: int = 0
-    block_size: int = 3
 
     def __post_init__(self) -> None:
         if self.num_system_modes < 1:

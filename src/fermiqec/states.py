@@ -175,18 +175,13 @@ def difference_norm(a: SparseState, b: SparseState) -> float:
     return math.sqrt(math.fsum(terms))
 
 
-def random_full_state(
-    layout: RegisterLayout, rng: np.random.Generator, ancillas_zero: bool = True
-) -> SparseState:
+def random_full_state(layout: RegisterLayout, rng: np.random.Generator) -> SparseState:
     """Random normalized state over every fermionic occupation pattern.
 
-    Spans all ``2**(M_s+M_r)`` fermion configurations (any atom number).
-    Ancilla bits stay |0> unless ``ancillas_zero`` is False, in which case
-    the ancilla patterns are spanned as well.
+    Spans all ``2**(M_s+M_r)`` fermion configurations (any atom number);
+    ancilla bits stay |0>.
     """
-    n_f = layout.num_fermion_modes
-    n_bits = n_f + (0 if ancillas_zero else layout.num_ancilla_qubits)
-    dim = 1 << n_bits
+    dim = 1 << layout.num_fermion_modes
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
     entries = {label: complex(amps[label]) for label in range(dim)}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fermiqec import harness
 from fermiqec.backend import compress
 from fermiqec.codes import RepetitionCode, logical_basis_state
 from fermiqec.harness import (
@@ -104,6 +105,38 @@ def test_register_must_hold_three_blocks():
 def test_seed_must_be_non_negative():
     with pytest.raises(ValueError, match="seed"):
         run_experiment(ExperimentConfig((0.0,), shots=1, seed=-1))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"shots": 0},
+        {"p_values": (1.5,)},
+        {"p_values": (0.01, -0.1)},
+        {"seed": -1},
+        {"num_error_layers": -1},
+        {"layer_schedule": (0, 1)},
+        {"num_error_layers": 1, "layer_schedule": (4,)},
+        {"register": (6, 6, 6)},
+        {"register": (9, 6, 8)},
+        {"register": (9, 9, 7), "correction_enabled": False},
+        {"register": (9, 8, 8)},
+    ],
+)
+def test_bad_config_fails_before_any_shot(monkeypatch, fields):
+    def no_shots(*args):
+        raise AssertionError("a shot ran before the config was checked")
+
+    monkeypatch.setattr(harness, "_run_shot_range", no_shots)
+    with pytest.raises(ValueError):
+        run_experiment(ExperimentConfig(**{"p_values": (0.01,), "shots": 64, **fields}))
+
+
+def test_uncorrected_runs_need_no_atom_per_system_mode():
+    config = ExperimentConfig(
+        (0.01,), shots=8, correction_enabled=False, register=(9, 8, 8)
+    )
+    assert run_experiment(config).points[0].shots == 8
 
 
 def test_noiseless_estimate_is_exactly_minus_one():

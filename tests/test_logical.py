@@ -144,7 +144,3 @@ def test_controlled_tunneling_acts_on_the_marked_branch_only():
     assert difference_norm(hopped, want.with_entries(
         {l: a / root2 for l, a in want.entries.items()}
     )) < 1e-13
-    with pytest.raises(ValueError):
-        controlled_tunneling_logical(
-            plus, 0, CODE2, 0, 1, theta, method="hardware", ancilla=0
-        )

@@ -13,6 +13,7 @@ import pytest
 from fermiqec.backend import compress
 from fermiqec.codes import RepetitionCode, SteaneCode, apply_loss_kraus
 from fermiqec.gates import (
+    ancilla_mask,
     apply_density_phase,
     apply_fswap,
     apply_local_phase,
@@ -162,21 +163,32 @@ def _measured(fn, seed=11):
     return lambda s: fn(s, np.random.default_rng(seed))[1]
 
 
+def _readout(fn, ancilla):
+    """``fn`` on the part of a state whose readout ancilla is |0>: the
+    physical gadget needs it there, the compressed projection ignores it."""
+
+    def gate(s):
+        bit = ancilla_mask(s, ancilla)
+        return fn(apply_map(s, lambda l: () if l & bit else ((l, 1.0),)))
+
+    return gate
+
+
 #: Maps without an inverse: ladders, projectors and measurements (the
 #: latter fed identical rng streams on both representations).
 NONUNITARY = {
     "annihilation": lambda s: apply_c(s, 3),
     "creation": lambda s: apply_c_dagger(s, 8),
     "loss_projector": lambda s: apply_loss_kraus(s, 9 + 1 + 6, 0.01),
-    "projection_readout": _measured(
-        lambda s, rng: measure_stabilizer(s, CODE, 1, "s23", rng, 0, "projection")
+    "projection_readout": _readout(
+        _measured(lambda s, rng: measure_stabilizer(s, CODE, 1, "s23", rng, 0)), 0
     ),
-    "gadget_readout": _measured(
-        lambda s, rng: measure_stabilizer(s, CODE, 2, "s12", rng, 1, "gadget")
+    "gadget_readout": _readout(
+        _measured(lambda s, rng: measure_stabilizer(s, CODE, 2, "s12", rng, 1)), 1
     ),
-    "qec_round": lambda s: qec_round(
-        s, CODE, np.random.default_rng(11), 1, "projection"
-    )[0],
+    "qec_round": _readout(
+        lambda s: qec_round(s, CODE, np.random.default_rng(11), 1)[0], 1
+    ),
     "measure_qubit": _measured(lambda s, rng: measure_qubit(s, 1, rng, "y")),
     "measure_number": _measured(
         lambda s, rng: measure_mode_number(s, (0, 4, REF(2), REF(7)), rng)
