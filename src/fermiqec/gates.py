@@ -13,6 +13,12 @@ Sign conventions all flow from the Jordan-Wigner ordering fixed in
 ``(-1)**(number of occupied modes below i)``.  Ancilla qubits sit above every
 fermionic mode and carry no string.
 
+Each measurement is a split and a draw: ``split_qubit`` and
+``split_mode_number`` give the outcome probabilities and a branch that
+builds the post state of a chosen outcome, and the ``measure_*`` functions
+take one draw between them.  The exchange harness uses the same splits, so
+it caches probabilities without a copy of their arithmetic.
+
 On compressed states the reference occupations are implied by the system
 count (the occupation rule of :mod:`fermiqec.registers`).  Diagonal gates
 and number measurements stay well defined on reference modes: they count
@@ -51,7 +57,12 @@ __all__ = [
     "apply_controlled",
     "apply_annihilation",
     "apply_creation",
+    "draw_sign",
+    "to_measurement_basis",
+    "split_qubit",
     "measure_qubit",
+    "split_mode_number",
+    "select_count",
     "measure_mode_number",
     "apply_gate_op",
 ]
@@ -382,6 +393,50 @@ def apply_controlled(
 # ---------------------------------------------------------------------------
 
 
+def draw_sign(p_plus: float, rng: np.random.Generator) -> int:
+    """+1 with probability ``p_plus``, else -1: one draw, ``u < p_plus``."""
+    return 1 if rng.random() < p_plus else -1
+
+
+def to_measurement_basis(state: SparseState, qubit: int, basis: str) -> SparseState:
+    """Rotate ancilla ``qubit`` so that a computational-basis readout
+    measures ``basis``: H for ``x``, S^dag then H for ``y``."""
+    if basis == "x":
+        return apply_qubit_gate(state, "h", qubit)
+    if basis == "y":
+        return apply_qubit_gate(apply_qubit_gate(state, "sdg", qubit), "h", qubit)
+    if basis != "z":
+        raise ValueError(f"unknown measurement basis {basis!r}")
+    return state
+
+
+def split_qubit(
+    state: SparseState, qubit: int
+) -> tuple[float, Callable[[int], SparseState]]:
+    """Probabilities and branch of a computational-basis readout of one
+    ancilla: ``(p0, branch)`` with ``p0`` the probability of bit 0 (outcome
+    +1) and ``branch(outcome)`` the renormalized post state.  The branch
+    raises on a zero-probability outcome."""
+    bit = ancilla_mask(state, qubit)
+    p0 = math.fsum(
+        a.real * a.real + a.imag * a.imag
+        for l, a in state.entries.items()
+        if not l & bit
+    )
+    total = measurable_norm_sq(state)
+    prob0 = p0 / total
+
+    def branch(outcome: int) -> SparseState:
+        p_sel = prob0 if outcome > 0 else 1.0 - prob0
+        if p_sel <= 0.0:
+            raise ValueError("selected a zero-probability branch")
+        scale = 1.0 / math.sqrt(p_sel * total)
+        keep = 0 if outcome > 0 else bit
+        return apply_map(state, lambda l: ((l, scale),) if l & bit == keep else ())
+
+    return prob0, branch
+
+
 def measure_qubit(
     state: SparseState,
     qubit: int,
@@ -395,43 +450,19 @@ def measure_qubit(
     post-measurement state is left in that rotated (computational) frame,
     which is all the gadgets here ever need.
     """
-    if basis == "x":
-        state = apply_qubit_gate(state, "h", qubit)
-    elif basis == "y":
-        state = apply_qubit_gate(state, "sdg", qubit)
-        state = apply_qubit_gate(state, "h", qubit)
-    elif basis != "z":
-        raise ValueError(f"unknown measurement basis {basis!r}")
-    bit = ancilla_mask(state, qubit)
-    p0 = math.fsum(
-        a.real * a.real + a.imag * a.imag
-        for l, a in state.entries.items()
-        if not l & bit
-    )
-    total = measurable_norm_sq(state)
-    u = rng.random()
-    chose_zero = u < p0 / total
-    p_sel = p0 / total if chose_zero else 1.0 - p0 / total
-    if p_sel <= 0.0:
-        raise ValueError("selected a zero-probability branch")
-    scale = 1.0 / math.sqrt(p_sel * total)
-    keep = 0 if chose_zero else bit
-    post = apply_map(state, lambda l: ((l, scale),) if l & bit == keep else ())
-    return (1 if chose_zero else -1), post
+    p0, branch = split_qubit(to_measurement_basis(state, qubit, basis), qubit)
+    outcome = draw_sign(p0, rng)
+    return outcome, branch(outcome)
 
 
-def measure_mode_number(
-    state: SparseState,
-    modes: tuple[int, ...] | list[int] | set[int],
-    rng: np.random.Generator,
-) -> tuple[int, SparseState]:
-    """Measure the total atom number on a set of fermionic modes.
-
-    Exactly one rng draw.  Outcomes are grouped by count, the cumulative
-    distribution runs over ascending counts, and the post state is the
-    renormalized projection onto the sampled count.  Works on both
-    representations (implied reference occupations included).
-    """
+def split_mode_number(
+    state: SparseState, modes: tuple[int, ...] | list[int] | set[int]
+) -> tuple[dict[int, float], Callable[[int], SparseState]]:
+    """Probabilities and branch of an atom-number readout on ``modes``:
+    ``(probs, branch)`` with ``probs`` mapping each count present, in
+    ascending order, to its probability, and ``branch(count)`` the
+    renormalized projection onto that count.  Works on both representations
+    (implied reference occupations included)."""
     mode_list = sorted(set(modes))
     if not mode_list:
         raise ValueError("need at least one mode to measure")
@@ -447,21 +478,43 @@ def measure_mode_number(
         cnt = lay.occupation(l, mask, state.compressed)
         count_of[l] = cnt
         by_count.setdefault(cnt, []).append(a.real * a.real + a.imag * a.imag)
-    probs = {cnt: math.fsum(terms) / total for cnt, terms in by_count.items()}
-    u = rng.random()
+    probs = {cnt: math.fsum(by_count[cnt]) / total for cnt in sorted(by_count)}
+
+    def branch(selected: int) -> SparseState:
+        scale = 1.0 / math.sqrt(probs[selected] * total)
+        return apply_map(
+            state, lambda l: ((l, scale),) if count_of[l] == selected else ()
+        )
+
+    return probs, branch
+
+
+def select_count(probs: dict[int, float], u: float) -> int:
+    """The count a uniform draw ``u`` selects: the first in ascending order
+    whose cumulative probability exceeds ``u``, else the largest."""
     cum = 0.0
-    counts = sorted(probs)
-    selected = counts[-1]
-    for cnt in counts:
-        cum += probs[cnt]
+    for cnt, p in probs.items():
+        cum += p
         if u < cum:
-            selected = cnt
-            break
-    scale = 1.0 / math.sqrt(probs[selected] * total)
-    post = apply_map(
-        state, lambda l: ((l, scale),) if count_of[l] == selected else ()
-    )
-    return selected, post
+            return cnt
+    return cnt
+
+
+def measure_mode_number(
+    state: SparseState,
+    modes: tuple[int, ...] | list[int] | set[int],
+    rng: np.random.Generator,
+) -> tuple[int, SparseState]:
+    """Measure the total atom number on a set of fermionic modes.
+
+    Exactly one rng draw.  Outcomes are grouped by count, the cumulative
+    distribution runs over ascending counts, and the post state is the
+    renormalized projection onto the sampled count.  Works on both
+    representations (implied reference occupations included).
+    """
+    probs, branch = split_mode_number(state, modes)
+    selected = select_count(probs, rng.random())
+    return selected, branch(selected)
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,48 @@ the repetition-code rounds enabled.
 
 Every shot owns an rng seeded from (seed, point, shot), so results are
 independent of how shots are distributed over worker processes.
+
+A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
+which map a state to a state, and events, which draw an outcome from
+probabilities that the state fixes (an error layer's flips, the bank atom
+count, a stabilizer readout, the final y-basis readout).  The walk runs over
+a :class:`HistoryMemo`.  Its nodes are keyed on the history so far: the
+parent node's id plus the outcome that led here (a set of flipped modes, a
+bank count or a syndrome bit).  A node keeps the state at its event and,
+once computed, the event's outcome probabilities, so a shot that repeats an
+earlier history only draws and looks up.  Outcomes do not change: a node's
+state depends on its history alone, not on the error rate, and every event
+takes the draw it would take without the memo, compared the same way, with
+the probabilities and post states of the shared readout helpers in
+:mod:`fermiqec.gates` and :mod:`fermiqec.qec`.  The memo holds at most
+``MEMO_CAP`` nodes and drops the least recently used; at cap 0 it holds
+nothing and the walk is plain Monte-Carlo.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .codes import RepetitionCode, logical_basis_state
-from .gates import apply_qubit_gate, measure_qubit
+from .gates import (
+    apply_qubit_gate,
+    draw_sign,
+    select_count,
+    split_mode_number,
+    split_qubit,
+    to_measurement_basis,
+)
 from .logical import controlled_tunneling_logical
-from .qec import measure_reference_and_recover, qec_round
+from .qec import correct_block, recover_codespace, split_stabilizer
 from .registers import RegisterLayout
 from .states import SparseState, apply_map
 from .stats import clopper_pearson
@@ -36,6 +63,8 @@ __all__ = [
     "ExperimentConfig",
     "PointResult",
     "ExperimentResult",
+    "MEMO_CAP",
+    "HistoryMemo",
     "run_exchange_shot",
     "run_experiment",
     "EXCHANGE_PAIRS",
@@ -63,12 +92,43 @@ class NoiseSpec:
 
 
 def noise_modes(spec: NoiseSpec, layout: RegisterLayout) -> tuple[int, ...]:
+    """The modes an error layer draws for, ascending; explicit ``targets``
+    must be distinct fermionic modes."""
     if spec.targets is not None:
-        return tuple(sorted(spec.targets))
+        modes = tuple(sorted(spec.targets))
+        if len(set(modes)) != len(modes):
+            raise ValueError(f"noise targets repeat a mode: {spec.targets}")
+        if modes and not (0 <= modes[0] and modes[-1] < layout.num_fermion_modes):
+            raise ValueError(
+                f"noise targets {spec.targets} outside fermionic modes "
+                f"0..{layout.num_fermion_modes - 1}"
+            )
+        return modes
     modes = list(range(layout.num_system_modes))
     if spec.include_reference:
         modes += list(range(layout.num_system_modes, layout.num_fermion_modes))
     return tuple(modes)
+
+
+def _draw_flips(modes: tuple[int, ...], p: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """The modes one error layer flips: one vector draw of a double per
+    mode (the same doubles as one scalar draw each), a flip where ``u < p``."""
+    return tuple(modes[i] for i in np.flatnonzero(rng.random(len(modes)) < p))
+
+
+def _apply_flips(state: SparseState, flipped: tuple[int, ...]) -> SparseState:
+    """A pi phase on each flipped mode, in one diagonal pass; the state
+    itself when nothing flipped."""
+    if not flipped:
+        return state
+    lay = state.layout
+    flip_mask = sum(1 << m for m in flipped)
+    compressed = state.compressed
+
+    def image(l: int) -> tuple[tuple[int, complex]]:
+        return ((l, -1.0 if lay.occupation(l, flip_mask, compressed) & 1 else 1.0),)
+
+    return apply_map(state, image)
 
 
 def sample_phase_error_layer(
@@ -78,19 +138,10 @@ def sample_phase_error_layer(
     reference), then a single diagonal pass applying the sampled flips.
 
     Draws are consumed even at p = 0 so rng streams stay aligned across
-    noise settings.
+    noise settings.  Returns ``state`` itself when nothing flipped.
     """
-    lay = state.layout
-    flipped = [m for m in noise_modes(spec, lay) if rng.random() < spec.p]
-    if not flipped:
-        return state.copy(), ()
-    flip_mask = sum(1 << m for m in flipped)
-    compressed = state.compressed
-
-    def image(l: int) -> tuple[tuple[int, complex]]:
-        return ((l, -1.0 if lay.occupation(l, flip_mask, compressed) & 1 else 1.0),)
-
-    return apply_map(state, image), tuple(flipped)
+    flipped = _draw_flips(noise_modes(spec, state.layout), spec.p, rng)
+    return _apply_flips(state, flipped), flipped
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +201,153 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
 
 
 # ---------------------------------------------------------------------------
-# one shot
+# one shot: a walk over steps, memoized by history
 # ---------------------------------------------------------------------------
+
+#: Most nodes one :class:`HistoryMemo` holds, states and event
+#: probabilities alike.  A node's state on the 9+9+9+2 register holds about
+#: 123 amplitudes; at this cap the memo raised the peak RSS of the
+#: 256-shot exchange benchmark calls by 0.7-2.0 MB.
+MEMO_CAP = 256
+
+
+class _Node:
+    """The state at one event of a shot's history and, once computed, the
+    event's outcome probabilities (``None`` until then)."""
+
+    __slots__ = ("id", "state", "odds")
+
+    def __init__(self, node_id: int, state: SparseState):
+        self.id = node_id
+        self.state = state
+        self.odds = None
+
+
+class HistoryMemo:
+    """History nodes of exchange shots under one least-recently-used cap.
+
+    A key is ``(parent node id, outcome)``, or the shot plan's signature for
+    the first node.  One memo serves one ``(base, code)`` and any error
+    rate: :func:`_run_shot_range` shares one across all points of a task.
+    ``cap=None`` never drops a node; ``cap=0`` keeps none.
+    """
+
+    def __init__(self, cap: int | None = MEMO_CAP):
+        if cap is not None and cap < 0:
+            raise ValueError("memo cap must be non-negative")
+        self.cap = cap
+        self._nodes: OrderedDict[tuple, _Node] = OrderedDict()
+        self._ids = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def node(self, key: tuple, make: Callable[[], SparseState]) -> _Node:
+        """The node at ``key``, built from ``make()`` if not held."""
+        nodes = self._nodes
+        node = nodes.get(key)
+        if node is not None:
+            nodes.move_to_end(key)
+            return node
+        node = _Node(next(self._ids), make())
+        if self.cap != 0:
+            nodes[key] = node
+            if self.cap is not None and len(nodes) > self.cap:
+                nodes.popitem(last=False)
+        return node
+
+
+@functools.lru_cache(maxsize=32)
+def _shot_plan(
+    schedule: tuple[int, ...], correction_enabled: bool, recover_bank: bool, num_blocks: int
+) -> tuple[tuple, tuple]:
+    """The steps of one shot as ``(gates, events)``: the gates before the
+    first event, then each event as ``(kind, arg, gates after it)``.
+
+    A gate is a tuple naming a state -> state step (see :func:`_run_gate`);
+    an event kind is ``flips``, ``bank``, ``read`` (arg: block and
+    stabilizer) or ``final``.
+    """
+    head: list[tuple] = [("h",)]
+    events: list[tuple] = []
+    gates = head
+
+    def event(kind: str, arg: tuple = ()) -> None:
+        nonlocal gates
+        gates = []
+        events.append((kind, arg, gates))
+
+    for slot in range(4):
+        for _ in range(schedule.count(slot)):
+            event("flips")
+            if correction_enabled:
+                if recover_bank:
+                    event("bank")
+                    gates.append(("recover",))
+                for block in range(num_blocks):
+                    event("read", (block, "s12"))
+                    event("read", (block, "s23"))
+                    gates.append(("correct", block))
+        if slot < 3:
+            gates.append(("tunnel", *EXCHANGE_PAIRS[slot]))
+    gates.append(("y",))
+    event("final")
+    return tuple(head), tuple((kind, arg, tuple(g)) for kind, arg, g in events)
+
+
+def _run_gate(
+    state: SparseState, gate: tuple, code: RepetitionCode, syndrome: tuple
+) -> SparseState:
+    """One deterministic step; ``syndrome`` holds the last two outcomes,
+    the block's readouts for a correction."""
+    name = gate[0]
+    if name == "h":
+        return apply_qubit_gate(state, "h", _INTERFEROMETER)
+    if name == "tunnel":
+        return controlled_tunneling_logical(
+            state, _INTERFEROMETER, code, gate[1], gate[2], math.pi / 2
+        )
+    if name == "recover":
+        return recover_codespace(state, code)
+    if name == "correct":
+        return correct_block(state, code, gate[1], syndrome)
+    return to_measurement_basis(state, _INTERFEROMETER, "y")
+
+
+def _split(kind: str, arg: tuple, state: SparseState, code: RepetitionCode):
+    """Outcome probabilities and branch of a ``bank``, ``read`` or
+    ``final`` event."""
+    if kind == "bank":
+        return split_mode_number(state, state.layout.reference_modes())
+    if kind == "read":
+        return split_stabilizer(state, code, *arg, _GADGET)
+    return split_qubit(state, _INTERFEROMETER)
+
+
+def _settle(
+    post: Callable[[], SparseState], gates: tuple, code: RepetitionCode, syndrome: tuple
+) -> SparseState:
+    """The state at the next event: an event's post state, then the gates
+    that follow it."""
+    state = post()
+    for gate in gates:
+        state = _run_gate(state, gate, code, syndrome)
+    return state
+
+
+def _post(
+    kind: str,
+    arg: tuple,
+    node: _Node,
+    code: RepetitionCode,
+    outcome: int,
+    branch: Callable[[int], SparseState] | None,
+) -> SparseState:
+    """The post state of ``node``'s event for ``outcome``, from the branch
+    computed along with the node's probabilities when this shot made them."""
+    if branch is None:
+        _, branch = _split(kind, arg, node.state, code)
+    return branch(outcome)
 
 
 def run_exchange_shot(
@@ -161,6 +357,7 @@ def run_exchange_shot(
     schedule: tuple[int, ...],
     correction_enabled: bool,
     rng: np.random.Generator,
+    memo: HistoryMemo | None = None,
 ) -> int:
     """One interferometry shot; returns the y-basis outcome (+1 or -1).
 
@@ -172,24 +369,38 @@ def run_exchange_shot(
     system flip landing in the same layer aliases under it, so mixed
     layers are only approximately corrected (the combined error set fails
     the exact-correctability conditions).
+
+    ``memo`` caches the states and probabilities of histories seen before
+    (same ``base`` and ``code`` only); without one nothing is cached.  The
+    outcome is the same either way.
     """
     lay = base.layout
-    recover_bank = any(m >= lay.num_system_modes for m in noise_modes(spec, lay))
-    state = apply_qubit_gate(base, "h", _INTERFEROMETER)
-    for slot in range(4):
-        for _ in range(schedule.count(slot)):
-            state, _ = sample_phase_error_layer(state, spec, rng)
-            if correction_enabled:
-                if recover_bank:
-                    state = measure_reference_and_recover(state, code, rng)
-                state, _ = qec_round(state, code, rng, _GADGET)
-        if slot < 3:
-            block_a, block_b = EXCHANGE_PAIRS[slot]
-            state = controlled_tunneling_logical(
-                state, _INTERFEROMETER, code, block_a, block_b, math.pi / 2
-            )
-    outcome, _ = measure_qubit(state, _INTERFEROMETER, rng, basis="y")
-    return outcome
+    modes = noise_modes(spec, lay)
+    recover_bank = any(m >= lay.num_system_modes for m in modes)
+    signature = (tuple(schedule), correction_enabled, recover_bank, code.num_blocks)
+    head, events = _shot_plan(*signature)
+    memo = HistoryMemo(0) if memo is None else memo
+    key, last = signature, None
+    make = functools.partial(_settle, lambda: base, head, code, ())
+    for kind, arg, gates in events:
+        node = memo.node(key, make)
+        if kind == "flips":
+            outcome = _draw_flips(modes, spec.p, rng)
+            post = functools.partial(_apply_flips, node.state, outcome)
+        else:
+            branch = None
+            if node.odds is None:
+                node.odds, branch = _split(kind, arg, node.state, code)
+            if kind == "bank":
+                outcome = select_count(node.odds, rng.random())
+            else:
+                outcome = draw_sign(node.odds, rng)
+            if kind == "final":
+                return outcome
+            post = functools.partial(_post, kind, arg, node, code, outcome, branch)
+        make = functools.partial(_settle, post, gates, code, (last, outcome))
+        key, last = (node.id, outcome), outcome
+    raise AssertionError("a shot plan ends with the final readout")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +431,7 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
     code = _build_code(config)
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
     schedule = _resolve_schedule(config)
+    memo = HistoryMemo()  # node states do not depend on p: one memo for all points
     counts = []
     for point_index, p in enumerate(config.p_values):
         spec = NoiseSpec(p, include_reference=config.include_reference_errors)
@@ -229,7 +441,7 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
                 np.random.SeedSequence([config.seed, point_index, shot])
             )
             outcome = run_exchange_shot(
-                base, code, spec, schedule, config.correction_enabled, rng
+                base, code, spec, schedule, config.correction_enabled, rng, memo
             )
             if outcome < 0:
                 minus += 1
@@ -243,9 +455,14 @@ def run_experiment(
     """Run every noise point; estimate = -<Y> with an exact binomial CI.
 
     ``threads`` only sets how many processes share the shots, each taking a
-    contiguous shot range of every point; the per-shot seeding makes the
-    counts — and therefore every number in the result — identical for any
-    worker count.
+    contiguous shot range of every point with a history memo of its own;
+    the per-shot seeding makes the counts — and therefore every number in
+    the result — identical for any worker count.  With the memo, fan-out
+    no longer pays at a few hundred shots per worker: at 256 corrected
+    shots per worker (p = 0.01, two workers on a 2-vCPU host),
+    ``harness.fanout.speedup`` from ``bench/run.py --workload
+    exchange_corrected --trace 1`` fell from 1.84 without the memo to 0.63
+    with it, as starting the pool now costs more than the shots.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")

@@ -6,7 +6,9 @@ rotations split by S-dagger, then a computational-basis measurement);
 compressed states project directly with ``(1 + S)/2``, a label map memoized
 by the code.  Both consume exactly one random draw per stabilizer with the
 same outcome orientation, so the two representations agree draw for draw.
-The gadget needs its readout ancilla in |0>.
+The gadget needs its readout ancilla in |0>.  :func:`split_stabilizer` holds
+the readout of both as outcome probabilities plus a branch to the post
+state; :func:`measure_stabilizer` draws between them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .gates import (
     ancilla_mask,
     apply_local_phase,
     apply_qubit_gate,
+    draw_sign,
     measurable_norm_sq,
     measure_mode_number,
-    measure_qubit,
+    split_qubit,
 )
 from .reference import controlled_D
 from .registers import RegisterLayout
@@ -41,9 +44,12 @@ __all__ = [
     "SYNDROME_TABLE",
     "generate_syndrome_table",
     "decode",
+    "split_stabilizer",
     "measure_stabilizer",
+    "correct_block",
     "qec_round",
     "measure_reference_and_recover",
+    "recover_codespace",
 ]
 
 
@@ -114,25 +120,25 @@ def _reset_ancilla(state: SparseState, qubit: int) -> SparseState:
     return apply_map(state, lambda l: ((l & ~bit, 1.0),))
 
 
-def measure_stabilizer(
+def split_stabilizer(
     state: SparseState,
     code: RepetitionCode,
     block: int,
     which: str,
-    rng: np.random.Generator,
     ancilla: int = 0,
-) -> tuple[int, SparseState]:
-    """Measure one block stabilizer; exactly one rng draw.
+) -> tuple[float, Callable[[int], SparseState]]:
+    """Probabilities and branch of one block stabilizer readout:
+    ``(p_plus, branch)`` with ``p_plus`` the probability of outcome +1, the
+    (1 + S)/2 branch, and ``branch(outcome)`` the renormalized post state.
 
     A physical state runs the gadget: it entangles ``ancilla`` via two
     controlled pi/2 Majorana rotations (higher mode first, split by
-    S-dagger so the branch phases cancel), measures it, and resets it.
-    ``ancilla`` must start in |0>, or the outcome means nothing.  A
-    compressed state is split into the two eigencomponents directly and
-    ``ancilla`` is ignored.  Outcome +1 corresponds to the (1 + S)/2 branch
-    in both.  Needs ``N >= M_s``: with every atom on the system and the
-    target mode empty, c^dag there has nothing to borrow and the stabilizer
-    does not square to one.
+    S-dagger so the branch phases cancel) and reads it, and the branch
+    resets it.  ``ancilla`` must start in |0>, or the outcome means
+    nothing.  A compressed state is split into the two eigencomponents
+    directly and ``ancilla`` is ignored.  Needs ``N >= M_s``: with every
+    atom on the system and the target mode empty, c^dag there has nothing
+    to borrow and the stabilizer does not square to one.
     """
     hi, lo, kind = stabilizer_majoranas(code, block, which)
     lay = state.layout
@@ -144,20 +150,49 @@ def measure_stabilizer(
         work = apply_qubit_gate(work, "sdg", ancilla)
         work = controlled_D(work, ancilla, lo, math.pi / 2, kind)
         work = apply_qubit_gate(work, "h", ancilla)
-        outcome, work = measure_qubit(work, ancilla, rng)
-        return outcome, _reset_ancilla(work, ancilla)
+        p0, read = split_qubit(work, ancilla)
+        return p0, lambda outcome: _reset_ancilla(read(outcome), ancilla)
 
     total = measurable_norm_sq(state)
     plus = apply_map(state, _plus_projector(code, block, which))
     p_plus = plus.norm_sq() / total
-    u = rng.random()
-    if u < p_plus:
-        return 1, scale_state(plus, 1.0 / math.sqrt(p_plus * total))
-    minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
-    p_minus = minus.norm_sq() / total
-    if p_minus <= 0.0:
-        raise ValueError("selected a zero-probability branch")
-    return -1, scale_state(minus, 1.0 / math.sqrt(p_minus * total))
+
+    def branch(outcome: int) -> SparseState:
+        if outcome > 0:
+            return scale_state(plus, 1.0 / math.sqrt(p_plus * total))
+        minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
+        p_minus = minus.norm_sq() / total
+        if p_minus <= 0.0:
+            raise ValueError("selected a zero-probability branch")
+        return scale_state(minus, 1.0 / math.sqrt(p_minus * total))
+
+    return p_plus, branch
+
+
+def measure_stabilizer(
+    state: SparseState,
+    code: RepetitionCode,
+    block: int,
+    which: str,
+    rng: np.random.Generator,
+    ancilla: int = 0,
+) -> tuple[int, SparseState]:
+    """Measure one block stabilizer; exactly one rng draw, outcome +1 for
+    the (1 + S)/2 branch in both representations (see
+    :func:`split_stabilizer`)."""
+    p_plus, branch = split_stabilizer(state, code, block, which, ancilla)
+    outcome = draw_sign(p_plus, rng)
+    return outcome, branch(outcome)
+
+
+def correct_block(
+    state: SparseState, code: RepetitionCode, block: int, syndrome: tuple[int, int]
+) -> SparseState:
+    """Decode one block's syndrome and apply the pi phase correction."""
+    offset = decode(syndrome)
+    if offset is None:
+        return state
+    return apply_local_phase(state, code.block_modes(block)[0] + offset, math.pi)
 
 
 def qec_round(
@@ -174,9 +209,7 @@ def qec_round(
         o12, state = measure_stabilizer(state, code, block, "s12", rng, ancilla)
         o23, state = measure_stabilizer(state, code, block, "s23", rng, ancilla)
         syndromes.append((o12, o23))
-        offset = decode((o12, o23))
-        if offset is not None:
-            state = apply_local_phase(state, code.block_modes(block)[0] + offset, math.pi)
+        state = correct_block(state, code, block, (o12, o23))
     return state, syndromes
 
 
@@ -204,6 +237,12 @@ def measure_reference_and_recover(
     if the projection is numerically zero.
     """
     _, state = measure_mode_number(state, state.layout.reference_modes(), rng)
+    return recover_codespace(state, code)
+
+
+def recover_codespace(state: SparseState, code: RepetitionCode) -> SparseState:
+    """The normalized code-space projection of a state with one bank count,
+    the second half of :func:`measure_reference_and_recover`."""
     projected = project_codespace(state, code)
     norm = projected.norm()
     if norm < 1e-12:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
@@ -25,13 +27,18 @@ from fermiqec.states import difference_norm
 
 
 class CountingRng:
+    """A generator that counts every double drawn, scalar or vector."""
+
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self.draws = 0
 
-    def random(self) -> float:
-        self.draws += 1
-        return float(self._rng.random())
+    def random(self, size: int | None = None):
+        if size is None:
+            self.draws += 1
+            return float(self._rng.random())
+        self.draws += size
+        return self._rng.random(size)
 
 
 def test_noise_modes_selection():
@@ -56,6 +63,15 @@ def test_error_layer_draw_budget_is_fixed():
         assert rng.draws == expected
         assert flipped == ()
         assert difference_norm(out, psi) == 0.0
+
+
+def test_one_vector_draw_flips_what_one_draw_per_mode_flips():
+    modes = tuple(range(27))
+    for seed in range(20):
+        p = 0.1 * (seed % 10)
+        rng = np.random.default_rng(seed)
+        want = tuple(m for m in modes if rng.random() < p)
+        assert harness._draw_flips(modes, p, np.random.default_rng(seed)) == want
 
 
 def test_error_layer_at_unit_rate_flips_every_target():
@@ -228,3 +244,111 @@ def test_first_shots_are_pinned(case, correct, reference):
         outcome = run_exchange_shot(base, code, spec, schedule, correct, rng)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
+
+
+# ---------------------------------------------------------------------------
+# explicit noise targets
+# ---------------------------------------------------------------------------
+
+#: The standard 9+9+9+2 exchange register with its |1,1,0> start.
+_CODE = _build_code(ExperimentConfig((0.0,), shots=1))
+_BASE = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
+
+
+
+@pytest.mark.parametrize(
+    "targets, match",
+    [((2, 2), "repeat"), ((18,), "outside"), ((40,), "outside"), ((-1,), "outside")],
+)
+def test_bad_noise_targets_fail_before_any_draw(targets, match):
+    spec = NoiseSpec(0.5, targets=targets)
+    with pytest.raises(ValueError, match=match):
+        noise_modes(spec, _BASE.layout)
+    rng = CountingRng(1)
+    with pytest.raises(ValueError, match=match):
+        sample_phase_error_layer(_BASE, spec, rng)
+    with pytest.raises(ValueError, match=match):
+        run_exchange_shot(_BASE, _CODE, spec, (0, 1, 2), True, rng)
+    assert rng.draws == 0
+
+
+# ---------------------------------------------------------------------------
+# the history memo
+# ---------------------------------------------------------------------------
+
+def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
+    """Outcomes of ``shots`` shots at each p, seeded like
+    ``harness._run_shot_range`` and sharing ``memo`` across the points."""
+    out = []
+    for point, p in enumerate(p_values):
+        spec = NoiseSpec(p, **spec_fields)
+        for shot in range(shots):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
+            out.append(
+                run_exchange_shot(_BASE, _CODE, spec, schedule, correct, rng, memo)
+            )
+    return out
+
+
+#: (spec fields, schedule, correction): 5 cases x 2 points x 200 shots.
+MEMO_CASES = {
+    "corrected": ({}, (0, 1, 2), True),
+    "uncorrected": ({}, (0, 1, 2), False),
+    "reference": ({"include_reference": True}, (0, 1, 2), True),
+    "targets": ({"targets": (0, 4, 8, 9, 13, 17)}, (0, 1, 2), True),
+    "schedule": ({}, (3, 0, 0, 2, 1), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memo_leaves_every_outcome_unchanged(case):
+    spec_fields, schedule, correct = MEMO_CASES[case]
+    runs = {
+        cap: _outcomes(
+            harness.HistoryMemo(cap), spec_fields, schedule, correct, (0.01, 0.05), 200
+        )
+        for cap in (None, 0, 2)
+    }
+    assert set(runs[None]) <= {-1, 1}
+    assert runs[None] == runs[0] == runs[2]
+
+
+def test_memo_holds_no_more_than_its_cap():
+    capped = harness.HistoryMemo()
+    tiny = harness.HistoryMemo(2)
+    uncapped = harness.HistoryMemo(None)
+    for memo in (capped, tiny, uncapped):
+        _outcomes(memo, {}, (0, 1, 2), True, (0.05,), 300)
+    assert len(tiny) == 2
+    assert len(capped) == harness.MEMO_CAP < len(uncapped)
+    assert len(harness.HistoryMemo(0)) == 0
+    with pytest.raises(ValueError, match="cap"):
+        harness.HistoryMemo(-1)
+
+
+_NOISE_SPECS = st.builds(
+    NoiseSpec,
+    p=st.floats(0.0, 1.0),
+    targets=st.none()
+    | st.lists(st.integers(0, _BASE.layout.num_fermion_modes - 1), unique=True).map(tuple),
+    include_reference=st.booleans(),
+)
+
+
+@given(
+    spec=_NOISE_SPECS,
+    schedule=st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    correct=st.booleans(),
+)
+def test_no_noise_setting_crashes_a_shot(spec, schedule, correct):
+    memo = harness.HistoryMemo()
+    for _ in range(2):  # the second pass replays the first from the memo
+        for shot in range(3):
+            outcomes = [
+                run_exchange_shot(
+                    _BASE, _CODE, spec, schedule, correct, np.random.default_rng(shot), m
+                )
+                for m in (memo, None)
+            ]
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] in (-1, 1)
