@@ -15,17 +15,19 @@ A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
 which map a state to a state, and events, which draw an outcome from
 probabilities that the state fixes (an error layer's flips, the bank atom
 count, a stabilizer readout, the final y-basis readout).  The walk runs over
-a :class:`HistoryMemo`.  Its nodes are keyed on the history so far: the
-parent node's id plus the outcome that led here (a set of flipped modes, a
-bank count or a syndrome bit).  A node keeps the state at its event and,
-once computed, the event's outcome probabilities, so a shot that repeats an
-earlier history only draws and looks up.  Outcomes do not change: a node's
-state depends on its history alone, not on the error rate, and every event
-takes the draw it would take without the memo, compared the same way, with
-the probabilities and post states of the shared readout helpers in
-:mod:`fermiqec.gates` and :mod:`fermiqec.qec`.  The memo holds at most
-``MEMO_CAP`` nodes and drops the least recently used; at cap 0 it holds
-nothing and the walk is plain Monte-Carlo.
+a history memo (:class:`_HistoryMemo`).  Its nodes are keyed on the history
+so far: the parent node's id plus the outcome that led here (a set of
+flipped modes, a bank count or a syndrome bit).  A node keeps the state at
+its event.  Its first visit runs the plain measurement
+(:func:`sample_phase_error_layer`, ``measure_mode_number``,
+``measure_stabilizer``, ``measure_qubit``); a second visit computes the
+event's outcome probabilities with the ``split_*`` helper that measurement
+calls and keeps them, so a shot that repeats an earlier history only draws
+and looks up.  Outcomes do not change: a node's state depends on its
+history alone, not on the error rate, and every event takes the draw the
+plain measurement takes, compared the same way.  The memo holds at most
+``_MEMO_CAP`` nodes and drops the least recently used; at cap 0 it holds
+nothing, every visit is a first one, and the walk is plain Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,13 +47,15 @@ from .codes import RepetitionCode, logical_basis_state
 from .gates import (
     apply_qubit_gate,
     draw_sign,
+    measure_mode_number,
+    measure_qubit,
     select_count,
     split_mode_number,
     split_qubit,
     to_measurement_basis,
 )
 from .logical import controlled_tunneling_logical
-from .qec import correct_block, recover_codespace, split_stabilizer
+from .qec import correct_block, measure_stabilizer, recover_codespace, split_stabilizer
 from .registers import RegisterLayout
 from .states import SparseState, apply_map
 from .stats import clopper_pearson
@@ -63,8 +67,6 @@ __all__ = [
     "ExperimentConfig",
     "PointResult",
     "ExperimentResult",
-    "MEMO_CAP",
-    "HistoryMemo",
     "run_exchange_shot",
     "run_experiment",
     "EXCHANGE_PAIRS",
@@ -204,43 +206,166 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
 # one shot: a walk over steps, memoized by history
 # ---------------------------------------------------------------------------
 
-#: Most nodes one :class:`HistoryMemo` holds, states and event
-#: probabilities alike.  A node's state on the 9+9+9+2 register holds about
-#: 123 amplitudes; at this cap the memo raised the peak RSS of the
-#: 256-shot exchange benchmark calls by 0.7-2.0 MB.
-MEMO_CAP = 256
+#: Most nodes one history memo holds, states and event probabilities alike.
+#: A node's state on the 9+9+9+2 register holds about 123 amplitudes; at
+#: this cap the memo raised the peak RSS of the 256-shot exchange benchmark
+#: calls by 0.7-2.0 MB.
+_MEMO_CAP = 256
+
+#: A deterministic step of a shot: ``(state, syndrome) -> state``, where
+#: ``syndrome`` holds the last two outcomes (a block's readouts, for its
+#: correction).
+_Gate = Callable[[SparseState, tuple], SparseState]
+
+
+class _Step(NamedTuple):
+    """One event of a shot and the gates that follow it.
+
+    ``measure(state, rng) -> (outcome, post)`` is the plain step: one
+    measurement with its one draw.  ``split(state) -> (odds, branch)`` gives
+    the outcome probabilities and ``branch(outcome)``, the post state;
+    ``pick(odds, rng)`` takes the draw ``measure`` takes and compares it the
+    same way.  An error layer's odds are its p, which ``pick`` carries, so
+    its ``split`` gives ``None`` for them.
+    """
+
+    measure: Callable[[SparseState, np.random.Generator], tuple]
+    split: Callable[[SparseState], tuple]
+    pick: Callable[[object, np.random.Generator], object]
+    gates: tuple[_Gate, ...]
+
+
+def _error_layer(spec: NoiseSpec, modes: tuple[int, ...]) -> tuple:
+    """``(measure, split, pick)`` of an error layer."""
+    return (
+        lambda s, rng: sample_phase_error_layer(s, spec, rng)[::-1],
+        lambda s: (None, functools.partial(_apply_flips, s)),
+        lambda _, rng: _draw_flips(modes, spec.p, rng),
+    )
+
+
+def _stabilizer(code: RepetitionCode, block: int, which: str) -> tuple:
+    """``(measure, split, pick)`` of one block stabilizer readout."""
+    return (
+        lambda s, rng: measure_stabilizer(s, code, block, which, rng, _GADGET),
+        lambda s: split_stabilizer(s, code, block, which, _GADGET),
+        draw_sign,
+    )
+
+
+#: ``(measure, split, pick)`` of the bank atom count.
+_BANK_COUNT = (
+    lambda s, rng: measure_mode_number(s, s.layout.reference_modes(), rng),
+    lambda s: split_mode_number(s, s.layout.reference_modes()),
+    lambda probs, rng: select_count(probs, rng.random()),
+)
+
+#: ``(measure, split, pick)`` of the final readout, on a state already
+#: rotated to the y basis.
+_FINAL_READOUT = (
+    lambda s, rng: measure_qubit(s, _INTERFEROMETER, rng),
+    lambda s: split_qubit(s, _INTERFEROMETER),
+    draw_sign,
+)
+
+
+def _tunnel(code: RepetitionCode, a: int, b: int) -> _Gate:
+    return lambda s, _: controlled_tunneling_logical(
+        s, _INTERFEROMETER, code, a, b, math.pi / 2
+    )
+
+
+def _correct(code: RepetitionCode, block: int) -> _Gate:
+    return lambda s, syndrome: correct_block(s, code, block, syndrome)
+
+
+def _shot_plan(
+    code: RepetitionCode,
+    spec: NoiseSpec,
+    schedule: tuple[int, ...],
+    correction_enabled: bool,
+) -> tuple[tuple, tuple[_Gate, ...], tuple[_Step, ...]]:
+    """One shot as ``(shape, head, steps)``: the gates before the first
+    event, then each event with the gates after it.  ``shape`` tells plans
+    with the same steps (whatever their p and noise modes) from others."""
+    modes = noise_modes(spec, code.layout)
+    recover_bank = any(m >= code.layout.num_system_modes for m in modes)
+    head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
+    steps: list[tuple] = []
+    gates = head
+
+    def event(measure, split, pick) -> None:
+        nonlocal gates
+        gates = []
+        steps.append((measure, split, pick, gates))
+
+    layer = _error_layer(spec, modes)
+    for slot in range(4):
+        for _ in range(schedule.count(slot)):
+            event(*layer)
+            if correction_enabled:
+                if recover_bank:
+                    event(*_BANK_COUNT)
+                    gates.append(lambda s, _: recover_codespace(s, code))
+                for block in range(code.num_blocks):
+                    event(*_stabilizer(code, block, "s12"))
+                    event(*_stabilizer(code, block, "s23"))
+                    gates.append(_correct(code, block))
+        if slot < 3:
+            gates.append(_tunnel(code, *EXCHANGE_PAIRS[slot]))
+    gates.append(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
+    event(*_FINAL_READOUT)
+    shape = (schedule, correction_enabled, recover_bank)
+    return shape, tuple(head), tuple(_Step(*e, tuple(g)) for *e, g in steps)
 
 
 class _Node:
-    """The state at one event of a shot's history and, once computed, the
-    event's outcome probabilities (``None`` until then)."""
+    """The state at one event of a shot's history, whether a shot has been
+    here before, and, once a second visit computed them, the event's
+    outcome probabilities (``None`` until then)."""
 
-    __slots__ = ("id", "state", "odds")
+    __slots__ = ("id", "state", "seen", "odds")
 
     def __init__(self, node_id: int, state: SparseState):
         self.id = node_id
         self.state = state
+        self.seen = False
         self.odds = None
 
 
-class HistoryMemo:
-    """History nodes of exchange shots under one least-recently-used cap.
+class _HistoryMemo:
+    """History nodes of exchange shots from one ``base`` and ``code``,
+    under one least-recently-used cap, and the shot plans that walk them.
 
-    A key is ``(parent node id, outcome)``, or the shot plan's signature for
-    the first node.  One memo serves one ``(base, code)`` and any error
+    A key is ``(parent node id, outcome)``, or a plan's shape for the first
+    node.  Node states do not depend on p, so one memo serves every error
     rate: :func:`_run_shot_range` shares one across all points of a task.
     ``cap=None`` never drops a node; ``cap=0`` keeps none.
     """
 
-    def __init__(self, cap: int | None = MEMO_CAP):
+    def __init__(
+        self, base: SparseState, code: RepetitionCode, cap: int | None = _MEMO_CAP
+    ):
         if cap is not None and cap < 0:
             raise ValueError("memo cap must be non-negative")
+        self.base = base
+        self.code = code
         self.cap = cap
         self._nodes: OrderedDict[tuple, _Node] = OrderedDict()
         self._ids = itertools.count()
+        self._plans: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+    def plan(
+        self, spec: NoiseSpec, schedule: tuple[int, ...], correction_enabled: bool
+    ) -> tuple:
+        """The :func:`_shot_plan` for these settings, built once."""
+        key = (spec, schedule, correction_enabled)
+        if key not in self._plans:
+            self._plans[key] = _shot_plan(self.code, spec, schedule, correction_enabled)
+        return self._plans[key]
 
     def node(self, key: tuple, make: Callable[[], SparseState]) -> _Node:
         """The node at ``key``, built from ``make()`` if not held."""
@@ -257,97 +382,19 @@ class HistoryMemo:
         return node
 
 
-@functools.lru_cache(maxsize=32)
-def _shot_plan(
-    schedule: tuple[int, ...], correction_enabled: bool, recover_bank: bool, num_blocks: int
-) -> tuple[tuple, tuple]:
-    """The steps of one shot as ``(gates, events)``: the gates before the
-    first event, then each event as ``(kind, arg, gates after it)``.
-
-    A gate is a tuple naming a state -> state step (see :func:`_run_gate`);
-    an event kind is ``flips``, ``bank``, ``read`` (arg: block and
-    stabilizer) or ``final``.
-    """
-    head: list[tuple] = [("h",)]
-    events: list[tuple] = []
-    gates = head
-
-    def event(kind: str, arg: tuple = ()) -> None:
-        nonlocal gates
-        gates = []
-        events.append((kind, arg, gates))
-
-    for slot in range(4):
-        for _ in range(schedule.count(slot)):
-            event("flips")
-            if correction_enabled:
-                if recover_bank:
-                    event("bank")
-                    gates.append(("recover",))
-                for block in range(num_blocks):
-                    event("read", (block, "s12"))
-                    event("read", (block, "s23"))
-                    gates.append(("correct", block))
-        if slot < 3:
-            gates.append(("tunnel", *EXCHANGE_PAIRS[slot]))
-    gates.append(("y",))
-    event("final")
-    return tuple(head), tuple((kind, arg, tuple(g)) for kind, arg, g in events)
-
-
-def _run_gate(
-    state: SparseState, gate: tuple, code: RepetitionCode, syndrome: tuple
-) -> SparseState:
-    """One deterministic step; ``syndrome`` holds the last two outcomes,
-    the block's readouts for a correction."""
-    name = gate[0]
-    if name == "h":
-        return apply_qubit_gate(state, "h", _INTERFEROMETER)
-    if name == "tunnel":
-        return controlled_tunneling_logical(
-            state, _INTERFEROMETER, code, gate[1], gate[2], math.pi / 2
-        )
-    if name == "recover":
-        return recover_codespace(state, code)
-    if name == "correct":
-        return correct_block(state, code, gate[1], syndrome)
-    return to_measurement_basis(state, _INTERFEROMETER, "y")
-
-
-def _split(kind: str, arg: tuple, state: SparseState, code: RepetitionCode):
-    """Outcome probabilities and branch of a ``bank``, ``read`` or
-    ``final`` event."""
-    if kind == "bank":
-        return split_mode_number(state, state.layout.reference_modes())
-    if kind == "read":
-        return split_stabilizer(state, code, *arg, _GADGET)
-    return split_qubit(state, _INTERFEROMETER)
-
-
 def _settle(
-    post: Callable[[], SparseState], gates: tuple, code: RepetitionCode, syndrome: tuple
+    state: SparseState, gates: tuple[_Gate, ...], syndrome: tuple
 ) -> SparseState:
-    """The state at the next event: an event's post state, then the gates
-    that follow it."""
-    state = post()
+    """The state at the next event: a post state, then the gates after it."""
     for gate in gates:
-        state = _run_gate(state, gate, code, syndrome)
+        state = gate(state, syndrome)
     return state
 
 
-def _post(
-    kind: str,
-    arg: tuple,
-    node: _Node,
-    code: RepetitionCode,
-    outcome: int,
-    branch: Callable[[int], SparseState] | None,
-) -> SparseState:
-    """The post state of ``node``'s event for ``outcome``, from the branch
-    computed along with the node's probabilities when this shot made them."""
-    if branch is None:
-        _, branch = _split(kind, arg, node.state, code)
-    return branch(outcome)
+def _branch(step: _Step, node: _Node, outcome, syndrome: tuple) -> SparseState:
+    """The state after ``node``'s event ended in ``outcome``."""
+    _, branch = step.split(node.state)
+    return _settle(branch(outcome), step.gates, syndrome)
 
 
 def run_exchange_shot(
@@ -357,7 +404,7 @@ def run_exchange_shot(
     schedule: tuple[int, ...],
     correction_enabled: bool,
     rng: np.random.Generator,
-    memo: HistoryMemo | None = None,
+    memo: _HistoryMemo | None = None,
 ) -> int:
     """One interferometry shot; returns the y-basis outcome (+1 or -1).
 
@@ -370,37 +417,30 @@ def run_exchange_shot(
     layers are only approximately corrected (the combined error set fails
     the exact-correctability conditions).
 
-    ``memo`` caches the states and probabilities of histories seen before
-    (same ``base`` and ``code`` only); without one nothing is cached.  The
-    outcome is the same either way.
+    ``memo`` (made for this ``base`` and ``code``) caches the states and
+    probabilities of histories seen before; without one nothing is cached.
+    The outcome is the same either way.
     """
-    lay = base.layout
-    modes = noise_modes(spec, lay)
-    recover_bank = any(m >= lay.num_system_modes for m in modes)
-    signature = (tuple(schedule), correction_enabled, recover_bank, code.num_blocks)
-    head, events = _shot_plan(*signature)
-    memo = HistoryMemo(0) if memo is None else memo
-    key, last = signature, None
-    make = functools.partial(_settle, lambda: base, head, code, ())
-    for kind, arg, gates in events:
+    if memo is None:
+        memo = _HistoryMemo(base, code, 0)
+    elif memo.base is not base or memo.code is not code:
+        raise ValueError("a history memo serves only the base and code it was made for")
+    shape, head, steps = memo.plan(spec, tuple(schedule), correction_enabled)
+    key, last = shape, None
+    make = functools.partial(_settle, base, head, ())
+    for step in steps:
         node = memo.node(key, make)
-        if kind == "flips":
-            outcome = _draw_flips(modes, spec.p, rng)
-            post = functools.partial(_apply_flips, node.state, outcome)
-        else:
-            branch = None
+        if node.seen:
             if node.odds is None:
-                node.odds, branch = _split(kind, arg, node.state, code)
-            if kind == "bank":
-                outcome = select_count(node.odds, rng.random())
-            else:
-                outcome = draw_sign(node.odds, rng)
-            if kind == "final":
-                return outcome
-            post = functools.partial(_post, kind, arg, node, code, outcome, branch)
-        make = functools.partial(_settle, post, gates, code, (last, outcome))
+                node.odds, _ = step.split(node.state)
+            outcome = step.pick(node.odds, rng)
+            make = functools.partial(_branch, step, node, outcome, (last, outcome))
+        else:
+            node.seen = True
+            outcome, post = step.measure(node.state, rng)
+            make = functools.partial(_settle, post, step.gates, (last, outcome))
         key, last = (node.id, outcome), outcome
-    raise AssertionError("a shot plan ends with the final readout")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +471,7 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
     code = _build_code(config)
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
     schedule = _resolve_schedule(config)
-    memo = HistoryMemo()  # node states do not depend on p: one memo for all points
+    memo = _HistoryMemo(base, code)  # states do not depend on p: one for all points
     counts = []
     for point_index, p in enumerate(config.p_values):
         spec = NoiseSpec(p, include_reference=config.include_reference_errors)
@@ -461,8 +501,8 @@ def run_experiment(
     no longer pays at a few hundred shots per worker: at 256 corrected
     shots per worker (p = 0.01, two workers on a 2-vCPU host),
     ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` fell from 1.84 without the memo to 0.63
-    with it, as starting the pool now costs more than the shots.
+    exchange_corrected --trace 1`` fell from 1.84 without the memo to
+    0.60-0.75 with it, as starting the pool now costs more than the shots.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")

@@ -276,6 +276,12 @@ def test_bad_noise_targets_fail_before_any_draw(targets, match):
 # the history memo
 # ---------------------------------------------------------------------------
 
+def _memo(*cap):
+    """A history memo for the standard start, with the default cap unless
+    one is given."""
+    return harness._HistoryMemo(_BASE, _CODE, *cap)
+
+
 def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
     """Outcomes of ``shots`` shots at each p, seeded like
     ``harness._run_shot_range`` and sharing ``memo`` across the points."""
@@ -300,13 +306,12 @@ MEMO_CASES = {
 }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_memo_leaves_every_outcome_unchanged(case):
     spec_fields, schedule, correct = MEMO_CASES[case]
     runs = {
-        cap: _outcomes(
-            harness.HistoryMemo(cap), spec_fields, schedule, correct, (0.01, 0.05), 200
-        )
+        cap: _outcomes(_memo(cap), spec_fields, schedule, correct, (0.01, 0.05), 200)
         for cap in (None, 0, 2)
     }
     assert set(runs[None]) <= {-1, 1}
@@ -314,16 +319,47 @@ def test_memo_leaves_every_outcome_unchanged(case):
 
 
 def test_memo_holds_no_more_than_its_cap():
-    capped = harness.HistoryMemo()
-    tiny = harness.HistoryMemo(2)
-    uncapped = harness.HistoryMemo(None)
+    capped, tiny, uncapped = _memo(), _memo(2), _memo(None)
     for memo in (capped, tiny, uncapped):
         _outcomes(memo, {}, (0, 1, 2), True, (0.05,), 300)
     assert len(tiny) == 2
-    assert len(capped) == harness.MEMO_CAP < len(uncapped)
-    assert len(harness.HistoryMemo(0)) == 0
+    assert len(capped) == harness._MEMO_CAP < len(uncapped)
+    assert len(_memo(0)) == 0
     with pytest.raises(ValueError, match="cap"):
-        harness.HistoryMemo(-1)
+        _memo(-1)
+
+
+def test_a_memo_serves_only_its_own_base_and_code():
+    memo = _memo()
+    equal_base = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
+    equal_code = _build_code(ExperimentConfig((0.0,), shots=1))
+    rng = CountingRng(3)
+    for base, code in ((equal_base, _CODE), (_BASE, equal_code)):
+        with pytest.raises(ValueError, match="made for"):
+            run_exchange_shot(base, code, NoiseSpec(0.01), (0, 1, 2), True, rng, memo)
+    assert rng.draws == 0
+
+
+def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
+    calls = []
+    readout = harness.measure_stabilizer
+
+    def counted(*args):
+        calls.append(args)
+        return readout(*args)
+
+    monkeypatch.setattr(harness, "measure_stabilizer", counted)
+    plain = _outcomes(_memo(0), {}, (0, 1, 2), True, (0.01,), 40)
+    assert len(calls) == 40 * 3 * 6  # every readout of every shot
+    calls.clear()
+    memo = _memo()
+    warm = _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 40)
+    first_visits = len(calls)
+    calls.clear()
+    replay = _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 40)
+    assert plain == warm == replay
+    assert 0 < first_visits < 40 * 3 * 6
+    assert calls == []  # the replay only revisits nodes
 
 
 _NOISE_SPECS = st.builds(
@@ -341,7 +377,7 @@ _NOISE_SPECS = st.builds(
     correct=st.booleans(),
 )
 def test_no_noise_setting_crashes_a_shot(spec, schedule, correct):
-    memo = harness.HistoryMemo()
+    memo = _memo()
     for _ in range(2):  # the second pass replays the first from the memo
         for shot in range(3):
             outcomes = [
