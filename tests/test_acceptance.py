@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, one test per numbered requirement.
 
-Each test pins the tolerance it must meet; pytest -v yields one pass/fail
-line per criterion.  The two Monte-Carlo criteria (07, 08) also assert
-their wall-clock budgets, so this module is the slow part of the suite.
+Each test pins the seed, size and tolerance it must meet; pytest -v yields
+one pass/fail line per criterion.  The structural claims (01-06, 09, 10)
+call the checks of :mod:`fermiqec.suites` that ``fermiqec verify`` runs at
+a small size, so the two cannot drift apart.  The two Monte-Carlo criteria
+(07, 08) also assert their wall-clock budgets.
 """
 
 from __future__ import annotations
@@ -13,51 +15,27 @@ import time
 import numpy as np
 import pytest
 
-from fermiqec.backend import random_h_circuit, run_dual
 from fermiqec.cli import main
-from fermiqec.codes import (
-    RepetitionCode,
-    apply_logical_C,
-    apply_logical_C_dagger,
-    kl_check,
-    logical_basis_state,
-    prepare_logical_vacuum,
-    random_codespace_state,
-    stabilizer_expectation,
-    steane_projector_check,
-)
-from fermiqec.gates import (
-    apply_annihilation,
-    apply_creation,
-    apply_local_phase,
-    number_expectation,
-)
+from fermiqec.codes import RepetitionCode, logical_basis_state
+from fermiqec.gates import number_expectation
 from fermiqec.harness import ExperimentConfig, run_experiment
-from fermiqec.logical import (
-    density_gadget_logical,
-    fswap_logical,
-    logical_density_exact,
-    logical_phase_exact,
-    phase_gadget_logical,
-    tunneling_logical,
-)
-from fermiqec.qec import (
-    SYNDROME_TABLE,
-    generate_syndrome_table,
-    measure_reference_and_recover,
-    qec_round,
-)
-from fermiqec.reference import (
-    apply_c,
-    apply_c_dagger,
-    apply_D_decomposed,
-    apply_D_exact,
-    apply_R,
-    apply_R_dagger,
-    random_h_state,
-)
+from fermiqec.qec import SYNDROME_TABLE, generate_syndrome_table
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, difference_norm, random_full_state
+from fermiqec.suites import (
+    check_bank_recovery,
+    check_decomposed_rotation,
+    check_dephasing_correctability,
+    check_dressed_anticommutators,
+    check_dressed_bilinears,
+    check_dual_backends,
+    check_edge_commutator,
+    check_edge_site_anticommutation,
+    check_fswap_conjugation,
+    check_gadget_oracles,
+    check_loss_channel,
+    check_repetition_code,
+    check_single_flip_recovery,
+)
 
 SQUARE = RegisterLayout(3, 3, 3)  # M_s = N = M_r
 
@@ -68,32 +46,7 @@ SQUARE = RegisterLayout(3, 3, 3)  # M_s = N = M_r
 
 
 def test_01a_dressed_anticommutators():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        psi = random_h_state(SQUARE, rng)
-        for i in range(3):
-            for j in range(3):
-                acc = add_states(
-                    apply_c_dagger(apply_c(psi, j), i),
-                    apply_c(apply_c_dagger(psi, i), j),
-                )
-                if i == j:
-                    acc = add_states(acc, psi, 1.0, -1.0)
-                worst = max(worst, acc.norm())
-    assert worst < 1e-12
-
-
-def _edge_commutator_worst(layout: RegisterLayout, trials: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        psi = random_h_state(layout, rng)
-        comm = add_states(
-            apply_R(apply_R_dagger(psi)), apply_R_dagger(apply_R(psi)), 1.0, -1.0
-        )
-        worst = max(worst, comm.norm())
-    return worst
+    assert check_dressed_anticommutators(np.random.default_rng(101), 100) < 1e-12
 
 
 @pytest.mark.xfail(
@@ -105,39 +58,21 @@ def _edge_commutator_worst(layout: RegisterLayout, trials: int, seed: int) -> fl
     "M_r > N > M_s",
 )
 def test_01b_edge_commutator_square_register():
-    assert _edge_commutator_worst(SQUARE, 100, 102) < 1e-12
+    assert check_edge_commutator(np.random.default_rng(102), SQUARE, 100) < 1e-12
 
 
 def test_01b_edge_commutator_tall_register():
     # strict inequalities M_s < N < M_r keep both boundary sectors benign
-    assert _edge_commutator_worst(RegisterLayout(3, 5, 4), 100, 103) < 1e-12
+    tall = RegisterLayout(3, 5, 4)
+    assert check_edge_commutator(np.random.default_rng(103), tall, 100) < 1e-12
 
 
 def test_01c_edge_site_anticommutation():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(100):
-        psi = random_full_state(SQUARE, rng)
-        for i in range(3):
-            anti = add_states(
-                apply_R(apply_annihilation(psi, i)),
-                apply_annihilation(apply_R(psi), i),
-            )
-            worst = max(worst, anti.norm())
-    assert worst < 1e-12
+    assert check_edge_site_anticommutation(np.random.default_rng(104), 100) < 1e-12
 
 
 def test_01d_dressed_bilinears_match_site_bilinears():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        psi = random_h_state(SQUARE, rng)
-        for i in range(3):
-            for j in range(3):
-                dressed = apply_c_dagger(apply_c(psi, j), i)
-                site = apply_creation(apply_annihilation(psi, j), i)
-                worst = max(worst, difference_norm(dressed, site))
-    assert worst < 1e-12
+    assert check_dressed_bilinears(np.random.default_rng(105), 100) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +82,8 @@ def test_01d_dressed_bilinears_match_site_bilinears():
 
 def test_02_decomposed_rotation_matches_exact():
     rng = np.random.default_rng(201)
-    thetas = rng.uniform(-math.pi, math.pi, size=20)
-    worst = 0.0
-    for _ in range(100):
-        psi = random_h_state(SQUARE, rng)
-        for mode in range(3):
-            for theta in thetas:
-                worst = max(
-                    worst,
-                    difference_norm(
-                        apply_D_exact(psi, mode, float(theta)),
-                        apply_D_decomposed(psi, mode, float(theta)),
-                    ),
-                )
-    assert worst < 1e-10
+    thetas = rng.uniform(-math.pi, math.pi, size=20).tolist()
+    assert check_decomposed_rotation(rng, 100, thetas, ("x",)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +92,17 @@ def test_02_decomposed_rotation_matches_exact():
 
 
 def test_03_repetition_code_suite():
-    rng = np.random.default_rng(301)
     for num_blocks in (1, 2, 3):
         m = 3 * num_blocks
-        code = RepetitionCode(RegisterLayout(m, m, m))
-        words = code.codespace_states()
+        words = RepetitionCode(RegisterLayout(m, m, m)).codespace_states()
         assert len(words) == 2**num_blocks
 
-        for word in words:
-            for b in range(num_blocks):
-                for which in ("s12", "s23"):
-                    assert (
-                        abs(stabilizer_expectation(word, code, b, which) - 1.0)
-                        < 1e-12
-                    )
-
-        vac = prepare_logical_vacuum(code)
-        for b in range(num_blocks):
-            assert apply_logical_C(vac, code, b).norm() < 1e-12
-
-        for _ in range(5):
-            psi = random_codespace_state(code, rng)
-            for b in range(num_blocks):
-                acc = add_states(
-                    apply_logical_C(apply_logical_C_dagger(psi, code, b), code, b),
-                    apply_logical_C_dagger(apply_logical_C(psi, code, b), code, b),
-                )
-                assert add_states(acc, psi, 1.0, -1.0).norm() < 1e-12
+    rng = np.random.default_rng(301)
+    stabilizers, filling, vacuum, anticommutator = check_repetition_code(rng, 5)
+    assert stabilizers < 1e-12
+    assert filling < 1e-12
+    assert vacuum < 1e-12
+    assert anticommutator < 1e-12
 
     # every mode of every single-block word sits at half filling, exactly
     code = RepetitionCode(SQUARE)
@@ -211,27 +118,15 @@ def test_03_repetition_code_suite():
 
 
 def test_04_dephasing_and_loss_correctability():
-    code = RepetitionCode(SQUARE)
-    errors = [lambda s: s.copy()] + [
-        (lambda s, m=m: apply_local_phase(s, m, math.pi)) for m in range(3)
-    ]
-    report = kl_check(code.codespace_states(), errors, atol=1e-12)
+    report = check_dephasing_correctability()
     assert report.passed
     assert report.max_offdiagonal_violation <= 1e-12
     assert report.max_codeword_dependence <= 1e-12
 
-    # seven-mode loss channel at p = 0.01: every annihilation Kraus block
-    # acts as (p/2) x identity on the code space and all cross terms vanish
-    p = 0.01
-    loss = steane_projector_check(p, atol=1e-12)
-    matrix = loss.kl.matrix
-    n_words = matrix.shape[1]
-    eye = np.eye(n_words)
-    for a in range(1, 8):
-        assert np.max(np.abs(matrix[a, :, a, :] - (p / 2) * eye)) < 1e-12
-        for b in range(matrix.shape[0]):
-            if b != a:
-                assert np.max(np.abs(matrix[a, :, b, :])) < 1e-12
+    # seven-mode loss channel at p = 0.01
+    diagonal, cross = check_loss_channel()
+    assert diagonal < 1e-12
+    assert cross < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +135,9 @@ def test_04_dephasing_and_loss_correctability():
 
 
 def test_05_single_flip_recovery_and_decode_table():
-    rng = np.random.default_rng(501)
-    code = RepetitionCode(RegisterLayout(6, 6, 6, num_ancilla_qubits=1))
-    for _ in range(10):
-        psi = random_codespace_state(code, rng)
-        for mode in range(6):
-            flipped = apply_local_phase(psi, mode, math.pi)
-            recovered, syndromes = qec_round(flipped, code, rng)
-            assert 1.0 - recovered.fidelity(psi) < 1e-12
-            hit = [s for s in syndromes if s != (1, 1)]
-            assert len(hit) == 1  # exactly one block saw the flip
+    worst, one_block_each = check_single_flip_recovery(np.random.default_rng(501), 10)
+    assert worst < 1e-12
+    assert one_block_each  # exactly one block saw each flip
     assert generate_syndrome_table() == SYNDROME_TABLE
 
 
@@ -260,50 +148,12 @@ def test_05_single_flip_recovery_and_decode_table():
 
 def test_06_gadget_oracles_and_fswap_conjugation():
     rng = np.random.default_rng(601)
-    code = RepetitionCode(RegisterLayout(6, 6, 6, num_ancilla_qubits=2))
-    worst_phase = 0.0
-    worst_density = 0.0
-    worst_tunnel = 0.0
-    for _ in range(100):
-        psi = random_codespace_state(code, rng, compressed=True)
-        for theta in (math.pi / 4, math.pi / 2, math.pi):  # T, S, Z angles
-            for b in range(2):
-                worst_phase = max(
-                    worst_phase,
-                    difference_norm(
-                        phase_gadget_logical(psi, code, b, theta),
-                        logical_phase_exact(psi, code, b, theta),
-                    ),
-                )
-            worst_density = max(
-                worst_density,
-                difference_norm(
-                    density_gadget_logical(psi, code, 0, 1, theta),
-                    logical_density_exact(psi, code, 0, 1, theta),
-                ),
-            )
-        worst_tunnel = max(
-            worst_tunnel,
-            difference_norm(
-                tunneling_logical(psi, code, 0, 1, math.pi / 2, method="hardware"),
-                tunneling_logical(psi, code, 0, 1, math.pi / 2, method="exact"),
-            ),
-        )
-    assert worst_phase < 1e-12
-    assert worst_density < 1e-12
-    assert worst_tunnel < 1e-12
-
-    # conjugation by the block swap relabels the logical ladder operators
-    plain = RepetitionCode(RegisterLayout(6, 6, 6))
-    worst = 0.0
-    for _ in range(100):
-        psi = random_codespace_state(plain, rng)
-        for op in (apply_logical_C, apply_logical_C_dagger):
-            conjugated = fswap_logical(
-                op(fswap_logical(psi, plain, 0, 1), plain, 0), plain, 0, 1
-            )
-            worst = max(worst, difference_norm(conjugated, op(psi, plain, 1)))
-    assert worst < 1e-12
+    thetas = (math.pi / 4, math.pi / 2, math.pi)  # T, S, Z angles
+    phase, density, tunnel = check_gadget_oracles(rng, 100, thetas)
+    assert phase < 1e-12
+    assert density < 1e-12
+    assert tunnel < 1e-12
+    assert check_fswap_conjugation(rng, 100) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +222,8 @@ def test_08_quadratic_suppression_scaling():
 
 def test_09_backend_cross_check():
     rng = np.random.default_rng(901)
-    lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=2)
-    code = RepetitionCode(lay)
-    worst = 0.0
-    for k in range(20):
-        ops = random_h_circuit(lay, rng, length=50)
-        report = run_dual(random_h_state(lay, rng), ops, seed=9000 + k, code=code)
-        assert report.outcomes_match
-        worst = max(worst, report.deviation)
+    worst, matched = check_dual_backends(rng, range(9000, 9020), length=50)
+    assert matched
     assert worst < 1e-10
 
 
@@ -390,17 +234,8 @@ def test_09_backend_cross_check():
 
 def test_10_reference_dephasing_recovery():
     rng = np.random.default_rng(1001)
-    code = RepetitionCode(RegisterLayout(6, 5, 5))
-    words = [logical_basis_state(code, bits) for bits in ((0, 1), (1, 0))]
-    worst = 0.0
-    for _ in range(20):
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        amps /= np.linalg.norm(amps)
-        psi = add_states(words[0], words[1], complex(amps[0]), complex(amps[1]))
-        j = int(rng.integers(5))  # one random bank mode picks up a pi phase
-        noisy = apply_local_phase(psi, psi.layout.reference_mode(j), math.pi)
-        recovered = measure_reference_and_recover(noisy, code, rng)
-        worst = max(worst, 1.0 - recovered.fidelity(psi))
+    # one random bank mode picks up a pi phase
+    worst = check_bank_recovery(rng, 20, lambda r: [int(r.integers(5))])
     assert worst < 1e-12
 
 

@@ -17,11 +17,14 @@ CHECK_NAMES = [
     "gadgets: phase gadget",
     "gadgets: density gadget",
     "gadgets: hardware tunneling",
+    "gadgets: fswap conjugation",
     "gadgets: stabilizer readout",
+    "recovery: single-flip correction",
     "recovery: bank dephasing recovery",
     "reference: dressed anticommutators",
     "reference: edge operator commutator",
     "reference: edge/site anticommutation",
+    "reference: dressed bilinears",
     "rotations: decomposed Majorana rotation",
     "steane: loss ladder weights",
     "steane: loss cross terms",
