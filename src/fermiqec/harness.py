@@ -172,6 +172,8 @@ class ExperimentConfig:
             raise ValueError("shots must be positive")
         if self.num_error_layers < 0:
             raise ValueError("num_error_layers must be non-negative")
+        if not self.p_values:
+            raise ValueError("at least one error probability is needed")
         if not all(0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("error probabilities must lie in [0, 1]")
         _resolve_schedule(self)
@@ -506,6 +508,8 @@ def run_experiment(
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     _build_code(config)  # register checks, before any shot
     t0 = time.perf_counter()
     workers = min(threads, config.shots)

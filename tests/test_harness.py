@@ -137,6 +137,9 @@ def test_seed_must_be_non_negative():
         {"register": (9, 6, 8)},
         {"register": (9, 9, 7), "correction_enabled": False},
         {"register": (9, 8, 8)},
+        {"p_values": ()},
+        {"threads": 0},
+        {"threads": -4},
     ],
 )
 def test_bad_config_fails_before_any_shot(monkeypatch, fields):
@@ -144,8 +147,10 @@ def test_bad_config_fails_before_any_shot(monkeypatch, fields):
         raise AssertionError("a shot ran before the config was checked")
 
     monkeypatch.setattr(harness, "_run_shot_range", no_shots)
+    fields = {"p_values": (0.01,), "shots": 64, **fields}
+    threads = fields.pop("threads", 1)  # a run_experiment argument, not a field
     with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig(**{"p_values": (0.01,), "shots": 64, **fields}))
+        run_experiment(ExperimentConfig(**fields), threads=threads)
 
 
 def test_uncorrected_runs_need_no_atom_per_system_mode():
