@@ -393,10 +393,11 @@ def suite_codes(seed: int) -> list[CheckResult]:
         "logical ladder anticommutator": anticommutator,
     }
     matches = generate_syndrome_table() == SYNDROME_TABLE
+    table = f"brute-force map {'matches' if matches else 'differs from'} stored table"
     kl = check_dephasing_correctability()
     kl_worst = max(kl.max_offdiagonal_violation, kl.max_codeword_dependence)
     return _deviation_checks(worst) + [
-        CheckResult("syndrome table", matches, "brute-force map matches the table"),
+        CheckResult("syndrome table", matches, table),
         _deviation_check("dephasing correctability", kl_worst),
     ]
 
@@ -438,8 +439,9 @@ def suite_recovery(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     flip, one_block = check_single_flip_recovery(rng, 2)
     bank = check_bank_recovery(rng, 3, _any_bank_modes)
+    fact = "one block per flip"
     return [
-        _deviation_check("single-flip correction", flip, 1e-12, "one block", one_block),
+        _deviation_check("single-flip correction", flip, 1e-12, fact, one_block),
         _deviation_check("bank dephasing recovery", bank),
     ]
 
