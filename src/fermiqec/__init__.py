@@ -12,7 +12,6 @@ from .codes import (
     KLReport,
     RepetitionCode,
     SteaneCode,
-    SteaneLossReport,
     apply_logical_C,
     apply_logical_C_dagger,
     apply_loss_kraus,

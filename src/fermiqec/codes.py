@@ -51,7 +51,6 @@ __all__ = [
     "apply_loss_kraus",
     "KLReport",
     "kl_check",
-    "SteaneLossReport",
     "steane_projector_check",
 ]
 
@@ -495,41 +494,12 @@ def kl_check(
     return KLReport(gram, off, dep, off <= atol and dep <= atol, atol)
 
 
-@dataclass
-class SteaneLossReport:
-    p: float
-    kl: KLReport
-    channel_weights: np.ndarray
-    ladder_weights: np.ndarray
-    max_ladder_cross: float
-
-
-def steane_projector_check(p: float, atol: float = 1e-12) -> SteaneLossReport:
-    """Loss-channel Knill-Laflamme analysis on the seven-mode code.
-
-    ``channel_weights[a, b]`` is the codeword-averaged coefficient matrix;
-    ``ladder_weights`` are its diagonal entries for the annihilation Kraus
-    operators (each p/2 when the code smears every mode to half filling);
-    ``max_ladder_cross`` scans every cross term involving an annihilation
-    operator, all of which must vanish.
-    """
-    lay = RegisterLayout(7, 7, 7)
-    code = SteaneCode(lay)
-    words = code.codewords()
-    m = lay.num_system_modes
+def steane_projector_check(p: float, atol: float = 1e-12) -> KLReport:
+    """Loss-channel Knill-Laflamme analysis on the seven-mode code: the
+    :func:`kl_check` of the :func:`apply_loss_kraus` set at rate ``p``."""
+    code = SteaneCode(RegisterLayout(7, 7, 7))
+    m = code.layout.num_system_modes
     kraus = [
         (lambda s, i=i: apply_loss_kraus(s, i, p)) for i in range(2 * m + 1)
     ]
-    kl = kl_check(words, kraus, atol)
-    n_w = len(words)
-    weights = kl.matrix[:, 0, :, 0].copy()
-    for i in range(1, n_w):
-        weights += kl.matrix[:, i, :, i]
-    weights /= n_w
-    ladder = np.array([weights[a, a].real for a in range(1, m + 1)])
-    cross = 0.0
-    for a in range(1, m + 1):
-        for b in range(2 * m + 1):
-            if b != a:
-                cross = max(cross, abs(weights[a, b]))
-    return SteaneLossReport(p, kl, weights, ladder, cross)
+    return kl_check(code.codewords(), kraus, atol)

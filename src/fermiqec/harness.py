@@ -15,19 +15,26 @@ A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
 which map a state to a state, and events, which draw an outcome from
 probabilities that the state fixes (an error layer's flips, the bank atom
 count, a stabilizer readout, the final y-basis readout).  The walk runs over
-a history memo (:class:`_HistoryMemo`).  Its nodes are keyed on the history
-so far: the parent node's id plus the outcome that led here (a set of
-flipped modes, a bank count or a syndrome bit).  A node keeps the state at
-its event.  Its first visit runs the plain measurement
+a memo (:class:`_HistoryMemo`) whose nodes are states, one per state at one
+step of one plan, however many histories reach it: a repetition-code round
+sends a corrected flip back to the code state, so many error histories meet
+there.  A history seen for the first time builds its state and, if a node
+at the same plan step with the same last outcome holds exactly that state
+(same labels in the same order, equal amplitudes), is filed under it.  A
+node's first visit runs the plain measurement
 (:func:`sample_phase_error_layer`, ``measure_mode_number``,
 ``measure_stabilizer``, ``measure_qubit``); a second visit computes the
 event's outcome probabilities with the ``split_*`` helper that measurement
-calls and keeps them, so a shot that repeats an earlier history only draws
-and looks up.  Outcomes do not change: a node's state depends on its
-history alone, not on the error rate, and every event takes the draw the
-plain measurement takes, compared the same way.  The memo holds at most
-``_MEMO_CAP`` nodes and drops the least recently used; at cap 0 it holds
-nothing, every visit is a first one, and the walk is plain Monte-Carlo.
+calls and keeps them, so a shot that reaches a known state only draws and
+looks up.  Outcomes do not change.  A node's state does not depend on the
+error rate.  Two histories filed under one node carry the same state, step
+and last outcome, which is all a later gate reads (a correction reads the
+block's two readouts), so every later probability, branch and draw is the
+same computation, its amplitudes summed in the same order.  Every event
+takes the draw the plain measurement takes, compared the same way.  The
+memo holds at most ``_MEMO_CAP`` history keys and as many state keys,
+dropping the least recently used; at cap 0 it holds nothing, every visit is
+a first one, and the walk is plain Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -205,13 +212,16 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
 
 
 # ---------------------------------------------------------------------------
-# one shot: a walk over steps, memoized by history
+# one shot: a walk over steps, memoized by state
 # ---------------------------------------------------------------------------
 
-#: Most nodes one history memo holds, states and event probabilities alike.
-#: A node's state on the 9+9+9+2 register holds about 123 amplitudes; at
-#: this cap the memo raised the peak RSS of the 256-shot exchange benchmark
-#: calls by 0.7-2.0 MB.
+#: Most keys each index of a memo holds, history keys and state keys alike,
+#: so at most twice this many nodes stay alive.  A node's state on the
+#: 9+9+9+2 register holds about 123 amplitudes.  At this cap the history
+#: index alone raised the peak RSS of the 256-shot exchange benchmark calls
+#: by 0.7-2.0 MB, and the state index raised it by a further 0.5 MB
+#: (exchange_corrected) and 0.75 MB (exchange_reference), medians of ten
+#: runs on a 2-vCPU host.
 _MEMO_CAP = 256
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -322,9 +332,10 @@ def _shot_plan(
 
 
 class _Node:
-    """The state at one event of a shot's history, whether a shot has been
-    here before, and, once a second visit computed them, the event's
-    outcome probabilities (``None`` until then)."""
+    """One state at one event of a shot plan, reached by any history that
+    leads to exactly this state; whether a shot has been here before, and,
+    once a second visit computed them, the event's outcome probabilities
+    (``None`` until then)."""
 
     __slots__ = ("id", "state", "seen", "odds")
 
@@ -336,13 +347,24 @@ class _Node:
 
 
 class _HistoryMemo:
-    """History nodes of exchange shots from one ``base`` and ``code``,
-    under one least-recently-used cap, and the shot plans that walk them.
+    """Nodes of exchange shots from one ``base`` and ``code``, and the shot
+    plans that walk them.
 
-    A key is ``(parent node id, outcome)``, or a plan's shape for the first
-    node.  Node states do not depend on p, so one memo serves every error
-    rate: :func:`_run_shot_range` shares one across all points of a task.
-    ``cap=None`` never drops a node; ``cap=0`` keeps none.
+    Two indices lead to a node.  The history index is keyed on
+    ``(parent node id, outcome)``, or a plan's shape for the first node.
+    The state index is keyed on ``(plan shape, step index, last outcome,
+    hash of the state's ordered entries)``: a history seen for the first
+    time builds its state and, when a node at that place holds exactly the
+    same entries (labels, order and amplitudes), is filed under that node,
+    whose visits, odds and children it then shares.  The state index keeps
+    the hash, not the entries, and compares them on a hit.  That compare
+    takes 0.0 and -0.0 as equal; the sign of a zero part never changes the
+    size of a sum or product, so it changes no probability.  Each index
+    holds at most ``cap`` keys and drops the least recently used; an
+    evicted state key only means no merge.  Node states do not depend on
+    p, so one memo serves every error rate: :func:`_run_shot_range` shares
+    one across all points of a task.  ``cap=None`` never drops a node;
+    ``cap=0`` keeps none.
     """
 
     def __init__(
@@ -354,6 +376,7 @@ class _HistoryMemo:
         self.code = code
         self.cap = cap
         self._nodes: OrderedDict[tuple, _Node] = OrderedDict()
+        self._states: OrderedDict[tuple, _Node] = OrderedDict()
         self._ids = itertools.count()
         self._plans: dict[tuple, tuple] = {}
 
@@ -369,19 +392,33 @@ class _HistoryMemo:
             self._plans[key] = _shot_plan(self.code, spec, schedule, correction_enabled)
         return self._plans[key]
 
-    def node(self, key: tuple, make: Callable[[], SparseState]) -> _Node:
-        """The node at ``key``, built from ``make()`` if not held."""
-        nodes = self._nodes
-        node = nodes.get(key)
+    def node(self, key: tuple, make: Callable[[], SparseState], place: tuple) -> _Node:
+        """The node at history ``key``.  On a miss, ``make()`` builds the
+        state, and the node already holding exactly that state at ``place``
+        (plan shape, step index, last outcome) is filed under ``key``, or a
+        new one if there is none."""
+        node = self._nodes.get(key)
         if node is not None:
-            nodes.move_to_end(key)
+            self._nodes.move_to_end(key)
             return node
-        node = _Node(next(self._ids), make())
-        if self.cap != 0:
-            nodes[key] = node
-            if self.cap is not None and len(nodes) > self.cap:
-                nodes.popitem(last=False)
+        state = make()
+        if self.cap == 0:
+            return _Node(next(self._ids), state)
+        entries = tuple(state.entries.items())
+        place = (*place, hash(entries))
+        node = self._states.get(place)
+        if node is not None and tuple(node.state.entries.items()) == entries:
+            self._states.move_to_end(place)
+        else:
+            node = _Node(next(self._ids), state)
+            self._file(self._states, place, node)
+        self._file(self._nodes, key, node)
         return node
+
+    def _file(self, index: OrderedDict, key: tuple, node: _Node) -> None:
+        index[key] = node
+        if self.cap is not None and len(index) > self.cap:
+            index.popitem(last=False)
 
 
 def _settle(
@@ -420,7 +457,8 @@ def run_exchange_shot(
     the exact-correctability conditions).
 
     ``memo`` (made for this ``base`` and ``code``) caches the states and
-    probabilities of histories seen before; without one nothing is cached.
+    probabilities of states reached before, by this history or another;
+    without one nothing is cached.
     The outcome is the same either way.
     """
     if memo is None:
@@ -430,8 +468,8 @@ def run_exchange_shot(
     shape, head, steps = memo.plan(spec, tuple(schedule), correction_enabled)
     key, last = shape, None
     make = functools.partial(_settle, base, head, ())
-    for step in steps:
-        node = memo.node(key, make)
+    for index, step in enumerate(steps):
+        node = memo.node(key, make, (shape, index, last))
         if node.seen:
             if node.odds is None:
                 node.odds, _ = step.split(node.state)

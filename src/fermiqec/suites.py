@@ -204,7 +204,7 @@ def check_loss_channel() -> tuple[float, float]:
     annihilation Kraus block minus (p/2) x identity on the code space, and
     the worst cross term with one, which must both vanish."""
     p = 0.01
-    matrix = steane_projector_check(p).kl.matrix
+    matrix = steane_projector_check(p).matrix
     eye = np.eye(matrix.shape[1])
     ladder = range(1, 8)
     diagonal = max(np.max(np.abs(matrix[a, :, a, :] - (p / 2) * eye)) for a in ladder)

@@ -23,7 +23,7 @@ from fermiqec.harness import (
 )
 from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import difference_norm
+from fermiqec.states import SparseState, difference_norm
 
 
 class CountingRng:
@@ -301,13 +301,16 @@ def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
     return out
 
 
-#: (spec fields, schedule, correction): 5 cases x 2 points x 200 shots.
+#: (spec fields, schedule, correction): 6 cases x 2 points x 200 shots.
+#: ``reference_p0.1_5layers`` takes the plan of the five-layer reference run
+#: at p = 0.1, where the memo hits least, and runs it at the test's p values.
 MEMO_CASES = {
     "corrected": ({}, (0, 1, 2), True),
     "uncorrected": ({}, (0, 1, 2), False),
     "reference": ({"include_reference": True}, (0, 1, 2), True),
     "targets": ({"targets": (0, 4, 8, 9, 13, 17)}, (0, 1, 2), True),
     "schedule": ({}, (3, 0, 0, 2, 1), True),
+    "reference_p0.1_5layers": ({"include_reference": True}, (0, 1, 2, 3, 0), True),
 }
 
 
@@ -332,6 +335,57 @@ def test_memo_holds_no_more_than_its_cap():
     assert len(_memo(0)) == 0
     with pytest.raises(ValueError, match="cap"):
         _memo(-1)
+
+
+def test_one_memo_serves_every_plan_shape():
+    # Equal states at the same step of different plans must not merge: the
+    # plans' later gates differ.  Shots of five plans take turns in one memo.
+    plans = [
+        (NoiseSpec(0.05), (0, 1, 2), True),
+        (NoiseSpec(0.05), (0, 1, 2), False),
+        (NoiseSpec(0.05, include_reference=True), (0, 1, 2), True),
+        (NoiseSpec(0.05), (3, 0, 0, 2, 1), True),
+        (NoiseSpec(0.05), (0, 1, 2, 3), False),
+    ]
+    memo = _memo()
+    for shot in range(60):
+        for index, (spec, schedule, correct) in enumerate(plans):
+            outcomes = [
+                run_exchange_shot(
+                    _BASE, _CODE, spec, schedule, correct,
+                    np.random.default_rng([index, shot]), m,
+                )
+                for m in (memo, _memo(0))
+            ]
+            assert outcomes[0] == outcomes[1], (index, shot)
+
+
+def test_histories_that_reach_one_state_share_its_node():
+    memo, plain = _memo(), _memo(0)
+    spec = {"include_reference": True}
+    merged = _outcomes(memo, spec, (0, 1, 2), True, (0.01,), 256)
+    assert merged == _outcomes(plain, spec, (0, 1, 2), True, (0.01,), 256)
+    distinct = {id(node) for node in memo._nodes.values()}
+    assert len(distinct) < len(memo)
+    assert len(memo._states) <= harness._MEMO_CAP
+
+
+def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
+    memo = _memo()
+    place = ("shape", 0, None)
+    first = memo.node(("a",), lambda: _BASE, place)
+    assert memo.node(("b",), lambda: _BASE.copy(), place) is first
+    for other in (("other", 0, None), ("shape", 1, None), ("shape", 0, 1)):
+        assert memo.node(("c", other), lambda: _BASE, other) is not first
+    entries = list(_BASE.entries.items())
+    label, amp = entries[0]
+    unequal = {
+        "reordered": dict(entries[::-1]),
+        "nudged": {**_BASE.entries, label: amp * (1 + 2**-52)},
+    }
+    for name, changed in unequal.items():
+        state = SparseState(_BASE.layout, changed, _BASE.compressed)
+        assert memo.node((name,), lambda: state, place) is not first
 
 
 def test_a_memo_serves_only_its_own_base_and_code():
