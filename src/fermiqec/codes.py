@@ -15,8 +15,10 @@ All constructions go through :func:`fermiqec.reference.apply_c` and friends,
 so they work identically on physical and compressed states.  Maps that the
 shots apply over and over (stabilizers, the transversal swap, the logical
 tunnelings built on it) are :class:`LabelMap` memos owned by the code: each
-label's image is derived once, from the literal operators on one basis
-label, and then looked up.
+label's image is derived once and then looked up.  The stabilizer and swap
+images compose the label images that the gates themselves hand to
+:func:`fermiqec.states.apply_map` (the dressed ladders' and the mode
+fswaps'), so deriving one builds no state.
 """
 
 from __future__ import annotations
@@ -29,8 +31,14 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .gates import apply_annihilation, apply_fswap
-from .reference import apply_c, apply_c_dagger, apply_majorana, h_basis_state
+from .gates import apply_annihilation, fswap_image
+from .reference import (
+    apply_c,
+    apply_c_dagger,
+    apply_majorana,
+    compressed_ladder_image,
+    h_basis_state,
+)
 from .registers import RegisterLayout
 from .states import SparseState, add_states, apply_map, basis_state, scale_state
 
@@ -60,8 +68,10 @@ class LabelMap(dict):
 
     The map acts on the bits under ``mask`` only: ``derive(part)`` gives the
     image of ``part = label & mask`` and every other bit of the label passes
-    through.  ``derive`` runs once per part; the image of each full label is
-    then cached, so applying the map costs one dict lookup per label.
+    through.  ``derive`` runs once per part and works on the label alone:
+    the code's maps compose the gates' own label images, or other maps'
+    parts, and build no state.  The image of each full label is then
+    cached, so applying the map costs one dict lookup per label.
     """
 
     __call__ = dict.__getitem__
@@ -130,20 +140,35 @@ class RepetitionCode:
         """A stabilizer as a label map on compressed labels.
 
         A stabilizer sends every occupation label to at most one label with
-        a phase; the image of a system label is :func:`apply_stabilizer` on
-        that one label, and ancilla bits pass through.  Labels whose system
-        count cannot occur in a valid compressed state are annihilated.
+        a phase.  A system label's image composes the label images of the
+        dressed ladders (:func:`fermiqec.reference.compressed_ladder_image`)
+        that its two Majoranas fire, higher mode first; ancilla bits pass
+        through.  Labels whose system count cannot occur in a valid
+        compressed state are annihilated.
         """
         lay = self.layout
-        majoranas = stabilizer_majoranas(self, block, which)
+        hi, lo, kind = stabilizer_majoranas(self, block, which)
+        ladders = {
+            (mode, create): compressed_ladder_image(lay, mode, create)
+            for mode in (hi, lo)
+            for create in (False, True)
+        }
 
         def derive(sys: int) -> tuple[tuple[int, complex], ...]:
             if not lay.holds(sys.bit_count()):
                 return ()
-            img = _majorana_pair(basis_state(lay, sys, True), *majoranas)
-            if len(img.entries) > 1:
-                raise AssertionError("stabilizer image of a label is not a label")
-            return tuple(img.entries.items())
+            coef = 1.0 + 0.0j
+            for mode in (hi, lo):
+                # a Majorana on one label is the one ladder that fires
+                create = not sys >> mode & 1
+                image = ladders[mode, create](sys)
+                if not image:
+                    return ()
+                ((sys, sign),) = image
+                coef = sign * coef
+                if kind == "y":
+                    coef = (1j if create else -1j) * coef
+            return ((sys, 1j * coef),)
 
         return self.label_map(
             ("stabilizer", which, block), None, lay.system_mask, derive
@@ -152,20 +177,25 @@ class RepetitionCode:
     def compiled_fswap(self, block_a: int, block_b: int) -> LabelMap:
         """The transversal block fswap as a label map on system bits.
 
-        Its signs only count system modes, so the map serves both
-        representations: reference and ancilla bits pass through.
+        A system label's image chains the label images of the three mode
+        pairs' fswaps (:func:`fermiqec.gates.fswap_image`).  Its signs only
+        count system modes, so the map serves both representations:
+        reference and ancilla bits pass through.
         """
-        lay = self.layout
-        pairs = list(zip(self.block_modes(block_a), self.block_modes(block_b)))
+        swaps = [
+            fswap_image(ma, mb)
+            for ma, mb in zip(self.block_modes(block_a), self.block_modes(block_b))
+        ]
 
         def derive(sys: int) -> tuple[tuple[int, complex], ...]:
-            img = basis_state(lay, sys, True)
-            for ma, mb in pairs:
-                img = apply_fswap(img, ma, mb)
-            return tuple(img.entries.items())
+            coef = 1.0
+            for swap in swaps:
+                ((sys, sign),) = swap(sys)
+                coef *= sign
+            return ((sys, complex(coef)),)
 
         return self.label_map(
-            ("fswap", block_a, block_b), None, lay.system_mask, derive
+            ("fswap", block_a, block_b), None, self.layout.system_mask, derive
         )
 
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:

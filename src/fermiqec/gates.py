@@ -52,6 +52,7 @@ __all__ = [
     "apply_local_phase",
     "apply_density_phase",
     "apply_tunneling",
+    "fswap_image",
     "apply_fswap",
     "apply_qubit_gate",
     "apply_controlled",
@@ -274,10 +275,12 @@ def apply_tunneling(
     return apply_map(state, image)
 
 
-def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
-    """Fermionic swap: |11> -> -|11>, single occupancy swaps with the
-    parity sign of the modes in between, empty pairs untouched."""
-    _check_literal_pair(state, mode_a, mode_b, "fswap")
+def fswap_image(
+    mode_a: int, mode_b: int
+) -> Callable[[int], tuple[tuple[int, complex]]]:
+    """Label image of the fermionic swap of two distinct modes: ``|11>`` ->
+    ``-|11>``, single occupancy swaps with the parity sign of the modes in
+    between, empty pairs untouched."""
     flip = (1 << mode_a) | (1 << mode_b)
     between = _between_mask(mode_a, mode_b)
 
@@ -289,7 +292,13 @@ def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
             return ((l ^ flip, -1 if (l & between).bit_count() & 1 else 1),)
         return ((l, 1.0),)
 
-    return apply_map(state, image)
+    return image
+
+
+def apply_fswap(state: SparseState, mode_a: int, mode_b: int) -> SparseState:
+    """Fermionic swap (:func:`fswap_image`) on the modes' literal bits."""
+    _check_literal_pair(state, mode_a, mode_b, "fswap")
+    return apply_map(state, fswap_image(mode_a, mode_b))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "apply_R_dagger",
     "apply_c",
     "apply_c_dagger",
+    "compressed_ladder_image",
     "apply_majorana",
     "apply_global_reference_phase",
     "majorana_rotation_gates",
@@ -133,13 +135,15 @@ def is_in_H(state: SparseState) -> bool:
     if state.compressed:
         return True
     lay = state.layout
-    for l in state.entries:
-        n_sys = lay.system_part(l).bit_count()
-        if not lay.holds(n_sys):
-            return False
-        if l & lay.reference_mask != reference_basis_bits(lay, n_sys):
-            return False
-    return True
+    # the prefix each system count implies; -1 matches no masked label
+    prefix = [
+        reference_basis_bits(lay, n) if lay.holds(n) else -1
+        for n in range(lay.num_system_modes + 1)
+    ]
+    sys_mask, ref_mask = lay.system_mask, lay.reference_mask
+    return all(
+        l & ref_mask == prefix[(l & sys_mask).bit_count()] for l in state.entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +207,34 @@ def _check_system_mode(lay: RegisterLayout, mode: int) -> None:
         raise ValueError(f"mode {mode} is not a system mode")
 
 
-def _compressed_ladder(state: SparseState, mode: int, create: bool) -> SparseState:
-    """c / c^dag on the compressed representation.
+def compressed_ladder_image(
+    layout: RegisterLayout, mode: int, create: bool
+) -> Callable[[int], tuple[tuple[int, int], ...]]:
+    """Label image of c / c^dag on the compressed representation.
 
     The edge operator's string crosses the whole system block plus the
     reference prefix below the firing mode; together with the site string
     that leaves a constant (-1)**(N-1) relative to the bare site operator.
     """
-    lay = state.layout
-    sign_ref = -1 if (lay.total_atoms - 1) & 1 else 1
+    sign_ref = -1 if (layout.total_atoms - 1) & 1 else 1
     bit = 1 << mode
 
     def image(l: int) -> tuple[tuple[int, int], ...]:
         if bool(l & bit) == create:
             return ()
         # the bank must lend the created atom or take back the removed one
-        if not lay.holds(lay.system_part(l).bit_count() + (1 if create else -1)):
+        if not layout.holds(layout.system_part(l).bit_count() + (1 if create else -1)):
             return ()
         return ((l ^ bit, sign_ref * jw_sign(l, mode)),)
 
-    return apply_map(state, image)
+    return image
 
 
 def apply_c(state: SparseState, mode: int) -> SparseState:
     """Dressed annihilation on a system mode (both representations)."""
     _check_system_mode(state.layout, mode)
     if state.compressed:
-        return _compressed_ladder(state, mode, create=False)
+        return apply_map(state, compressed_ladder_image(state.layout, mode, False))
     return apply_R_dagger(apply_annihilation(state, mode))
 
 
@@ -237,7 +242,7 @@ def apply_c_dagger(state: SparseState, mode: int) -> SparseState:
     """Dressed creation on a system mode (both representations)."""
     _check_system_mode(state.layout, mode)
     if state.compressed:
-        return _compressed_ladder(state, mode, create=True)
+        return apply_map(state, compressed_ladder_image(state.layout, mode, True))
     return apply_creation(apply_R(state), mode)
 
 

@@ -1,8 +1,10 @@
-"""Exact binomial confidence intervals."""
+"""Exact binomial confidence intervals.
+
+scipy is imported on the first interval computed, so that importing the
+package (for ``verify`` or ``run_dual``, say) does not load it.
+"""
 
 from __future__ import annotations
-
-from scipy.special import betainc
 
 __all__ = ["clopper_pearson"]
 
@@ -11,6 +13,8 @@ _BISECT_TOL = 1e-10
 
 def _invert_beta_cdf(a: float, b: float, target: float) -> float:
     """x with I_x(a, b) = target, by bisection (monotone in x)."""
+    from scipy.special import betainc
+
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)

@@ -5,13 +5,19 @@ and each must be undone by its inverse (``g(-theta)``, or itself for the
 involutions).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fermiqec.backend import compress
-from fermiqec.codes import RepetitionCode, SteaneCode, apply_loss_kraus
+from fermiqec.codes import (
+    RepetitionCode,
+    SteaneCode,
+    apply_loss_kraus,
+    apply_stabilizer,
+)
 from fermiqec.gates import (
     ancilla_mask,
     apply_density_phase,
@@ -41,7 +47,13 @@ from fermiqec.reference import (
     random_h_state,
 )
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, apply_map, basis_state, difference_norm
+from fermiqec.states import (
+    SparseState,
+    add_states,
+    apply_map,
+    basis_state,
+    difference_norm,
+)
 
 LAY = RegisterLayout(9, 9, 9, num_ancilla_qubits=2)
 CODE = RepetitionCode(LAY)
@@ -261,3 +273,66 @@ def test_tunneling_maps_keep_one_angle_per_block_pair():
         assert _tunneling_map(code, 0, 1, theta) is not first
     # a new angle replaces the stored map instead of adding one
     assert len(code._maps) == held
+
+
+def _one_label_stabilizer(code, which, block, sys):
+    """A stabilizer's image of one system label, through the state
+    machinery on a one-label state."""
+    lay = code.layout
+    if not lay.holds(sys.bit_count()):
+        return ()
+    state = apply_stabilizer(basis_state(lay, sys, True), code, block, which)
+    return tuple(state.entries.items())
+
+
+def _one_label_fswap(code, block_a, block_b, sys):
+    """The transversal fswap's image of one system label, through
+    ``apply_fswap`` on a one-label state."""
+    state = basis_state(code.layout, sys, True)
+    for ma, mb in zip(code.block_modes(block_a), code.block_modes(block_b)):
+        state = apply_fswap(state, ma, mb)
+    return tuple(state.entries.items())
+
+
+#: Full register, N < M_s (the bank cannot balance a full system), a bank
+#: with more modes than the system has, and one block.
+DERIVATION_REGISTERS = [(9, 9, 9), (9, 8, 8), (6, 7, 7), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("sizes", DERIVATION_REGISTERS, ids=str)
+def test_code_maps_equal_the_one_label_state_derivation(sizes):
+    lay = RegisterLayout(*sizes)
+    code = RepetitionCode(lay)
+    parts = range(1 << lay.num_system_modes)
+    maps = [
+        (code.compiled_stabilizer(which, block), _one_label_stabilizer, (which, block))
+        for block in range(code.num_blocks)
+        for which in ("s12", "s23")
+    ] + [
+        (code.compiled_fswap(a, b), _one_label_fswap, (a, b))
+        for a, b in itertools.permutations(range(code.num_blocks), 2)
+    ]
+    for lmap, oracle, args in maps:
+        got = [lmap.part(sys) for sys in parts]
+        want = [oracle(code, *args, sys) for sys in parts]
+        assert got == want, args
+        # repr tells signed zeros apart, which == does not
+        assert repr(got) == repr(want), args
+
+
+def test_deriving_code_maps_builds_no_state(monkeypatch):
+    built = []
+    init = SparseState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseState, "__init__", counting_init)
+    code = RepetitionCode(LAY)
+    for lmap in (code.compiled_stabilizer("s23", 1), code.compiled_fswap(0, 2)):
+        for sys in range(1 << LAY.num_system_modes):
+            lmap.part(sys)
+    assert not built
+    basis_state(LAY, 0, True)
+    assert built == [1]

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fermiqec.gates import LocalPhase, Tunneling, apply_gate_op
 from fermiqec.reference import (
@@ -28,7 +30,7 @@ from fermiqec.reference import (
     reference_basis_bits,
 )
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, basis_state, difference_norm
+from fermiqec.states import SparseState, add_states, basis_state, difference_norm
 
 LAY = RegisterLayout(3, 3, 3)
 TALL = RegisterLayout(3, 5, 4)
@@ -182,3 +184,35 @@ def test_reference_basis_bits_bounds():
     assert reference_basis_bits(LAY, 0) == 0b111 << 3
     with pytest.raises(ValueError):
         reference_basis_bits(LAY, 4)
+
+
+def _in_H_per_label(state):
+    """The consistent-subspace rule read off label by label."""
+    lay = state.layout
+    for l in state.entries:
+        n_sys = lay.system_part(l).bit_count()
+        if not lay.holds(n_sys):
+            return False
+        if l & lay.reference_mask != reference_basis_bits(lay, n_sys):
+            return False
+    return True
+
+
+@given(
+    # (9, 8, 8) and (5, 4, 3) have system counts no bank can balance
+    sizes=st.sampled_from([(3, 3, 3), (9, 8, 8), (5, 4, 3), (4, 6, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+    flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 20)), max_size=3),
+)
+# the lowest label of (9, 8, 8) holds eight system atoms and an empty bank;
+# a ninth system atom leaves the bank empty but no bank can balance nine
+@example(sizes=(9, 8, 8), seed=0, flips=[(0, 8)])
+def test_is_in_H_matches_the_per_label_rule(sizes, seed, flips):
+    lay = RegisterLayout(*sizes, num_ancilla_qubits=1)
+    entries = dict(random_h_state(lay, np.random.default_rng(seed)).entries)
+    width = lay.num_fermion_modes + lay.num_ancilla_qubits
+    for pick, bit in flips:
+        label = sorted(entries)[pick % len(entries)]
+        entries[label ^ 1 << (bit % width)] = entries.pop(label)
+    state = SparseState(lay, entries)
+    assert is_in_H(state) == _in_H_per_label(state)

@@ -1,9 +1,15 @@
 """Binomial interval against a from-scratch tail-probability oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import fermiqec
 from fermiqec.stats import clopper_pearson
 
 
@@ -87,3 +93,36 @@ def test_argument_validation():
         clopper_pearson(11, 10)
     with pytest.raises(ValueError):
         clopper_pearson(5, 10, confidence=1.0)
+
+
+def test_scipy_waits_for_the_first_interval():
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+
+        import fermiqec
+        from fermiqec.backend import random_h_circuit, run_dual
+        from fermiqec.reference import random_h_state
+
+        lay = fermiqec.RegisterLayout(3, 3, 3, num_ancilla_qubits=2)
+        ops = random_h_circuit(lay, np.random.default_rng(1), length=20)
+        code = fermiqec.RepetitionCode(lay)
+        run_dual(random_h_state(lay, np.random.default_rng(2)), ops, 3, code)
+        assert "scipy" not in sys.modules, "scipy loaded before any interval"
+        fermiqec.clopper_pearson(3, 10)
+        assert "scipy" in sys.modules
+        """
+    )
+    src = str(Path(fermiqec.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
