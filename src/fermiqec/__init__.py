@@ -54,6 +54,7 @@ from .logical import (
     density_gadget_logical,
     fswap_logical,
     phase_gadget_logical,
+    quarter_turn_tunneling_gadget,
     tunneling_logical,
 )
 from .qec import (

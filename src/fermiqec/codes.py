@@ -57,6 +57,7 @@ __all__ = [
     "project_codespace",
     "SteaneCode",
     "apply_loss_kraus",
+    "KL_ATOL",
     "KLReport",
     "kl_check",
     "steane_projector_check",
@@ -478,26 +479,29 @@ def apply_loss_kraus(state: SparseState, index: int, p: float) -> SparseState:
     return apply_map(state, lambda l: () if l & bit else ((l, root_p),))
 
 
+#: Largest violation of either Knill-Laflamme condition that still passes.
+KL_ATOL = 1e-12
+
+
 @dataclass
 class KLReport:
     """Knill-Laflamme matrix of a Kraus set against a code basis.
 
     ``matrix[a, i, b, j]`` holds <K_a w_i | K_b w_j>.  The channel is
     correctable exactly when every entry with i != j vanishes and the
-    diagonal-in-codeword entries do not depend on the codeword.
+    diagonal-in-codeword entries do not depend on the codeword; ``passed``
+    says both violations are within :data:`KL_ATOL`.
     """
 
     matrix: np.ndarray
     max_offdiagonal_violation: float
     max_codeword_dependence: float
     passed: bool
-    atol: float = 1e-12
 
 
 def kl_check(
     codewords: Sequence[SparseState],
     errors: Sequence[Callable[[SparseState], SparseState]],
-    atol: float = 1e-12,
 ) -> KLReport:
     """Evaluate the exact-correctability conditions of an error set on a
     code basis; each error is a callable acting on a state."""
@@ -521,10 +525,10 @@ def kl_check(
             first = gram[a, 0, b, 0]
             for i in range(1, n_w):
                 dep = max(dep, abs(gram[a, i, b, i] - first))
-    return KLReport(gram, off, dep, off <= atol and dep <= atol, atol)
+    return KLReport(gram, off, dep, off <= KL_ATOL and dep <= KL_ATOL)
 
 
-def steane_projector_check(p: float, atol: float = 1e-12) -> KLReport:
+def steane_projector_check(p: float) -> KLReport:
     """Loss-channel Knill-Laflamme analysis on the seven-mode code: the
     :func:`kl_check` of the :func:`apply_loss_kraus` set at rate ``p``."""
     code = SteaneCode(RegisterLayout(7, 7, 7))
@@ -532,4 +536,4 @@ def steane_projector_check(p: float, atol: float = 1e-12) -> KLReport:
     kraus = [
         (lambda s, i=i: apply_loss_kraus(s, i, p)) for i in range(2 * m + 1)
     ]
-    return kl_check(code.codewords(), kraus, atol)
+    return kl_check(code.codewords(), kraus)

@@ -15,13 +15,14 @@ A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
 which map a state to a state, and events, which draw an outcome from
 probabilities that the state fixes (an error layer's flips, the bank atom
 count, a stabilizer readout, the final y-basis readout).  The walk runs over
-a memo (:class:`_HistoryMemo`) whose nodes are states, one per state at one
-step of one plan, however many histories reach it: a repetition-code round
-sends a corrected flip back to the code state, so many error histories meet
-there.  A history seen for the first time builds its state and, if a node
-at the same plan step with the same last outcome holds exactly that state
-(same labels in the same order, equal amplitudes), is filed under it.  A
-node's first visit runs the plain measurement
+a memo (:class:`_HistoryMemo`), a graph whose nodes are states, one per
+state at one step of one plan, however many histories reach it: each
+outcome of a node's event leads to the next node, and a repetition-code
+round sends a corrected flip back to the code state, so many error
+histories meet there.  A history seen for the first time builds its state
+and, if a node at the same plan step with the same last outcome holds
+exactly that state (same labels in the same order, equal amplitudes), leads
+to that node.  A node's first visit runs the plain measurement
 (:func:`sample_phase_error_layer`, ``measure_mode_number``,
 ``measure_stabilizer``, ``measure_qubit``); a second visit computes the
 event's outcome probabilities with the ``split_*`` helper that measurement
@@ -32,18 +33,16 @@ and last outcome, which is all a later gate reads (a correction reads the
 block's two readouts), so every later probability, branch and draw is the
 same computation, its amplitudes summed in the same order.  Every event
 takes the draw the plain measurement takes, compared the same way.  The
-memo holds at most ``_MEMO_CAP`` history keys and as many state keys,
-dropping the least recently used; at cap 0 it holds nothing, every visit is
+memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs another
+drops them all and starts over.  At cap 0 it holds nothing, every visit is
 a first one, and the walk is plain Monte-Carlo.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -215,14 +214,13 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
 # one shot: a walk over steps, memoized by state
 # ---------------------------------------------------------------------------
 
-#: Most keys each index of a memo holds, history keys and state keys alike,
-#: so at most twice this many nodes stay alive.  A node's state on the
-#: 9+9+9+2 register holds about 123 amplitudes.  At this cap the history
-#: index alone raised the peak RSS of the 256-shot exchange benchmark calls
-#: by 0.7-2.0 MB, and the state index raised it by a further 0.5 MB
-#: (exchange_corrected) and 0.75 MB (exchange_reference), medians of ten
-#: runs on a 2-vCPU host.
-_MEMO_CAP = 256
+#: Most nodes a memo holds before it starts over.  A node's state on the
+#: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange
+#: benchmark call makes at most about 420 nodes, so it never starts over;
+#: its peak RSS was 60.6 MB (exchange_corrected) and 61.3 MB
+#: (exchange_reference), medians of ten runs on a 2-vCPU host, 0.35 and
+#: 0.57 MB above two LRU indices of 256 keys each.
+_MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
 #: ``syndrome`` holds the last two outcomes (a block's readouts, for its
@@ -333,38 +331,38 @@ def _shot_plan(
 
 class _Node:
     """One state at one event of a shot plan, reached by any history that
-    leads to exactly this state; whether a shot has been here before, and,
-    once a second visit computed them, the event's outcome probabilities
-    (``None`` until then)."""
+    leads to exactly this state; whether a shot has been here before, the
+    event's outcome probabilities once a second visit computed them
+    (``None`` until then), and the node each outcome leads to."""
 
-    __slots__ = ("id", "state", "seen", "odds")
+    __slots__ = ("state", "seen", "odds", "children")
 
-    def __init__(self, node_id: int, state: SparseState):
-        self.id = node_id
+    def __init__(self, state: SparseState):
         self.state = state
         self.seen = False
         self.odds = None
+        self.children: dict[object, _Node] = {}
 
 
 class _HistoryMemo:
     """Nodes of exchange shots from one ``base`` and ``code``, and the shot
     plans that walk them.
 
-    Two indices lead to a node.  The history index is keyed on
-    ``(parent node id, outcome)``, or a plan's shape for the first node.
-    The state index is keyed on ``(plan shape, step index, last outcome,
-    hash of the state's ordered entries)``: a history seen for the first
-    time builds its state and, when a node at that place holds exactly the
-    same entries (labels, order and amplitudes), is filed under that node,
-    whose visits, odds and children it then shares.  The state index keeps
-    the hash, not the entries, and compares them on a hit.  That compare
-    takes 0.0 and -0.0 as equal; the sign of a zero part never changes the
-    size of a sum or product, so it changes no probability.  Each index
-    holds at most ``cap`` keys and drops the least recently used; an
-    evicted state key only means no merge.  Node states do not depend on
-    p, so one memo serves every error rate: :func:`_run_shot_range` shares
-    one across all points of a task.  ``cap=None`` never drops a node;
-    ``cap=0`` keeps none.
+    ``roots`` leads from a plan's shape to its first node, and a node's
+    ``children`` from an outcome to the next node.  A history seen for the
+    first time builds its state and looks it up in the state index, keyed
+    on ``(plan shape, step index, last outcome, hash of the state's ordered
+    entries)``: a node there that holds exactly the same entries (labels,
+    order and amplitudes) becomes the end of the new edge, else a new node
+    does.  The index keeps the hash, not the entries, and compares them on
+    a hit.  That compare takes 0.0 and -0.0 as equal; the sign of a zero
+    part never changes the size of a sum or product, so it changes no
+    probability.  The index holds every node, at most ``cap``: a full memo
+    that needs a new node clears it and ``roots`` and starts over, while
+    the shot in progress walks on from the node it holds.  Node states do
+    not depend on p, so one memo serves every error rate:
+    :func:`_run_shot_range` shares one across all points of a task.
+    ``cap=None`` never starts over; ``cap=0`` keeps no node.
     """
 
     def __init__(
@@ -375,13 +373,12 @@ class _HistoryMemo:
         self.base = base
         self.code = code
         self.cap = cap
-        self._nodes: OrderedDict[tuple, _Node] = OrderedDict()
-        self._states: OrderedDict[tuple, _Node] = OrderedDict()
-        self._ids = itertools.count()
+        self.roots: dict[tuple, _Node] = {}
+        self._states: dict[tuple, _Node] = {}
         self._plans: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._states)
 
     def plan(
         self, spec: NoiseSpec, schedule: tuple[int, ...], correction_enabled: bool
@@ -392,33 +389,30 @@ class _HistoryMemo:
             self._plans[key] = _shot_plan(self.code, spec, schedule, correction_enabled)
         return self._plans[key]
 
-    def node(self, key: tuple, make: Callable[[], SparseState], place: tuple) -> _Node:
-        """The node at history ``key``.  On a miss, ``make()`` builds the
-        state, and the node already holding exactly that state at ``place``
-        (plan shape, step index, last outcome) is filed under ``key``, or a
-        new one if there is none."""
-        node = self._nodes.get(key)
+    def node(
+        self, children: dict, key, make: Callable[[], SparseState], place: tuple
+    ) -> _Node:
+        """The node ``children[key]`` leads to.  On a miss, ``make()``
+        builds the state, and ``key`` is made to lead to the node already
+        holding exactly that state at ``place`` (plan shape, step index,
+        last outcome), or to a new one if there is none."""
+        node = children.get(key)
         if node is not None:
-            self._nodes.move_to_end(key)
             return node
         state = make()
         if self.cap == 0:
-            return _Node(next(self._ids), state)
+            return _Node(state)
         entries = tuple(state.entries.items())
         place = (*place, hash(entries))
         node = self._states.get(place)
-        if node is not None and tuple(node.state.entries.items()) == entries:
-            self._states.move_to_end(place)
-        else:
-            node = _Node(next(self._ids), state)
-            self._file(self._states, place, node)
-        self._file(self._nodes, key, node)
+        if node is None or tuple(node.state.entries.items()) != entries:
+            if self.cap is not None and len(self._states) >= self.cap:
+                # in place: ``children`` may be ``roots`` itself
+                self._states.clear()
+                self.roots.clear()
+            node = self._states[place] = _Node(state)
+        children[key] = node
         return node
-
-    def _file(self, index: OrderedDict, key: tuple, node: _Node) -> None:
-        index[key] = node
-        if self.cap is not None and len(index) > self.cap:
-            index.popitem(last=False)
 
 
 def _settle(
@@ -466,10 +460,10 @@ def run_exchange_shot(
     elif memo.base is not base or memo.code is not code:
         raise ValueError("a history memo serves only the base and code it was made for")
     shape, head, steps = memo.plan(spec, tuple(schedule), correction_enabled)
-    key, last = shape, None
+    children, key, last = memo.roots, shape, None
     make = functools.partial(_settle, base, head, ())
     for index, step in enumerate(steps):
-        node = memo.node(key, make, (shape, index, last))
+        node = memo.node(children, key, make, (shape, index, last))
         if node.seen:
             if node.odds is None:
                 node.odds, _ = step.split(node.state)
@@ -479,7 +473,7 @@ def run_exchange_shot(
             node.seen = True
             outcome, post = step.measure(node.state, rng)
             make = functools.partial(_settle, post, step.gates, (last, outcome))
-        key, last = (node.id, outcome), outcome
+        children, key, last = node.children, outcome, outcome
     return outcome
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "phase_gadget_logical",
     "density_gadget_logical",
     "tunneling_logical",
+    "quarter_turn_tunneling_gadget",
     "controlled_tunneling_logical",
 ]
 
@@ -164,28 +165,29 @@ def tunneling_logical(
     block_a: int,
     block_b: int,
     theta: float,
-    method: str = "exact",
-    ancilla: int = 0,
 ) -> SparseState:
     """exp(i theta (C_a^dag C_b + h.c.)).
 
     The generator vanishes on even joint parity and squares to one on odd,
-    where the transversal swap acts as the hop; the exact route splits the
-    state along that parity.  The hardware route (theta = pi/2 only) is the
-    transversal swap followed by logical S gates on both blocks.
+    where the transversal swap acts as the hop, so the exact label map
+    splits the state along that parity.
     """
-    if method == "exact":
-        return apply_map(state, _tunneling_map(code, block_a, block_b, theta))
+    return apply_map(state, _tunneling_map(code, block_a, block_b, theta))
 
-    if method == "hardware":
-        if not math.isclose(theta, math.pi / 2, abs_tol=1e-12):
-            raise ValueError("the hardware route implements theta = pi/2 only")
-        state = fswap_logical(state, code, block_a, block_b)
-        state = phase_gadget_logical(state, code, block_a, math.pi / 2, ancilla)
-        state = phase_gadget_logical(state, code, block_b, math.pi / 2, ancilla)
-        return state
 
-    raise ValueError(f"unknown tunneling method {method!r}")
+def quarter_turn_tunneling_gadget(
+    state: SparseState,
+    code: RepetitionCode,
+    block_a: int,
+    block_b: int,
+    ancilla: int = 0,
+) -> SparseState:
+    """The logical tunneling at theta = pi/2 as hardware runs it: the
+    transversal swap, then a logical S gate on each block through the
+    phase gadget."""
+    state = fswap_logical(state, code, block_a, block_b)
+    state = phase_gadget_logical(state, code, block_a, math.pi / 2, ancilla)
+    return phase_gadget_logical(state, code, block_b, math.pi / 2, ancilla)
 
 
 def controlled_tunneling_logical(

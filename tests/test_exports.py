@@ -1,5 +1,5 @@
-"""Every exported name exists, and every function the benchmark tracer wraps
-by name still resolves."""
+"""Every exported name exists, every function the benchmark tracer wraps by
+name still resolves, and an exchange run still calls what it wraps."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fermiqec
+from fermiqec.harness import ExperimentConfig, run_experiment
 
 MODULES = [f"fermiqec.{info.name}" for info in pkgutil.iter_modules(fermiqec.__path__)]
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -21,10 +22,15 @@ def test_every_name_in_all_exists(name):
     assert not missing
 
 
-def test_every_trace_target_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_target_resolves():
+    spans = _load_spans()
     missing = []
     for _, module, attr, _ in spans.TARGETS:
         owner = importlib.import_module(f"fermiqec.{module}")
@@ -36,3 +42,19 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_a_traced_exchange_run_calls_the_wrapped_readouts():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span():
+            run_experiment(ExperimentConfig((0.05,), shots=16))
+    finally:
+        tracer.restore()
+    assert tracer.calls["qec.measure_stabilizer"] > 0
+    assert tracer.calls["harness.sample_phase_error_layer"] > 0
+    assert tracer.counts["harness.flips"] > 0  # the error layer's hook ran
+    assert tracer.counts["states.amplitudes_in"] > 0
+    assert not spans.leftover_wrappers()

@@ -330,8 +330,13 @@ def test_memo_holds_no_more_than_its_cap():
     capped, tiny, uncapped = _memo(), _memo(2), _memo(None)
     for memo in (capped, tiny, uncapped):
         _outcomes(memo, {}, (0, 1, 2), True, (0.05,), 300)
-    assert len(tiny) == 2
-    assert len(capped) == harness._MEMO_CAP < len(uncapped)
+    assert len(tiny) <= 2
+    assert len(capped) <= harness._MEMO_CAP < len(uncapped)
+    # a full memo that needs one more node starts over with that node alone
+    full = _memo(3)
+    for step in range(4):
+        node = full.node(full.roots, step, lambda: _BASE, ("shape", step, None))
+    assert len(full) == 1 and full.roots == {3: node}
     assert len(_memo(0)) == 0
     with pytest.raises(ValueError, match="cap"):
         _memo(-1)
@@ -361,22 +366,28 @@ def test_one_memo_serves_every_plan_shape():
 
 
 def test_histories_that_reach_one_state_share_its_node():
-    memo, plain = _memo(), _memo(0)
+    memo, plain = _memo(None), _memo(0)
     spec = {"include_reference": True}
     merged = _outcomes(memo, spec, (0, 1, 2), True, (0.01,), 256)
     assert merged == _outcomes(plain, spec, (0, 1, 2), True, (0.01,), 256)
-    distinct = {id(node) for node in memo._nodes.values()}
-    assert len(distinct) < len(memo)
-    assert len(memo._states) <= harness._MEMO_CAP
+    nodes = {id(node) for node in memo._states.values()}
+    edges = [*memo.roots.values()]
+    for node in memo._states.values():
+        edges += node.children.values()
+    assert {id(node) for node in edges} == nodes  # every edge leads to a node
+    assert len(nodes) == len(memo) < len(edges)  # some nodes have two in-edges
 
 
 def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     memo = _memo()
     place = ("shape", 0, None)
-    first = memo.node(("a",), lambda: _BASE, place)
-    assert memo.node(("b",), lambda: _BASE.copy(), place) is first
+    edges = {}
+    first = memo.node(edges, "a", lambda: _BASE, place)
+    assert memo.node(edges, "a", None, place) is first  # a hit builds nothing
+    assert memo.node(edges, "b", lambda: _BASE.copy(), place) is first
+    assert edges == {"a": first, "b": first}
     for other in (("other", 0, None), ("shape", 1, None), ("shape", 0, 1)):
-        assert memo.node(("c", other), lambda: _BASE, other) is not first
+        assert memo.node(edges, other, lambda: _BASE, other) is not first
     entries = list(_BASE.entries.items())
     label, amp = entries[0]
     unequal = {
@@ -385,7 +396,7 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     }
     for name, changed in unequal.items():
         state = SparseState(_BASE.layout, changed, _BASE.compressed)
-        assert memo.node((name,), lambda: state, place) is not first
+        assert memo.node(edges, name, lambda: state, place) is not first
 
 
 def test_a_memo_serves_only_its_own_base_and_code():
@@ -447,3 +458,31 @@ def test_no_noise_setting_crashes_a_shot(spec, schedule, correct):
             ]
             assert outcomes[0] == outcomes[1]
             assert outcomes[0] in (-1, 1)
+
+
+_PLANS = st.tuples(
+    st.builds(
+        NoiseSpec, p=st.sampled_from((0.05, 0.2, 0.5)), include_reference=st.booleans()
+    ),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.booleans(),
+)
+
+
+@given(
+    plans=st.lists(_PLANS, min_size=1, max_size=3),
+    shots=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), max_size=10),
+)
+def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(plans, shots):
+    # Caps this small start over in the middle of nearly every shot; seeds
+    # repeat, so shots also revisit nodes that survived a start-over.
+    memos = [_memo(cap) for cap in (0, 1, 2, 3, 5)]
+    for plan, seed in shots:
+        spec, schedule, correct = plans[plan % len(plans)]
+        outcomes = {
+            run_exchange_shot(
+                _BASE, _CODE, spec, schedule, correct, np.random.default_rng(seed), m
+            )
+            for m in memos
+        }
+        assert len(outcomes) == 1, (plan, seed)

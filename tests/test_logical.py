@@ -18,6 +18,7 @@ from fermiqec.logical import (
     logical_density_exact,
     logical_phase_exact,
     phase_gadget_logical,
+    quarter_turn_tunneling_gadget,
     tunneling_logical,
 )
 from fermiqec.registers import RegisterLayout
@@ -82,13 +83,8 @@ def test_hardware_tunneling_matches_exact_at_quarter_turn():
     rng = np.random.default_rng(53)
     psi = random_codespace_state(CODE2, rng, compressed=True)
     exact = tunneling_logical(psi, CODE2, 0, 1, math.pi / 2)
-    hw = tunneling_logical(psi, CODE2, 0, 1, math.pi / 2, method="hardware")
+    hw = quarter_turn_tunneling_gadget(psi, CODE2, 0, 1)
     assert difference_norm(exact, hw) < 1e-12
-
-
-def test_hardware_tunneling_rejects_other_angles():
-    with pytest.raises(ValueError):
-        tunneling_logical(word((1, 0)), CODE2, 0, 1, 0.3, method="hardware")
 
 
 def test_phase_gadget_matches_oracle_and_parks_the_ancilla():
