@@ -109,7 +109,7 @@ def run_circuit(
         elif isinstance(op, QecRound):
             if code is None:
                 raise ValueError("a QEC round needs a code")
-            state, syndromes = qec_round(state, code, rng, op.ancilla)
+            state, syndromes = qec_round(state, code, rng)
             for pair in syndromes:
                 outcomes.extend(pair)
         else:
@@ -237,5 +237,5 @@ def random_h_circuit(
             modes = tuple(int(m) for m in rng.choice(m_f, size=count, replace=False))
             ops.append(MeasureModeNumber(modes))
     slot = int(rng.integers(len(ops) + 1))
-    ops.insert(slot, QecRound(ancilla=0))
+    ops.insert(slot, QecRound())
     return ops

@@ -259,8 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker processes (results are independent of this); slower "
-        "than one worker at a few hundred shots per worker",
+        help="worker processes, at most one per shot and per usable CPU "
+        "(results are independent of this); slower than one worker at a few "
+        "hundred shots per worker",
     )
     p_ex.add_argument("--out", metavar="PATH", help="write per-point results as CSV")
     p_ex.add_argument(

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -218,8 +219,7 @@ def _build_code(config: ExperimentConfig) -> RepetitionCode:
 #: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange
 #: benchmark call makes at most about 420 nodes, so it never starts over;
 #: its peak RSS was 60.6 MB (exchange_corrected) and 61.3 MB
-#: (exchange_reference), medians of ten runs on a 2-vCPU host, 0.35 and
-#: 0.57 MB above two LRU indices of 256 keys each.
+#: (exchange_reference), medians of ten runs on a 2-vCPU host.
 _MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -499,21 +499,33 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
+def _shot_rng(seed: int, point: int, shot: int) -> np.random.Generator:
+    """The generator of one shot, fixed by the run's seed and the shot's
+    point and index alone."""
+    return np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
+
+
+def _exchange_start(
+    config: ExperimentConfig,
+) -> tuple[RepetitionCode, SparseState, tuple[int, ...]]:
+    """The code, the compressed |1,1,0> base state and the layer schedule
+    that every shot of ``config`` starts from."""
+    code = _build_code(config)
+    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    return code, base, _resolve_schedule(config)
+
+
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
     picklable work unit; the code and its label-map memos serve them all)."""
-    code = _build_code(config)
-    base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    schedule = _resolve_schedule(config)
+    code, base, schedule = _exchange_start(config)
     memo = _HistoryMemo(base, code)  # states do not depend on p: one for all points
     counts = []
     for point_index, p in enumerate(config.p_values):
         spec = NoiseSpec(p, include_reference=config.include_reference_errors)
         minus = 0
         for shot in range(start, stop):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, point_index, shot])
-            )
+            rng = _shot_rng(config.seed, point_index, shot)
             outcome = run_exchange_shot(
                 base, code, spec, schedule, config.correction_enabled, rng, memo
             )
@@ -521,6 +533,13 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
                 minus += 1
         counts.append(minus)
     return counts
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(
@@ -531,12 +550,13 @@ def run_experiment(
     ``threads`` only sets how many processes share the shots, each taking a
     contiguous shot range of every point with a history memo of its own;
     the per-shot seeding makes the counts — and therefore every number in
-    the result — identical for any worker count.  With the memo, fan-out
-    no longer pays at a few hundred shots per worker: at 256 corrected
-    shots per worker (p = 0.01, two workers on a 2-vCPU host),
+    the result — identical for any worker count.  No more workers start
+    than there are shots or CPUs this process may use.  Fan-out does not
+    pay at a few hundred shots per worker: at 256 corrected shots per
+    worker (p = 0.01, two workers on a 2-vCPU host),
     ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` fell from 1.84 without the memo to
-    0.60-0.75 with it, as starting the pool now costs more than the shots.
+    exchange_corrected --trace 1`` is 0.60-0.75, as starting the pool
+    costs more than the shots.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -544,7 +564,7 @@ def run_experiment(
         raise ValueError("threads must be positive")
     _build_code(config)  # register checks, before any shot
     t0 = time.perf_counter()
-    workers = min(threads, config.shots)
+    workers = min(threads, config.shots, _usable_cpus())
     if workers > 1:
         bounds = [config.shots * k // workers for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

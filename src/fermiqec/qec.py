@@ -56,9 +56,8 @@ __all__ = [
 @dataclass(frozen=True)
 class QecRound:
     """Circuit instruction: one full round of syndrome extraction plus
-    correction, read through ``ancilla`` (which must be in |0>)."""
-
-    ancilla: int = 0
+    correction (:func:`qec_round`), read through ancilla 0, which must be
+    in |0>."""
 
 
 #: Syndrome (s12, s23) -> block-local mode offset of the phase error, or

@@ -35,7 +35,6 @@ from .gates import (
     apply_controlled,
     apply_creation,
     apply_gate_op,
-    apply_local_phase,
 )
 from .registers import RegisterLayout, jw_sign
 from .states import SparseState, add_states, apply_map, phase_factor
@@ -58,7 +57,6 @@ __all__ = [
     "majorana_rotation_gates",
     "apply_D_exact",
     "apply_D_decomposed",
-    "apply_D_prime",
     "controlled_D",
 ]
 
@@ -103,13 +101,11 @@ def h_label(layout: RegisterLayout, system_label: int, ancilla_label: int = 0) -
     return system_label | bank | ancilla_label << shift
 
 
-def h_basis_state(
-    layout: RegisterLayout, system_label: int, ancilla_label: int = 0
-) -> SparseState:
+def h_basis_state(layout: RegisterLayout, system_label: int) -> SparseState:
     """Basis state with the reference prefix implied by the system label."""
     if system_label < 0 or system_label >> layout.num_system_modes:
         raise ValueError("system label outside the system register")
-    label = h_label(layout, system_label, ancilla_label)
+    label = h_label(layout, system_label)
     return SparseState(layout, {label: 1.0 + 0.0j}, compressed=False)
 
 
@@ -354,13 +350,6 @@ def apply_D_decomposed(
     for op in majorana_rotation_gates(state.layout, mode, theta, kind):
         state, _ = apply_gate_op(state, op)
     return state
-
-
-def apply_D_prime(state: SparseState, mode: int, theta: float) -> SparseState:
-    """The conjugated rotation exp(i theta y) = P(pi/2) exp(i theta x) P(-pi/2)."""
-    out = apply_local_phase(state, mode, -math.pi / 2)
-    out = apply_D_exact(out, mode, theta, "x")
-    return apply_local_phase(out, mode, math.pi / 2)
 
 
 def controlled_D(

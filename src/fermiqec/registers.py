@@ -117,14 +117,6 @@ class RegisterLayout:
     def system_part(self, label: int) -> int:
         return label & self.system_mask
 
-    def reference_part(self, label: int) -> int:
-        """Reference bits of a physical label, shifted down to bit 0."""
-        return (label & self.reference_mask) >> self.num_system_modes
-
-    def ancilla_part(self, label: int, compressed: bool = False) -> int:
-        shift = self.num_system_modes if compressed else self.num_fermion_modes
-        return label >> shift
-
 
 def jw_sign(label: int, i: int) -> int:
     """Exchange sign of a ladder operator on mode ``i``: ``(-1)**k`` with

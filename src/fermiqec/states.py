@@ -32,7 +32,6 @@ __all__ = [
     "PRUNE_EPS",
     "SparseState",
     "basis_state",
-    "zero_state",
     "add_states",
     "scale_state",
     "difference_norm",
@@ -112,19 +111,11 @@ class SparseState:
         if self.layout != other.layout or self.compressed != other.compressed:
             raise ValueError("states live on different registers/representations")
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def basis_state(
     layout: RegisterLayout, label: int, compressed: bool = False
 ) -> SparseState:
     return SparseState(layout, {label: 1.0 + 0.0j}, compressed)
-
-
-def zero_state(layout: RegisterLayout, compressed: bool = False) -> SparseState:
-    """The zero vector (legal output of non-unitary linear maps)."""
-    return SparseState(layout, {}, compressed)
 
 
 def add_states(

@@ -63,7 +63,7 @@ def test_dual_run_agrees_and_reports_outcomes():
     assert report.deviation < 1e-10
     assert report.outcomes_match
     assert len(report.outcomes_physical) == len(report.outcomes_compressed)
-    assert not report.final_compressed.is_zero()
+    assert report.final_compressed.entries
     assert report.final_physical.norm_sq() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,6 +1,8 @@
-"""Every exported name exists, every function the benchmark tracer wraps by
-name still resolves, and an exchange run still calls what it wraps."""
+"""Every exported name exists and is used outside its own module's exports,
+every function the benchmark tracer wraps by name still resolves, and an
+exchange run still calls what it wraps."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -12,7 +14,8 @@ import fermiqec
 from fermiqec.harness import ExperimentConfig, run_experiment
 
 MODULES = [f"fermiqec.{info.name}" for info in pkgutil.iter_modules(fermiqec.__path__)]
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,6 +23,44 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every name, attribute and string constant in one file's code, except
+    what its ``__all__`` lists.  A ``def`` or ``class`` line names nothing
+    here, so a name counts only where code reads it."""
+    tree = ast.parse(path.read_text())
+    exports = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt)
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)  # the tracer wraps functions by name
+    return used
+
+
+def test_every_exported_name_is_used_in_src_or_bench():
+    # __init__ only re-exports, and a re-export is not a use
+    files = [*(ROOT / "src" / "fermiqec").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    used = set().union(*(_names_used(f) for f in files if f.name != "__init__.py"))
+    unused = [
+        f"{name.removeprefix('fermiqec.')}.{attr}"
+        for name in MODULES
+        for attr in importlib.import_module(name).__all__
+        if attr not in used
+    ]
+    assert not unused
 
 
 def _load_spans():

@@ -1,9 +1,11 @@
 """Site-level gate behavior: explicit matrix elements on small registers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import CountingRng
 
 from fermiqec.backend import compress
 from fermiqec.gates import (
@@ -14,33 +16,23 @@ from fermiqec.gates import (
     apply_local_phase,
     apply_qubit_gate,
     apply_tunneling,
+    draw_sign,
     measure_mode_number,
     measure_qubit,
     number_expectation,
+    select_count,
 )
 from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import (
+    SparseState,
     add_states,
     basis_state,
     difference_norm,
     random_full_state,
-    zero_state,
 )
 
 LAY = RegisterLayout(3, 3, 3)
-
-
-class CountingRng:
-    """Wraps a Generator and counts uniform draws."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self._rng.random()
 
 
 def test_local_phase_only_touches_occupied():
@@ -153,10 +145,37 @@ def test_measure_mode_number_definite_count_is_deterministic():
         assert post.fidelity(psi) == pytest.approx(1.0)
 
 
+#: The largest double a generator's ``random()`` returns.
+TOP = 1.0 - 2.0**-53
+
+
+def fixed_draw(u):
+    """A generator whose every draw is ``u``."""
+    return SimpleNamespace(random=lambda: u)
+
+
+def test_draw_sign_gives_plus_only_strictly_below_p():
+    assert draw_sign(0.3, fixed_draw(float(np.nextafter(0.3, 0.0)))) == +1
+    assert draw_sign(0.3, fixed_draw(0.3)) == -1
+    assert draw_sign(0.0, fixed_draw(0.0)) == -1
+    assert draw_sign(1.0, fixed_draw(TOP)) == +1
+
+
+def test_select_count_walks_the_ascending_cumulative_sum():
+    probs = {0: 0.25, 1: 0.5, 3: 0.25}
+    draws = (0.0, float(np.nextafter(0.25, 0.0)), 0.25, 0.5, 0.75, TOP)
+    assert [select_count(probs, u) for u in draws] == [0, 0, 1, 1, 3, 3]
+    # rounding can leave the sum at or below the largest draw: then the
+    # largest count is picked
+    assert 0.7 + 0.2 + 0.1 == TOP
+    assert select_count({0: 0.7, 1: 0.2, 2: 0.1}, TOP) == 2
+    assert select_count({2: 0.5, 5: 0.25}, 0.75) == 5
+
+
 @pytest.mark.parametrize("compressed", [False, True])
 def test_zero_states_fail_cleanly(compressed):
     lay = RegisterLayout(3, 3, 3, num_ancilla_qubits=1)
-    zero = zero_state(lay, compressed)
+    zero = SparseState(lay, {}, compressed)
     for measure in (
         lambda: number_expectation(zero, 0),
         lambda: number_expectation(zero, lay.reference_mode(1)),

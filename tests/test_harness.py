@@ -1,19 +1,20 @@
 """Noise injection and the exchange-interferometry driver."""
 
-import math
+import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import CountingRng
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
-from fermiqec.codes import RepetitionCode, logical_basis_state
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
-    _build_code,
-    _resolve_schedule,
+    _exchange_start,
+    _shot_rng,
     ExperimentConfig,
     NoiseSpec,
     noise_modes,
@@ -24,21 +25,6 @@ from fermiqec.harness import (
 from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import SparseState, difference_norm
-
-
-class CountingRng:
-    """A generator that counts every double drawn, scalar or vector."""
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def random(self, size: int | None = None):
-        if size is None:
-            self.draws += 1
-            return float(self._rng.random())
-        self.draws += size
-        return self._rng.random(size)
 
 
 def test_noise_modes_selection():
@@ -100,56 +86,38 @@ def test_reference_flips_agree_between_representations():
     assert difference_norm(compress(phys), comp) < 1e-13
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="length"):
-        run_experiment(
-            ExperimentConfig((0.0,), shots=1, layer_schedule=(0, 1))
-        )
-    with pytest.raises(ValueError, match="slots"):
-        run_experiment(
-            ExperimentConfig(
-                (0.0,), shots=1, num_error_layers=1, layer_schedule=(4,)
-            )
-        )
-
-
-def test_register_must_hold_three_blocks():
-    with pytest.raises(ValueError, match="three logical"):
-        run_experiment(ExperimentConfig((0.0,), shots=1, register=(6, 6, 6)))
-
-
-def test_seed_must_be_non_negative():
-    with pytest.raises(ValueError, match="seed"):
-        run_experiment(ExperimentConfig((0.0,), shots=1, seed=-1))
+#: Each bad setting and the error it raises.
+BAD_CONFIGS = [
+    ({"shots": 0}, "shots must be positive"),
+    ({"p_values": (1.5,)}, r"lie in \[0, 1\]"),
+    ({"p_values": (0.01, -0.1)}, r"lie in \[0, 1\]"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"num_error_layers": -1}, "num_error_layers must be non-negative"),
+    ({"layer_schedule": (0, 1)}, "length must match"),
+    ({"num_error_layers": 1, "layer_schedule": (4,)}, "slots run from 0 to 3"),
+    ({"register": (6, 6, 6)}, "three logical modes"),
+    ({"register": (9, 6, 8)}, "hold all atoms"),
+    ({"register": (9, 9, 7), "correction_enabled": False}, "needs 8 atoms"),
+    ({"register": (9, 8, 8)}, "N >= M_s"),
+    ({"p_values": ()}, "at least one error probability"),
+    ({"threads": 0}, "threads must be positive"),
+    ({"threads": -4}, "threads must be positive"),
+]
 
 
 @pytest.mark.parametrize(
-    "fields",
-    [
-        {"shots": 0},
-        {"p_values": (1.5,)},
-        {"p_values": (0.01, -0.1)},
-        {"seed": -1},
-        {"num_error_layers": -1},
-        {"layer_schedule": (0, 1)},
-        {"num_error_layers": 1, "layer_schedule": (4,)},
-        {"register": (6, 6, 6)},
-        {"register": (9, 6, 8)},
-        {"register": (9, 9, 7), "correction_enabled": False},
-        {"register": (9, 8, 8)},
-        {"p_values": ()},
-        {"threads": 0},
-        {"threads": -4},
-    ],
+    "fields, match",
+    BAD_CONFIGS,
+    ids=[f"fields{i}" for i in range(len(BAD_CONFIGS))],
 )
-def test_bad_config_fails_before_any_shot(monkeypatch, fields):
+def test_bad_config_fails_before_any_shot(monkeypatch, fields, match):
     def no_shots(*args):
         raise AssertionError("a shot ran before the config was checked")
 
     monkeypatch.setattr(harness, "_run_shot_range", no_shots)
     fields = {"p_values": (0.01,), "shots": 64, **fields}
     threads = fields.pop("threads", 1)  # a run_experiment argument, not a field
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         run_experiment(ExperimentConfig(**fields), threads=threads)
 
 
@@ -169,20 +137,19 @@ def test_noiseless_estimate_is_exactly_minus_one():
 
 
 def test_pure_reference_noise_is_removed_exactly():
-    config = ExperimentConfig((1.0,), shots=4, num_error_layers=2, seed=5)
-    code_lay = RegisterLayout(9, 9, 9, num_ancilla_qubits=2)
-    code = RepetitionCode(code_lay)
-    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    config = ExperimentConfig(
+        (1.0,), shots=4, num_error_layers=2, seed=5, layer_schedule=(0, 2)
+    )
+    code, base, schedule = _exchange_start(config)
     spec = NoiseSpec(1.0, targets=(9, 11))  # bank modes only
     for shot in range(config.shots):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, 0, shot])
-        )
-        outcome = run_exchange_shot(base, code, spec, (0, 2), True, rng)
+        rng = _shot_rng(config.seed, 0, shot)
+        outcome = run_exchange_shot(base, code, spec, schedule, True, rng)
         assert outcome == +1
 
 
-def test_worker_count_does_not_change_the_counts():
+def test_worker_count_does_not_change_the_counts(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # on any host
     config = ExperimentConfig(
         (0.01,), shots=300, num_error_layers=2, correction_enabled=False, seed=11
     )
@@ -192,6 +159,25 @@ def test_worker_count_does_not_change_the_counts():
         p.count_minus for p in fanned.points
     ]
     assert serial.points[0].estimate == fanned.points[0].estimate
+
+
+def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
+    asked = []
+
+    def inline_pool(max_workers):
+        """A pool that records its size and runs the work units in this
+        process, so no process starts."""
+        asked.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool)
+    config = ExperimentConfig((0.01,), shots=64, num_error_layers=1)
+    serial = run_experiment(config).points
+    assert run_experiment(config, threads=10_000).points == serial
+    assert all(n <= harness._usable_cpus() for n in asked)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    assert run_experiment(config, threads=10_000).points == serial
+    assert asked[-1] == 3
 
 
 def test_exchange_pairs_cycle_the_three_blocks():
@@ -239,13 +225,11 @@ def test_first_shots_are_pinned(case, correct, reference):
         correction_enabled=correct,
         include_reference_errors=reference,
     )
-    code = _build_code(config)
-    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    code, base, schedule = _exchange_start(config)
     spec = NoiseSpec(0.05, include_reference=reference)
-    schedule = _resolve_schedule(config)
     outcomes = []
-    for shot in range(config.shots):  # the seeding of harness._run_shot_range
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, shot]))
+    for shot in range(config.shots):
+        rng = _shot_rng(config.seed, 0, shot)
         outcome = run_exchange_shot(base, code, spec, schedule, correct, rng)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
@@ -256,8 +240,7 @@ def test_first_shots_are_pinned(case, correct, reference):
 # ---------------------------------------------------------------------------
 
 #: The standard 9+9+9+2 exchange register with its |1,1,0> start.
-_CODE = _build_code(ExperimentConfig((0.0,), shots=1))
-_BASE = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
+_CODE, _BASE, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
 
 
 
@@ -288,13 +271,13 @@ def _memo(*cap):
 
 
 def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
-    """Outcomes of ``shots`` shots at each p, seeded like
-    ``harness._run_shot_range`` and sharing ``memo`` across the points."""
+    """Outcomes of ``shots`` shots at each p, seeded as a run seeds them and
+    sharing ``memo`` across the points."""
     out = []
     for point, p in enumerate(p_values):
         spec = NoiseSpec(p, **spec_fields)
         for shot in range(shots):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
+            rng = _shot_rng(seed, point, shot)
             out.append(
                 run_exchange_shot(_BASE, _CODE, spec, schedule, correct, rng, memo)
             )
@@ -401,8 +384,7 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
 
 def test_a_memo_serves_only_its_own_base_and_code():
     memo = _memo()
-    equal_base = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
-    equal_code = _build_code(ExperimentConfig((0.0,), shots=1))
+    equal_code, equal_base, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
     rng = CountingRng(3)
     for base, code in ((equal_base, _CODE), (_BASE, equal_code)):
         with pytest.raises(ValueError, match="made for"):

@@ -248,7 +248,7 @@ def test_apply_map_accumulates_and_annihilates():
     image = {0b001: ((0b100, 1.0),), 0b010: ((0b100, 1.0), (0b010, -2.0))}
     out = apply_map(psi, image.__getitem__)
     assert out.entries == {0b100: 0.6 + 0.8, 0b010: -1.6}
-    assert apply_map(psi, lambda l: ()).is_zero()
+    assert not apply_map(psi, lambda l: ()).entries
 
 
 def test_code_maps_are_memoized_per_label():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CountingRng
 
 from fermiqec.backend import compress
 from fermiqec.codes import (
@@ -15,14 +16,13 @@ from fermiqec.gates import apply_local_phase, apply_qubit_gate
 from fermiqec.qec import (
     SYNDROME_TABLE,
     decode,
-    generate_syndrome_table,
     measure_reference_and_recover,
     measure_stabilizer,
     qec_round,
 )
 from fermiqec.reference import h_basis_state
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, difference_norm, zero_state
+from fermiqec.states import SparseState, add_states, difference_norm
 
 LAY = RegisterLayout(3, 3, 3, num_ancilla_qubits=1)
 
@@ -31,22 +31,6 @@ READOUTS = dict(gadget=False, projection=True)
 BY_READOUT = pytest.mark.parametrize(
     "compressed", list(READOUTS.values()), ids=list(READOUTS)
 )
-
-
-class CountingRng:
-    """Wraps a Generator and counts .random() draws."""
-
-    def __init__(self, seed: int):
-        self._rng = np.random.default_rng(seed)
-        self.draws = 0
-
-    def random(self) -> float:
-        self.draws += 1
-        return float(self._rng.random())
-
-
-def test_stored_table_matches_brute_force():
-    assert generate_syndrome_table() == SYNDROME_TABLE
 
 
 def test_decode_rejects_garbage():
@@ -170,9 +154,10 @@ def test_clean_round_leaves_a_code_state_alone(compressed):
 @BY_READOUT
 def test_readout_of_a_zero_state_fails_cleanly(compressed):
     code = RepetitionCode(LAY)
+    zero = SparseState(LAY, {}, compressed)
     rng = CountingRng(5)
     with pytest.raises(ValueError, match="zero state"):
-        measure_stabilizer(zero_state(LAY, compressed), code, 0, "s12", rng)
+        measure_stabilizer(zero, code, 0, "s12", rng)
     assert rng.draws == 0
 
 

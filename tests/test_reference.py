@@ -12,13 +12,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fermiqec.gates import LocalPhase, Tunneling, apply_gate_op
+from fermiqec.gates import LocalPhase, Tunneling, apply_gate_op, apply_local_phase
 from fermiqec.reference import (
     apply_c,
     apply_c_dagger,
     apply_D_decomposed,
     apply_D_exact,
-    apply_D_prime,
     apply_majorana,
     apply_R,
     apply_R_dagger,
@@ -54,7 +53,7 @@ def test_R_pops_the_prefix_top():
     assert out.entries[label] == 1.0
     # empty bank: nothing to pop
     empty_bank = h_basis_state(LAY, 0b111)
-    assert apply_R(empty_bank).is_zero()
+    assert not apply_R(empty_bank).entries
 
 
 def test_R_dagger_pushes_onto_the_prefix():
@@ -62,7 +61,7 @@ def test_R_dagger_pushes_onto_the_prefix():
     # bank full of holes but no free *stack slot* above N when M_r = N:
     # pushing onto a fully stacked bank must vanish
     full_bank = h_basis_state(LAY, 0b000)
-    assert apply_R_dagger(full_bank).is_zero()
+    assert not apply_R_dagger(full_bank).entries
     out = apply_R_dagger(empty_bank)
     (label,) = out.entries
     assert label >> 3 == 0b001
@@ -84,7 +83,7 @@ def test_c_dagger_vanishes_when_the_bank_is_empty():
     for mode in range(3):
         assert apply_c(psi, mode).norm() == pytest.approx(1.0)
         out = apply_c_dagger(psi, mode)
-        assert out.is_zero()
+        assert not out.entries
 
 
 def test_majorana_squares_to_identity_on_H():
@@ -113,13 +112,12 @@ def test_D_prime_is_the_y_rotation():
     rng = np.random.default_rng(24)
     psi = random_h_state(LAY, rng)
     for mode in range(3):
-        assert (
-            difference_norm(
-                apply_D_prime(psi, mode, 0.77),
-                apply_D_exact(psi, mode, 0.77, kind="y"),
-            )
-            < 1e-12
-        )
+        # exp(i theta y) = P(pi/2) exp(i theta x) P(-pi/2), P a phase on the mode
+        conjugated = apply_local_phase(psi, mode, -math.pi / 2)
+        conjugated = apply_D_exact(conjugated, mode, 0.77, "x")
+        conjugated = apply_local_phase(conjugated, mode, math.pi / 2)
+        y_rotation = apply_D_exact(psi, mode, 0.77, kind="y")
+        assert difference_norm(conjugated, y_rotation) < 1e-12
 
 
 def test_decomposed_rotation_gate_budget():

@@ -38,8 +38,8 @@ def test_label_parts():
     lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=1)
     label = 0b1_0110_101
     assert lay.system_part(label) == 0b101
-    assert lay.reference_part(label) == 0b0110
-    assert lay.ancilla_part(label) == 1
+    assert (label & lay.reference_mask) >> lay.num_system_modes == 0b0110
+    assert label >> lay.num_fermion_modes == 1
 
 
 def test_jw_sign_is_prefix_parity():
@@ -71,7 +71,7 @@ def test_occupation_matches_the_decompressed_label():
     assert any(m & lay.system_mask and m & lay.reference_mask for m in masks[-20:])
     assert len(physical.entries) == len(compressed.entries) > 2000
     for full, short in zip(physical.entries, compressed.entries):
-        assert lay.ancilla_part(full) == lay.ancilla_part(short, compressed=True)
+        assert full >> lay.num_fermion_modes == short >> lay.num_system_modes
         for mask in masks:
             want = (full & mask).bit_count()
             assert lay.occupation(full, mask) == want

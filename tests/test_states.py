@@ -13,7 +13,6 @@ from fermiqec.states import (
     phase_factor,
     random_full_state,
     scale_state,
-    zero_state,
 )
 
 LAY = RegisterLayout(3, 3, 3)
@@ -65,8 +64,7 @@ def test_phase_factor_exact_at_right_angles():
 
 
 def test_zero_state_and_difference_norm():
-    z = zero_state(LAY)
-    assert z.is_zero()
+    z = SparseState(LAY, {}, False)
     psi = basis_state(LAY, 0)
     assert difference_norm(psi, psi) == 0.0
     assert difference_norm(psi, z) == 1.0
