@@ -119,15 +119,14 @@ class FSwap:
 
 @dataclass(frozen=True)
 class QubitGate:
-    """Single- or two-ancilla qubit gate.
+    """Single-ancilla qubit gate.
 
     ``kind`` is one of ``h``, ``s``, ``sdg``, ``t``, ``z``, ``phase`` (needs
-    ``theta``), ``cz`` (needs ``qubit_b``).
+    ``theta``).
     """
 
     kind: str
     qubit: int
-    qubit_b: int | None = None
     theta: float | None = None
 
 
@@ -347,6 +346,10 @@ def apply_qubit_gate(
     qubit_b: int | None = None,
     theta: float | None = None,
 ) -> SparseState:
+    """One ancilla gate: ``h``, ``s``, ``sdg``, ``t``, ``z`` or ``phase``
+    (needs ``theta``) on ``qubit``, or ``cphase`` (needs ``theta``), the
+    phase exp(i theta) where both ``qubit`` and a distinct ``qubit_b`` are
+    |1>."""
     bit = ancilla_mask(state, qubit)
     if kind == "h":
         minus = -SQRT_HALF
@@ -365,15 +368,14 @@ def apply_qubit_gate(
         else:
             ph = _QUBIT_DIAGONAL[kind]
         mask = bit
-    elif kind in ("cz", "cphase"):
+    elif kind == "cphase":
         if qubit_b is None:
-            raise ValueError(f"{kind} needs a second qubit")
-        if kind == "cz":
-            ph = -1.0 + 0.0j
-        else:
-            if theta is None:
-                raise ValueError("cphase needs theta")
-            ph = phase_factor(theta)
+            raise ValueError("cphase needs a second qubit")
+        if qubit_b == qubit:
+            raise ValueError("cphase needs two distinct qubits")
+        if theta is None:
+            raise ValueError("cphase needs theta")
+        ph = phase_factor(theta)
         mask = bit | ancilla_mask(state, qubit_b)
     else:
         raise ValueError(f"unknown qubit gate {kind!r}")
@@ -544,7 +546,7 @@ def apply_gate_op(
     if isinstance(op, FSwap):
         return apply_fswap(state, op.mode_a, op.mode_b), None
     if isinstance(op, QubitGate):
-        return apply_qubit_gate(state, op.kind, op.qubit, op.qubit_b, op.theta), None
+        return apply_qubit_gate(state, op.kind, op.qubit, theta=op.theta), None
     if isinstance(op, MeasureQubit):
         if rng is None:
             raise ValueError("measurement instruction needs an rng")

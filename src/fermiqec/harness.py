@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -173,6 +174,8 @@ class ExperimentConfig:
     register: tuple[int, int, int] = (9, 9, 9)
 
     def __post_init__(self) -> None:
+        for name in ("seed", "shots", "num_error_layers"):
+            _integer(getattr(self, name), name)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.shots < 1:
@@ -186,12 +189,21 @@ class ExperimentConfig:
         _resolve_schedule(self)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if :func:`operator.index` takes it (so 2.5 and
+    2.0 do not pass), else a ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _resolve_schedule(config: ExperimentConfig) -> tuple[int, ...]:
     """Slot of each error layer: 0..2 precede the three tunnelings, slot 3
     precedes the final measurement.  Defaults to cycling through the slots."""
     if config.layer_schedule is None:
         return tuple(i % 4 for i in range(config.num_error_layers))
-    sched = tuple(int(s) for s in config.layer_schedule)
+    sched = tuple(_integer(s, "each layer slot") for s in config.layer_schedule)
     if len(sched) != config.num_error_layers:
         raise ValueError("layer schedule length must match num_error_layers")
     if any(not 0 <= s <= 3 for s in sched):
@@ -362,13 +374,11 @@ class _HistoryMemo:
     the shot in progress walks on from the node it holds.  Node states do
     not depend on p, so one memo serves every error rate:
     :func:`_run_shot_range` shares one across all points of a task.
-    ``cap=None`` never starts over; ``cap=0`` keeps no node.
+    ``cap=0`` keeps no node.
     """
 
-    def __init__(
-        self, base: SparseState, code: RepetitionCode, cap: int | None = _MEMO_CAP
-    ):
-        if cap is not None and cap < 0:
+    def __init__(self, base: SparseState, code: RepetitionCode, cap: int = _MEMO_CAP):
+        if cap < 0:
             raise ValueError("memo cap must be non-negative")
         self.base = base
         self.code = code
@@ -406,7 +416,7 @@ class _HistoryMemo:
         place = (*place, hash(entries))
         node = self._states.get(place)
         if node is None or tuple(node.state.entries.items()) != entries:
-            if self.cap is not None and len(self._states) >= self.cap:
+            if len(self._states) >= self.cap:
                 # in place: ``children`` may be ``roots`` itself
                 self._states.clear()
                 self.roots.clear()
@@ -494,7 +504,6 @@ class PointResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     points: list[PointResult]
     elapsed_seconds: float
 
@@ -581,4 +590,4 @@ def run_experiment(
         points.append(
             PointResult(p, config.shots, minus, estimate, 2 * lo - 1, 2 * hi - 1)
         )
-    return ExperimentResult(config, points, time.perf_counter() - t0)
+    return ExperimentResult(points, time.perf_counter() - t0)

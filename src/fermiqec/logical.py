@@ -94,20 +94,16 @@ def _copy_parity(
 
 
 def phase_gadget_logical(
-    state: SparseState,
-    code: RepetitionCode,
-    block: int,
-    theta: float,
-    ancilla: int = 0,
+    state: SparseState, code: RepetitionCode, block: int, theta: float
 ) -> SparseState:
     """exp(i theta N_block) without touching the block directly.
 
-    The block parity is copied onto the ancilla, a plain qubit phase
-    imprints theta, and a second copy returns the ancilla to |0>.
+    The block parity is copied onto ancilla 0, a plain qubit phase imprints
+    theta, and a second copy returns the ancilla to where it was.
     """
-    state = _copy_parity(state, code, block, ancilla)
-    state = apply_qubit_gate(state, "phase", ancilla, theta=theta)
-    return _copy_parity(state, code, block, ancilla)
+    state = _copy_parity(state, code, block, 0)
+    state = apply_qubit_gate(state, "phase", 0, theta=theta)
+    return _copy_parity(state, code, block, 0)
 
 
 def density_gadget_logical(
@@ -116,18 +112,15 @@ def density_gadget_logical(
     block_a: int,
     block_b: int,
     theta: float,
-    ancilla_a: int = 0,
-    ancilla_b: int = 1,
 ) -> SparseState:
-    """exp(i theta N_a N_b): copy both parities onto ancillas, apply the
-    two-qubit controlled phase, then uncompute."""
-    if ancilla_a == ancilla_b:
-        raise ValueError("density gadget needs two distinct ancillas")
-    state = _copy_parity(state, code, block_a, ancilla_a)
-    state = _copy_parity(state, code, block_b, ancilla_b)
-    state = apply_qubit_gate(state, "cphase", ancilla_a, ancilla_b, theta)
-    state = _copy_parity(state, code, block_a, ancilla_a)
-    return _copy_parity(state, code, block_b, ancilla_b)
+    """exp(i theta N_a N_b): copy the parities of ``block_a`` and
+    ``block_b`` onto ancillas 0 and 1, apply the two-qubit controlled
+    phase, then uncompute."""
+    state = _copy_parity(state, code, block_a, 0)
+    state = _copy_parity(state, code, block_b, 1)
+    state = apply_qubit_gate(state, "cphase", 0, 1, theta)
+    state = _copy_parity(state, code, block_a, 0)
+    return _copy_parity(state, code, block_b, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +169,14 @@ def tunneling_logical(
 
 
 def quarter_turn_tunneling_gadget(
-    state: SparseState,
-    code: RepetitionCode,
-    block_a: int,
-    block_b: int,
-    ancilla: int = 0,
+    state: SparseState, code: RepetitionCode, block_a: int, block_b: int
 ) -> SparseState:
     """The logical tunneling at theta = pi/2 as hardware runs it: the
     transversal swap, then a logical S gate on each block through the
     phase gadget."""
     state = fswap_logical(state, code, block_a, block_b)
-    state = phase_gadget_logical(state, code, block_a, math.pi / 2, ancilla)
-    return phase_gadget_logical(state, code, block_b, math.pi / 2, ancilla)
+    state = phase_gadget_logical(state, code, block_a, math.pi / 2)
+    return phase_gadget_logical(state, code, block_b, math.pi / 2)
 
 
 def controlled_tunneling_logical(

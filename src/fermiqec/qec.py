@@ -195,18 +195,16 @@ def correct_block(
 
 
 def qec_round(
-    state: SparseState,
-    code: RepetitionCode,
-    rng: np.random.Generator,
-    ancilla: int = 0,
+    state: SparseState, code: RepetitionCode, rng: np.random.Generator
 ) -> tuple[SparseState, list[tuple[int, int]]]:
     """One round: per block, read both stabilizers, decode, apply the pi
     phase correction.  Blocks in ascending order, s12 before s23; the
-    readout ``ancilla`` must start in |0> (see :func:`measure_stabilizer`)."""
+    readout goes through ancilla 0, which must start in |0> (see
+    :func:`measure_stabilizer`)."""
     syndromes: list[tuple[int, int]] = []
     for block in range(code.num_blocks):
-        o12, state = measure_stabilizer(state, code, block, "s12", rng, ancilla)
-        o23, state = measure_stabilizer(state, code, block, "s23", rng, ancilla)
+        o12, state = measure_stabilizer(state, code, block, "s12", rng)
+        o23, state = measure_stabilizer(state, code, block, "s23", rng)
         syndromes.append((o12, o23))
         state = correct_block(state, code, block, (o12, o23))
     return state, syndromes

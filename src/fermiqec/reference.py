@@ -109,18 +109,15 @@ def h_basis_state(layout: RegisterLayout, system_label: int) -> SparseState:
     return SparseState(layout, {label: 1.0 + 0.0j}, compressed=False)
 
 
-def random_h_state(
-    layout: RegisterLayout, rng: np.random.Generator, ancilla_label: int = 0
-) -> SparseState:
-    """Random normalized state spanning the reference-consistent subspace."""
+def random_h_state(layout: RegisterLayout, rng: np.random.Generator) -> SparseState:
+    """Random normalized state spanning the reference-consistent subspace,
+    every ancilla in |0>."""
     sys_labels = [
         s for s in range(1 << layout.num_system_modes) if layout.holds(s.bit_count())
     ]
     amps = rng.normal(size=len(sys_labels)) + 1j * rng.normal(size=len(sys_labels))
     amps /= np.linalg.norm(amps)
-    entries = {
-        h_label(layout, s, ancilla_label): complex(a) for s, a in zip(sys_labels, amps)
-    }
+    entries = {h_label(layout, s): complex(a) for s, a in zip(sys_labels, amps)}
     return SparseState(layout, entries, compressed=False)
 
 

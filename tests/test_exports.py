@@ -1,6 +1,9 @@
-"""Every exported name exists and is used outside its own module's exports,
-every function the benchmark tracer wraps by name still resolves, and an
-exchange run still calls what it wraps."""
+"""Every exported name exists and is used outside its own module's exports.
+Every function and method in ``src/`` is read, and every parameter default
+is overridden in some call, by code in ``src/`` or ``bench/``: an option
+that only tests set has no caller.  Every function the benchmark tracer
+wraps by name still resolves, and an exchange run still calls what it
+wraps."""
 
 import ast
 import importlib
@@ -16,6 +19,12 @@ from fermiqec.harness import ExperimentConfig, run_experiment
 MODULES = [f"fermiqec.{info.name}" for info in pkgutil.iter_modules(fermiqec.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
+SOURCES = sorted((ROOT / "src" / "fermiqec").glob("*.py"))
+# __init__ only re-exports, and a re-export is not a use
+USERS = [
+    *(f for f in SOURCES if f.name != "__init__.py"),
+    *sorted((ROOT / "bench").glob("*.py")),
+]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,10 +59,12 @@ def _names_used(path: Path) -> set[str]:
     return used
 
 
+def _names_used_in_src_or_bench() -> set[str]:
+    return set().union(*(_names_used(f) for f in USERS))
+
+
 def test_every_exported_name_is_used_in_src_or_bench():
-    # __init__ only re-exports, and a re-export is not a use
-    files = [*(ROOT / "src" / "fermiqec").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    used = set().union(*(_names_used(f) for f in files if f.name != "__init__.py"))
+    used = _names_used_in_src_or_bench()
     unused = [
         f"{name.removeprefix('fermiqec.')}.{attr}"
         for name in MODULES
@@ -61,6 +72,73 @@ def test_every_exported_name_is_used_in_src_or_bench():
         if attr not in used
     ]
     assert not unused
+
+
+def _defs() -> list[tuple[str, ast.FunctionDef, bool]]:
+    """``(qualified name, def, is a method)`` of every function in ``src/``,
+    nested ones included."""
+    found = []
+
+    def visit(node, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, ast.FunctionDef):
+                found.append((f"{prefix}{child.name}", child, in_class))
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), "", False)
+    return found
+
+
+def test_every_function_is_read_in_src_or_bench():
+    used = _names_used_in_src_or_bench()
+    unread = [
+        qualname
+        for qualname, fn, _ in _defs()
+        if not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in used
+    ]
+    assert not unread
+
+
+def _passed(call: ast.Call, params: list[str]) -> set[str]:
+    """The parameters a call passes, ``params`` being the positional ones
+    in order; ``*args`` or ``**kwargs`` pass them all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return {"*"}
+    return {*params[: len(call.args)], *(k.arg for k in call.keywords)}
+
+
+def test_every_default_is_passed_in_src_or_bench():
+    # A call counts by the callee's name: ``f(...)`` or ``x.f(...)``, and
+    # ``Cls(...)`` for ``Cls.__init__``.
+    calls: dict[str, list[ast.Call]] = {}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for qualname, fn, is_method in _defs():
+        args = fn.args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        defaulted += [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        if is_method:
+            positional = positional[1:]
+        callee = qualname.split(".")[-2] if fn.name == "__init__" else fn.name
+        passed = set().union(*(_passed(c, positional) for c in calls.get(callee, [])))
+        if "*" not in passed:
+            unpassed += [f"{qualname}({p})" for p in defaulted if p not in passed]
+    assert not unpassed
 
 
 def _load_spans():

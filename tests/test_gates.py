@@ -8,6 +8,7 @@ import pytest
 from conftest import CountingRng
 
 from fermiqec.backend import compress
+from fermiqec.codes import RepetitionCode, stabilizer_majoranas
 from fermiqec.gates import (
     apply_annihilation,
     apply_creation,
@@ -21,8 +22,10 @@ from fermiqec.gates import (
     measure_qubit,
     number_expectation,
     select_count,
+    split_qubit,
+    to_measurement_basis,
 )
-from fermiqec.reference import random_h_state
+from fermiqec.reference import apply_majorana, random_h_state
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import (
     SparseState,
@@ -197,3 +200,56 @@ def test_number_expectation_agrees_across_representations():
     short = compress(psi)
     for mode in range(lay.num_fermion_modes):
         assert number_expectation(short, mode) == number_expectation(psi, mode)
+
+
+_TWO_ANCILLAS = basis_state(RegisterLayout(3, 3, 3, num_ancilla_qubits=2), 0b001)
+_TWO_BLOCKS = RepetitionCode(RegisterLayout(6, 6, 6))
+
+#: name -> (a call with one bad argument, the message it fails with)
+BAD_GATE_ARGUMENTS = {
+    "unknown_qubit_gate": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "x", 0), "unknown qubit gate 'x'"
+    ),
+    "cz_is_not_a_kind": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "cz", 0, 1), "unknown qubit gate 'cz'"
+    ),
+    "phase_without_theta": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "phase", 0), "phase gate needs theta"
+    ),
+    "cphase_without_theta": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "cphase", 0, 1), "cphase needs theta"
+    ),
+    "cphase_without_second_qubit": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "cphase", 0, theta=1.1),
+        "cphase needs a second qubit",
+    ),
+    "cphase_on_one_qubit": (
+        lambda: apply_qubit_gate(_TWO_ANCILLAS, "cphase", 1, 1, 1.1),
+        "cphase needs two distinct qubits",
+    ),
+    "measurement_basis": (
+        lambda: to_measurement_basis(_TWO_ANCILLAS, 0, "w"),
+        "unknown measurement basis 'w'",
+    ),
+    "majorana_kind": (
+        lambda: apply_majorana(_TWO_ANCILLAS, 0, "z"), "unknown Majorana kind 'z'"
+    ),
+    "stabilizer": (
+        lambda: stabilizer_majoranas(_TWO_BLOCKS, 0, "s13"), "unknown stabilizer 's13'"
+    ),
+    "block_out_of_range": (
+        lambda: _TWO_BLOCKS.block_modes(2), "block 2 outside register"
+    ),
+    "zero_probability_branch": (
+        lambda: split_qubit(_TWO_ANCILLAS, 0)[1](-1),
+        "selected a zero-probability branch",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, match", BAD_GATE_ARGUMENTS.values(), ids=BAD_GATE_ARGUMENTS.keys()
+)
+def test_bad_gate_arguments_fail_with_their_own_message(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

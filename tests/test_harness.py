@@ -102,6 +102,13 @@ BAD_CONFIGS = [
     ({"p_values": ()}, "at least one error probability"),
     ({"threads": 0}, "threads must be positive"),
     ({"threads": -4}, "threads must be positive"),
+    (
+        {"num_error_layers": 2, "layer_schedule": (0.7, 2.9)},
+        "layer slot must be an integer",
+    ),
+    ({"shots": 2.5}, "shots must be an integer"),
+    ({"num_error_layers": 2.5}, "num_error_layers must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
 ]
 
 
@@ -264,6 +271,10 @@ def test_bad_noise_targets_fail_before_any_draw(targets, match):
 # the history memo
 # ---------------------------------------------------------------------------
 
+#: A cap no run in these tests reaches: the memo never starts over.
+_NO_START_OVER = 10**9
+
+
 def _memo(*cap):
     """A history memo for the standard start, with the default cap unless
     one is given."""
@@ -303,14 +314,14 @@ def test_memo_leaves_every_outcome_unchanged(case):
     spec_fields, schedule, correct = MEMO_CASES[case]
     runs = {
         cap: _outcomes(_memo(cap), spec_fields, schedule, correct, (0.01, 0.05), 200)
-        for cap in (None, 0, 2)
+        for cap in (_NO_START_OVER, 0, 2)
     }
-    assert set(runs[None]) <= {-1, 1}
-    assert runs[None] == runs[0] == runs[2]
+    assert set(runs[_NO_START_OVER]) <= {-1, 1}
+    assert runs[_NO_START_OVER] == runs[0] == runs[2]
 
 
 def test_memo_holds_no_more_than_its_cap():
-    capped, tiny, uncapped = _memo(), _memo(2), _memo(None)
+    capped, tiny, uncapped = _memo(), _memo(2), _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
         _outcomes(memo, {}, (0, 1, 2), True, (0.05,), 300)
     assert len(tiny) <= 2
@@ -323,6 +334,8 @@ def test_memo_holds_no_more_than_its_cap():
     assert len(_memo(0)) == 0
     with pytest.raises(ValueError, match="cap"):
         _memo(-1)
+    with pytest.raises(TypeError):
+        _memo(None)
 
 
 def test_one_memo_serves_every_plan_shape():
@@ -349,7 +362,7 @@ def test_one_memo_serves_every_plan_shape():
 
 
 def test_histories_that_reach_one_state_share_its_node():
-    memo, plain = _memo(None), _memo(0)
+    memo, plain = _memo(_NO_START_OVER), _memo(0)
     spec = {"include_reference": True}
     merged = _outcomes(memo, spec, (0, 1, 2), True, (0.01,), 256)
     assert merged == _outcomes(plain, spec, (0, 1, 2), True, (0.01,), 256)

@@ -13,7 +13,6 @@ from fermiqec.codes import (
 from fermiqec.gates import apply_qubit_gate
 from fermiqec.logical import (
     controlled_tunneling_logical,
-    density_gadget_logical,
     fswap_logical,
     logical_density_exact,
     phase_gadget_logical,
@@ -84,13 +83,6 @@ def test_phase_gadget_parks_the_ancilla():
     for theta in (math.pi / 4, math.pi / 2, math.pi):
         gadget = phase_gadget_logical(psi, CODE2, 1, theta)
         assert all(not l & anc for l in gadget.entries)
-
-
-def test_density_gadget_needs_two_distinct_ancillas():
-    rng = np.random.default_rng(55)
-    psi = random_codespace_state(CODE2, rng, compressed=True)
-    with pytest.raises(ValueError):
-        density_gadget_logical(psi, CODE2, 0, 1, 1.1, ancilla_a=0, ancilla_b=0)
 
 
 def test_density_oracle_phases_only_the_doubly_occupied_word():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
+from conftest import spread_h_state
 
 from fermiqec.backend import compress
-from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout, jw_sign
-from fermiqec.states import add_states
 
 
 def test_layout_validation():
@@ -50,18 +49,9 @@ def test_jw_sign_is_prefix_parity():
             assert jw_sign(label, i) == (-1 if prefix & 1 else 1)
 
 
-def _spread_state(layout, seed):
-    """Random reference-consistent state over every ancilla pattern."""
-    rng = np.random.default_rng(seed)
-    out = random_h_state(layout, rng)
-    for anc in range(1, 1 << layout.num_ancilla_qubits):
-        out = add_states(out, random_h_state(layout, rng, ancilla_label=anc))
-    return out
-
-
 def test_occupation_matches_the_decompressed_label():
     lay = RegisterLayout(9, 9, 9, num_ancilla_qubits=2)
-    physical = _spread_state(lay, 3)
+    physical = spread_h_state(lay, 3)
     compressed = compress(physical)
     fermions = (1 << lay.num_fermion_modes) - 1
     rng = np.random.default_rng(4)
