@@ -8,8 +8,11 @@ in the noiseless case; phase errors push it up, and the deviation epsilon
 scales linearly in the error rate without correction and quadratically with
 the repetition-code rounds enabled.
 
-Every shot owns an rng seeded from (seed, point, shot), so results are
-independent of how shots are distributed over worker processes.
+Every shot's randomness is a fixed number of doubles (its plan's ``width``),
+the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
+shot]))``, so results are independent of how shots are distributed over
+worker processes.  :func:`_shot_draws` seeds a block of shots at once and
+draws each shot's doubles in one call; the steps read them in order.
 
 A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
 which map a state to a state, and events, which draw an outcome from
@@ -42,12 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,9 +125,11 @@ def noise_modes(spec: NoiseSpec, layout: RegisterLayout) -> tuple[int, ...]:
 
 
 def _draw_flips(modes: tuple[int, ...], p: float, rng: np.random.Generator) -> tuple[int, ...]:
-    """The modes one error layer flips: one vector draw of a double per
-    mode (the same doubles as one scalar draw each), a flip where ``u < p``."""
-    return tuple(modes[i] for i in np.flatnonzero(rng.random(len(modes)) < p))
+    """The modes one error layer flips: one draw of ``len(modes)`` doubles
+    (the same doubles as one scalar draw each), a flip where ``u < p``.
+    The doubles may come as an ndarray or, from a shot's draw source, as
+    a list."""
+    return tuple(m for m, u in zip(modes, rng.random(len(modes))) if u < p)
 
 
 def _apply_flips(state: SparseState, flipped: tuple[int, ...]) -> SparseState:
@@ -182,8 +188,15 @@ class ExperimentConfig:
             raise ValueError("shots must be positive")
         if self.num_error_layers < 0:
             raise ValueError("num_error_layers must be non-negative")
+        for name in ("correction_enabled", "include_reference_errors"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         if not self.p_values:
             raise ValueError("at least one error probability is needed")
+        bad = [p for p in self.p_values if not isinstance(p, numbers.Real)]
+        if bad:
+            raise ValueError(f"error probabilities must be real numbers, got {bad[0]!r}")
         if not all(0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("error probabilities must lie in [0, 1]")
         _resolve_schedule(self)
@@ -301,30 +314,43 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
     return lambda s, syndrome: correct_block(s, code, block, syndrome)
 
 
+class _Plan(NamedTuple):
+    """One shot: ``head``, the gates before the first event, then
+    ``steps``, each event with the gates after it.  ``shape`` tells plans
+    with the same steps (whatever their p and noise modes) from others.
+    ``width`` is the number of doubles a shot draws: each error layer
+    draws one per noise mode, every other event one."""
+
+    shape: tuple
+    head: tuple[_Gate, ...]
+    steps: tuple[_Step, ...]
+    width: int
+
+
 def _shot_plan(
     code: RepetitionCode,
     spec: NoiseSpec,
     schedule: tuple[int, ...],
     correction_enabled: bool,
-) -> tuple[tuple, tuple[_Gate, ...], tuple[_Step, ...]]:
-    """One shot as ``(shape, head, steps)``: the gates before the first
-    event, then each event with the gates after it.  ``shape`` tells plans
-    with the same steps (whatever their p and noise modes) from others."""
+) -> _Plan:
+    """The :class:`_Plan` of one shot."""
     modes = noise_modes(spec, code.layout)
     recover_bank = any(m >= code.layout.num_system_modes for m in modes)
     head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
     steps: list[tuple] = []
     gates = head
+    width = 0
 
-    def event(measure, split, pick) -> None:
-        nonlocal gates
+    def event(measure, split, pick, draws: int = 1) -> None:
+        nonlocal gates, width
         gates = []
+        width += draws
         steps.append((measure, split, pick, gates))
 
     layer = _error_layer(spec, modes)
     for slot in range(4):
         for _ in range(schedule.count(slot)):
-            event(*layer)
+            event(*layer, len(modes))
             if correction_enabled:
                 if recover_bank:
                     event(*_BANK_COUNT)
@@ -338,7 +364,8 @@ def _shot_plan(
     gates.append(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
     event(*_FINAL_READOUT)
     shape = (schedule, correction_enabled, recover_bank)
-    return shape, tuple(head), tuple(_Step(*e, tuple(g)) for *e, g in steps)
+    steps = tuple(_Step(*e, tuple(g)) for *e, g in steps)
+    return _Plan(shape, tuple(head), steps, width)
 
 
 class _Node:
@@ -392,7 +419,7 @@ class _HistoryMemo:
 
     def plan(
         self, spec: NoiseSpec, schedule: tuple[int, ...], correction_enabled: bool
-    ) -> tuple:
+    ) -> _Plan:
         """The :func:`_shot_plan` for these settings, built once."""
         key = (spec, schedule, correction_enabled)
         if key not in self._plans:
@@ -434,9 +461,14 @@ def _settle(
     return state
 
 
-def _branch(step: _Step, node: _Node, outcome, syndrome: tuple) -> SparseState:
-    """The state after ``node``'s event ended in ``outcome``."""
-    _, branch = step.split(node.state)
+def _branch(
+    step: _Step, node: _Node, branch: Callable | None, outcome, syndrome: tuple
+) -> SparseState:
+    """The state after ``node``'s event ended in ``outcome``: ``branch`` is
+    the branch of ``step.split(node.state)`` if this visit made the split,
+    else ``None`` and the split is made here."""
+    if branch is None:
+        _, branch = step.split(node.state)
     return _settle(branch(outcome), step.gates, syndrome)
 
 
@@ -460,6 +492,8 @@ def run_exchange_shot(
     layers are only approximately corrected (the combined error set fails
     the exact-correctability conditions).
 
+    ``rng`` is a numpy generator or a shot's draw source from
+    :func:`_shot_draws`; the shot takes its plan's ``width`` doubles.
     ``memo`` (made for this ``base`` and ``code``) caches the states and
     probabilities of states reached before, by this history or another;
     without one nothing is cached.
@@ -469,16 +503,19 @@ def run_exchange_shot(
         memo = _HistoryMemo(base, code, 0)
     elif memo.base is not base or memo.code is not code:
         raise ValueError("a history memo serves only the base and code it was made for")
-    shape, head, steps = memo.plan(spec, tuple(schedule), correction_enabled)
+    shape, head, steps, _ = memo.plan(spec, tuple(schedule), correction_enabled)
     children, key, last = memo.roots, shape, None
     make = functools.partial(_settle, base, head, ())
     for index, step in enumerate(steps):
         node = memo.node(children, key, make, (shape, index, last))
         if node.seen:
+            branch = None
             if node.odds is None:
-                node.odds, _ = step.split(node.state)
+                node.odds, branch = step.split(node.state)
             outcome = step.pick(node.odds, rng)
-            make = functools.partial(_branch, step, node, outcome, (last, outcome))
+            make = functools.partial(
+                _branch, step, node, branch, outcome, (last, outcome)
+            )
         else:
             node.seen = True
             outcome, post = step.measure(node.state, rng)
@@ -508,10 +545,126 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
-def _shot_rng(seed: int, point: int, shot: int) -> np.random.Generator:
-    """The generator of one shot, fixed by the run's seed and the shot's
-    point and index alone."""
-    return np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
+#: Shots seeded at once: the seeds held do not grow with a range's length.
+#: 256 is one benchmark call.
+_SEED_BLOCK = 256
+
+# numpy's SeedSequence (pool of 4 words, hash and mix constants) and
+# PCG64's 128-bit multiplier, fixed by numpy's stream-compatibility policy
+# (NEP 19).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an int: 32-bit words, least significant
+    first, at least one."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash of one uint32 word per shot, with the running
+    hash constant starting at ``const``; the constant does not depend on
+    the data, so one hasher serves every shot of a block."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two pool words."""
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> 16
+
+
+def _pcg64_states(seed: int, point: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` in ``default_rng(SeedSequence([seed, point,
+    shot]))`` for each shot ``start..stop-1``.  The shots must share every
+    word but the lowest, so the range lies in one 2**32-aligned window.
+
+    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run as
+    uint32 array arithmetic over the shots; PCG64's seeding,
+    ``pcg_setseq_128_srandom_r``, runs on Python ints per shot.
+    """
+    n = stop - start
+    low = np.arange(n, dtype=np.uint32) + np.uint32(start & _MASK32)
+    entropy = [np.full(n, w, np.uint32) for w in (*_words(seed), *_words(point))]
+    entropy += [low, *(np.full(n, w, np.uint32) for w in _words(start)[1:])]
+    zero = np.zeros(n, np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = (halves[0::2] | halves[1::2] << 32).tolist()
+    out = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return out
+
+
+class _Draws:
+    """One shot's doubles, handed out in order through the two forms of
+    ``Generator.random`` the steps call: ``random()`` for the next double,
+    ``random(n)`` for a list of the next ``n``.  Asking for more than the
+    shot holds raises."""
+
+    __slots__ = ("_doubles", "_used")
+
+    def __init__(self, doubles: list[float]):
+        self._doubles = doubles
+        self._used = 0
+
+    def random(self, size: int | None = None):
+        used = self._used
+        end = used + (1 if size is None else size)
+        if end > len(self._doubles):
+            raise ValueError(f"a shot asked for more than its {len(self._doubles)} doubles")
+        self._used = end
+        return self._doubles[used] if size is None else self._doubles[used:end]
+
+
+def _shot_draws(
+    seed: int, point: int, start: int, stop: int, width: int
+) -> Iterator[_Draws]:
+    """The draw source of each shot ``start..stop-1`` at ``point``, in
+    order: the first ``width`` doubles of ``default_rng(SeedSequence([seed,
+    point, shot]))``, fixed by the run's seed and the shot's point and
+    index alone.  Seeds blocks of at most ``_SEED_BLOCK`` shots at once and
+    draws each shot's doubles in one call into one reused generator."""
+    bits = np.random.PCG64()
+    generator = np.random.Generator(bits)
+    while start < stop:
+        end = min(start + _SEED_BLOCK, stop, (start >> 32) + 1 << 32)
+        for state, inc in _pcg64_states(seed, point, start, end):
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield _Draws(generator.random(width).tolist())
+        start = end
 
 
 def _exchange_start(
@@ -532,11 +685,11 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
     counts = []
     for point_index, p in enumerate(config.p_values):
         spec = NoiseSpec(p, include_reference=config.include_reference_errors)
+        width = memo.plan(spec, schedule, config.correction_enabled).width
         minus = 0
-        for shot in range(start, stop):
-            rng = _shot_rng(config.seed, point_index, shot)
+        for draws in _shot_draws(config.seed, point_index, start, stop, width):
             outcome = run_exchange_shot(
-                base, code, spec, schedule, config.correction_enabled, rng, memo
+                base, code, spec, schedule, config.correction_enabled, draws, memo
             )
             if outcome < 0:
                 minus += 1

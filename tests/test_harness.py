@@ -1,6 +1,7 @@
 """Noise injection and the exchange-interferometry driver."""
 
 import contextlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,6 @@ from fermiqec.backend import compress
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
     _exchange_start,
-    _shot_rng,
     ExperimentConfig,
     NoiseSpec,
     noise_modes,
@@ -109,6 +109,10 @@ BAD_CONFIGS = [
     ({"shots": 2.5}, "shots must be an integer"),
     ({"num_error_layers": 2.5}, "num_error_layers must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
+    ({"correction_enabled": "no"}, "correction_enabled must be True or False"),
+    ({"include_reference_errors": 1}, "include_reference_errors must be True or False"),
+    ({"p_values": ("0.01",)}, "must be real numbers"),
+    ({"p_values": (0.01, None)}, "must be real numbers"),
 ]
 
 
@@ -126,6 +130,13 @@ def test_bad_config_fails_before_any_shot(monkeypatch, fields, match):
     threads = fields.pop("threads", 1)  # a run_experiment argument, not a field
     with pytest.raises(ValueError, match=match):
         run_experiment(ExperimentConfig(**fields), threads=threads)
+
+
+def _one_shot_draws(seed, point, shot, code, spec, schedule, correct):
+    """The draw source of one shot, a one-shot range of the run's own."""
+    width = harness._shot_plan(code, spec, schedule, correct).width
+    (draws,) = harness._shot_draws(seed, point, shot, shot + 1, width)
+    return draws
 
 
 def test_uncorrected_runs_need_no_atom_per_system_mode():
@@ -150,8 +161,8 @@ def test_pure_reference_noise_is_removed_exactly():
     code, base, schedule = _exchange_start(config)
     spec = NoiseSpec(1.0, targets=(9, 11))  # bank modes only
     for shot in range(config.shots):
-        rng = _shot_rng(config.seed, 0, shot)
-        outcome = run_exchange_shot(base, code, spec, schedule, True, rng)
+        draws = _one_shot_draws(config.seed, 0, shot, code, spec, schedule, True)
+        outcome = run_exchange_shot(base, code, spec, schedule, True, draws)
         assert outcome == +1
 
 
@@ -236,8 +247,8 @@ def test_first_shots_are_pinned(case, correct, reference):
     spec = NoiseSpec(0.05, include_reference=reference)
     outcomes = []
     for shot in range(config.shots):
-        rng = _shot_rng(config.seed, 0, shot)
-        outcome = run_exchange_shot(base, code, spec, schedule, correct, rng)
+        draws = _one_shot_draws(config.seed, 0, shot, code, spec, schedule, correct)
+        outcome = run_exchange_shot(base, code, spec, schedule, correct, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
 
@@ -287,10 +298,10 @@ def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
     out = []
     for point, p in enumerate(p_values):
         spec = NoiseSpec(p, **spec_fields)
-        for shot in range(shots):
-            rng = _shot_rng(seed, point, shot)
+        width = harness._shot_plan(_CODE, spec, schedule, correct).width
+        for draws in harness._shot_draws(seed, point, 0, shots, width):
             out.append(
-                run_exchange_shot(_BASE, _CODE, spec, schedule, correct, rng, memo)
+                run_exchange_shot(_BASE, _CODE, spec, schedule, correct, draws, memo)
             )
     return out
 
@@ -481,3 +492,115 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(plans, shots):
             for m in memos
         }
         assert len(outcomes) == 1, (plan, seed)
+
+
+# ---------------------------------------------------------------------------
+# a shot's draws
+# ---------------------------------------------------------------------------
+
+
+def _numpy_doubles(seed, point, shot, width):
+    """The oracle: a shot's first ``width`` doubles from numpy's own seeding."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
+    return rng.random(width).tolist()
+
+
+@pytest.mark.parametrize(
+    "seed, point, start, stop",
+    [
+        (0, 0, 0, 600),  # three seed blocks
+        (2**32 + 7, 0, 0, 5),  # a two-word seed
+        (2**64 + 7, 0, 3, 8),  # a three-word seed
+        (5, 3, 100, 110),
+        (5, 2**40, 100, 103),  # a two-word point
+        (1, 1, 2**32 - 4, 2**32 + 4),  # one- then two-word shots
+        (1, 0, 2**64 - 2, 2**64 + 2),  # two- then three-word shots
+    ],
+)
+def test_batched_draws_are_numpys_per_shot_draws(seed, point, start, stop):
+    got = [d.random(11) for d in harness._shot_draws(seed, point, start, stop, 11)]
+    assert got == [_numpy_doubles(seed, point, s, 11) for s in range(start, stop)]
+
+
+@given(
+    seed=st.integers(0, 2**96),
+    point=st.integers(0, 2**40),
+    start=st.integers(0, 2**70),
+)
+def test_any_shot_draws_what_numpy_draws(seed, point, start):
+    got = [d.random(4) for d in harness._shot_draws(seed, point, start, start + 3, 4)]
+    assert got == [_numpy_doubles(seed, point, s, 4) for s in range(start, start + 3)]
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_plan_width_is_what_a_shot_draws(case):
+    spec_fields, schedule, correct = MEMO_CASES[case]
+    spec = NoiseSpec(0.2, **spec_fields)
+    width = harness._shot_plan(_CODE, spec, schedule, correct).width
+    memo = _memo()
+    for seed in range(3):  # first visits, then second visits on the memo
+        for m in (None, memo, memo):
+            rng = CountingRng(seed)
+            run_exchange_shot(_BASE, _CODE, spec, schedule, correct, rng, m)
+            assert rng.draws == width
+
+
+def test_a_shot_cannot_draw_past_its_width():
+    for ask in ([None, None, None, None], [2, 2], [3, None], [4]):
+        (draws,) = harness._shot_draws(0, 0, 0, 1, 3)
+        with pytest.raises(ValueError, match="more than its 3 doubles"):
+            for size in ask:
+                draws.random(size)
+    (draws,) = harness._shot_draws(0, 0, 0, 1, 3)
+    assert [draws.random(2), draws.random()] == [
+        _numpy_doubles(0, 0, 0, 2), _numpy_doubles(0, 0, 0, 3)[2]
+    ]
+
+
+@pytest.mark.parametrize(
+    "correct, reference", [(True, False), (False, False), (True, True)]
+)
+def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
+    config = ExperimentConfig(
+        (0.05, 0.2),
+        shots=24,
+        correction_enabled=correct,
+        include_reference_errors=reference,
+        seed=9,
+    )
+    code, base, schedule = _exchange_start(config)
+    plain = []
+    for point, p in enumerate(config.p_values):
+        spec = NoiseSpec(p, include_reference=reference)
+        outcomes = [
+            run_exchange_shot(
+                base, code, spec, schedule, correct,
+                np.random.default_rng(np.random.SeedSequence([config.seed, point, shot])),
+            )
+            for shot in range(config.shots)
+        ]
+        plain.append(outcomes.count(-1))
+    assert [p.count_minus for p in run_experiment(config).points] == plain
+
+
+def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
+    # Shots seed in blocks and draw one at a time: the memory a range holds
+    # for its draws is one block's, however many shots it runs.
+    def take_all(base, code, spec, schedule, correct, draws, memo):
+        draws.random(memo.plan(spec, schedule, correct).width)
+        return 1
+
+    monkeypatch.setattr(harness, "_exchange_start", lambda _: (_CODE, _BASE, (0, 1, 2)))
+    monkeypatch.setattr(harness, "run_exchange_shot", take_all)
+
+    def peak(shots):
+        config = ExperimentConfig((0.01,), shots=shots, include_reference_errors=True)
+        tracemalloc.start()
+        try:
+            harness._run_shot_range(config, 0, shots)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # leaves out what a first call caches
+    assert peak(2048) <= peak(256) + 16 * 1024
