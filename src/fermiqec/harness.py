@@ -6,7 +6,9 @@ whose net effect on the occupied pair is a pure exchange phase i.  The
 ancilla therefore ends in |+i> and the y-basis estimate sits at exactly -1
 in the noiseless case; phase errors push it up, and the deviation epsilon
 scales linearly in the error rate without correction and quadratically with
-the repetition-code rounds enabled.
+the repetition-code rounds enabled.  Every run uses one register,
+:data:`EXCHANGE_REGISTER`, and cycles its error layers through the four
+slots before each tunneling and before the readout.
 
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
@@ -43,6 +45,7 @@ a first one, and the walk is plain Monte-Carlo.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -82,10 +85,14 @@ __all__ = [
     "run_exchange_shot",
     "run_experiment",
     "EXCHANGE_PAIRS",
+    "EXCHANGE_REGISTER",
 ]
 
 #: Block pairs of the three controlled tunnelings, in time order.
 EXCHANGE_PAIRS = ((0, 2), (0, 1), (1, 2))
+#: ``(M_s, M_r, N)`` of every exchange run: three three-mode blocks, with
+#: two ancillas (interferometer and gadget) beside them.
+EXCHANGE_REGISTER = (9, 9, 9)
 
 _INTERFEROMETER = 0  # ancilla carrying the exchange phase
 _GADGET = 1  # ancilla reserved for in-shot correction machinery
@@ -94,34 +101,17 @@ _GADGET = 1  # ancilla reserved for in-shot correction machinery
 @dataclass(frozen=True)
 class NoiseSpec:
     """Single-mode pi phase flips, each firing independently with
-    probability ``p`` per layer.
-
-    ``targets`` picks explicit fermionic modes; by default the system modes
-    are hit, plus the reference modes when ``include_reference`` is set.
-    """
+    probability ``p`` per layer, on the system modes, plus the reference
+    modes when ``include_reference`` is set."""
 
     p: float
-    targets: tuple[int, ...] | None = None
     include_reference: bool = False
 
 
 def noise_modes(spec: NoiseSpec, layout: RegisterLayout) -> tuple[int, ...]:
-    """The modes an error layer draws for, ascending; explicit ``targets``
-    must be distinct fermionic modes."""
-    if spec.targets is not None:
-        modes = tuple(sorted(spec.targets))
-        if len(set(modes)) != len(modes):
-            raise ValueError(f"noise targets repeat a mode: {spec.targets}")
-        if modes and not (0 <= modes[0] and modes[-1] < layout.num_fermion_modes):
-            raise ValueError(
-                f"noise targets {spec.targets} outside fermionic modes "
-                f"0..{layout.num_fermion_modes - 1}"
-            )
-        return modes
-    modes = list(range(layout.num_system_modes))
-    if spec.include_reference:
-        modes += list(range(layout.num_system_modes, layout.num_fermion_modes))
-    return tuple(modes)
+    """The modes an error layer draws for, ascending."""
+    last = layout.num_fermion_modes if spec.include_reference else layout.num_system_modes
+    return tuple(range(last))
 
 
 def _draw_flips(modes: tuple[int, ...], p: float, rng: np.random.Generator) -> tuple[int, ...]:
@@ -167,8 +157,9 @@ def sample_phase_error_layer(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One exchange run.  The fields are checked here, the register (which
-    needs a code) by :func:`run_experiment`, both before any shot."""
+    """One exchange run on :data:`EXCHANGE_REGISTER`, its error layers in
+    the default cycle of slots.  The fields are checked here, before any
+    shot."""
 
     p_values: tuple[float, ...]
     shots: int = 100_000
@@ -176,8 +167,6 @@ class ExperimentConfig:
     correction_enabled: bool = True
     include_reference_errors: bool = False
     seed: int = 0
-    layer_schedule: tuple[int, ...] | None = None
-    register: tuple[int, int, int] = (9, 9, 9)
 
     def __post_init__(self) -> None:
         for name in ("seed", "shots", "num_error_layers"):
@@ -192,48 +181,24 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be True or False, got {value!r}")
-        if not self.p_values:
-            raise ValueError("at least one error probability is needed")
-        bad = [p for p in self.p_values if not isinstance(p, numbers.Real)]
-        if bad:
-            raise ValueError(f"error probabilities must be real numbers, got {bad[0]!r}")
+        if not isinstance(self.p_values, tuple) or not self.p_values:
+            raise ValueError(
+                f"need a tuple of at least one error probability, got {self.p_values!r}"
+            )
+        for p in self.p_values:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"error probabilities must be real numbers, got {p!r}")
         if not all(0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("error probabilities must lie in [0, 1]")
-        _resolve_schedule(self)
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int if :func:`operator.index` takes it (so 2.5 and
-    2.0 do not pass), else a ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _resolve_schedule(config: ExperimentConfig) -> tuple[int, ...]:
-    """Slot of each error layer: 0..2 precede the three tunnelings, slot 3
-    precedes the final measurement.  Defaults to cycling through the slots."""
-    if config.layer_schedule is None:
-        return tuple(i % 4 for i in range(config.num_error_layers))
-    sched = tuple(_integer(s, "each layer slot") for s in config.layer_schedule)
-    if len(sched) != config.num_error_layers:
-        raise ValueError("layer schedule length must match num_error_layers")
-    if any(not 0 <= s <= 3 for s in sched):
-        raise ValueError("layer slots run from 0 to 3")
-    return sched
-
-
-def _build_code(config: ExperimentConfig) -> RepetitionCode:
-    lay = RegisterLayout(*config.register, num_ancilla_qubits=2)
-    code = RepetitionCode(lay)
-    if code.num_blocks != 3:
-        raise ValueError("the exchange sequence runs on three logical modes")
-    if lay.total_atoms < 8:
-        raise ValueError(f"|1,1,0> needs 8 atoms, got {lay}")
-    if config.correction_enabled and lay.total_atoms < lay.num_system_modes:
-        raise ValueError(f"stabilizer readout needs N >= M_s, got {lay}")
-    return code
+    """``value`` as an int if :func:`operator.index` takes it and it is not
+    a bool (so True, 2.5 and 2.0 do not pass), else a ``ValueError``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +282,7 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
 class _Plan(NamedTuple):
     """One shot: ``head``, the gates before the first event, then
     ``steps``, each event with the gates after it.  ``shape`` tells plans
-    with the same steps (whatever their p and noise modes) from others.
+    with the same steps (whatever their p) from others.
     ``width`` is the number of doubles a shot draws: each error layer
     draws one per noise mode, every other event one."""
 
@@ -335,7 +300,6 @@ def _shot_plan(
 ) -> _Plan:
     """The :class:`_Plan` of one shot."""
     modes = noise_modes(spec, code.layout)
-    recover_bank = any(m >= code.layout.num_system_modes for m in modes)
     head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
     steps: list[tuple] = []
     gates = head
@@ -352,7 +316,7 @@ def _shot_plan(
         for _ in range(schedule.count(slot)):
             event(*layer, len(modes))
             if correction_enabled:
-                if recover_bank:
+                if spec.include_reference:
                     event(*_BANK_COUNT)
                     gates.append(lambda s, _: recover_codespace(s, code))
                 for block in range(code.num_blocks):
@@ -363,7 +327,7 @@ def _shot_plan(
             gates.append(_tunnel(code, *EXCHANGE_PAIRS[slot]))
     gates.append(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
     event(*_FINAL_READOUT)
-    shape = (schedule, correction_enabled, recover_bank)
+    shape = (schedule, correction_enabled, spec.include_reference)
     steps = tuple(_Step(*e, tuple(g)) for *e, g in steps)
     return _Plan(shape, tuple(head), steps, width)
 
@@ -671,10 +635,11 @@ def _exchange_start(
     config: ExperimentConfig,
 ) -> tuple[RepetitionCode, SparseState, tuple[int, ...]]:
     """The code, the compressed |1,1,0> base state and the layer schedule
-    that every shot of ``config`` starts from."""
-    code = _build_code(config)
+    that every shot of ``config`` starts from.  Slots 0..2 precede the three
+    tunnelings and slot 3 the final readout; the layers cycle through them."""
+    code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    return code, base, _resolve_schedule(config)
+    return code, base, tuple(i % 4 for i in range(config.num_error_layers))
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
@@ -724,7 +689,6 @@ def run_experiment(
         raise ValueError("confidence must be in (0, 1)")
     if threads < 1:
         raise ValueError("threads must be positive")
-    _build_code(config)  # register checks, before any shot
     t0 = time.perf_counter()
     workers = min(threads, config.shots, _usable_cpus())
     if workers > 1:

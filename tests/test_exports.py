@@ -1,9 +1,9 @@
 """Every exported name exists and is used outside its own module's exports.
 Every function and method in ``src/`` is read, and every parameter default
-is overridden in some call, by code in ``src/`` or ``bench/``: an option
-that only tests set has no caller.  Every function the benchmark tracer
-wraps by name still resolves, and an exchange run still calls what it
-wraps."""
+and record field default is overridden in some call, by code in ``src/``
+or ``bench/``: an option that only tests set has no caller.  Every function
+the benchmark tracer wraps by name still resolves, and an exchange run
+still calls what it wraps."""
 
 import ast
 import importlib
@@ -115,15 +115,20 @@ def _passed(call: ast.Call, params: list[str]) -> set[str]:
     return {*params[: len(call.args)], *(k.arg for k in call.keywords)}
 
 
-def test_every_default_is_passed_in_src_or_bench():
-    # A call counts by the callee's name: ``f(...)`` or ``x.f(...)``, and
-    # ``Cls(...)`` for ``Cls.__init__``.
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/`` or ``bench/``, by the callee's name:
+    ``f(...)`` or ``x.f(...)``, and ``Cls(...)`` for ``Cls.__init__``."""
     calls: dict[str, list[ast.Call]] = {}
     for path in USERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", ""))
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_default_is_passed_in_src_or_bench():
+    calls = _calls()
     unpassed = []
     for qualname, fn, is_method in _defs():
         args = fn.args
@@ -138,6 +143,38 @@ def test_every_default_is_passed_in_src_or_bench():
         passed = set().union(*(_passed(c, positional) for c in calls.get(callee, [])))
         if "*" not in passed:
             unpassed += [f"{qualname}({p})" for p in defaulted if p not in passed]
+    assert not unpassed
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class is a ``@dataclass`` or a ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in cls.bases
+    )
+
+
+def test_every_field_default_is_passed_in_src_or_bench():
+    # A record's annotated fields are its constructor's parameters, in order.
+    calls = _calls()
+    unpassed = []
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            fields = [
+                stmt
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+            params = [f.target.id for f in fields]
+            passed = set().union(*(_passed(c, params) for c in calls.get(cls.name, [])))
+            if "*" not in passed:
+                unpassed += [
+                    f"{cls.name}.{f.target.id}"
+                    for f in fields
+                    if f.value is not None and f.target.id not in passed
+                ]
     assert not unpassed
 
 

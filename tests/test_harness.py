@@ -1,6 +1,7 @@
 """Noise injection and the exchange-interferometry driver."""
 
 import contextlib
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -33,7 +34,6 @@ def test_noise_modes_selection():
     assert noise_modes(NoiseSpec(0.1, include_reference=True), lay) == (
         0, 1, 2, 3, 4, 5, 6,
     )
-    assert noise_modes(NoiseSpec(0.1, targets=(5, 0)), lay) == (0, 5)
 
 
 def test_error_layer_draw_budget_is_fixed():
@@ -42,7 +42,6 @@ def test_error_layer_draw_budget_is_fixed():
     for spec, expected in [
         (NoiseSpec(0.0), 3),
         (NoiseSpec(0.0, include_reference=True), 7),
-        (NoiseSpec(0.0, targets=(1,)), 1),
     ]:
         rng = CountingRng(72)
         out, flipped = sample_phase_error_layer(psi, spec, rng)
@@ -64,25 +63,31 @@ def test_error_layer_at_unit_rate_flips_every_target():
     lay = RegisterLayout(3, 4, 4)
     psi = random_h_state(lay, np.random.default_rng(73))
     rng = np.random.default_rng(74)
-    out, flipped = sample_phase_error_layer(psi, NoiseSpec(1.0, targets=(0, 2)), rng)
-    assert flipped == (0, 2)
+    out, flipped = sample_phase_error_layer(psi, NoiseSpec(1.0), rng)
+    assert flipped == (0, 1, 2)
     want = psi.with_entries(
         {
-            l: (-a if ((l & 0b101).bit_count() & 1) else a)
+            l: (-a if ((l & 0b111).bit_count() & 1) else a)
             for l, a in psi.entries.items()
         }
     )
     assert difference_norm(out, want) == 0.0
 
 
+def _flipping(modes, width):
+    """Doubles for one error layer at p = 0.5 over modes ``0..width-1``:
+    0.0 on ``modes``, which flip, and 1.0 on every other mode."""
+    return [0.0 if m in modes else 1.0 for m in range(width)]
+
+
 def test_reference_flips_agree_between_representations():
     lay = RegisterLayout(3, 4, 4)
     psi = random_h_state(lay, np.random.default_rng(75))
-    spec = NoiseSpec(1.0, targets=(3, 5))
-    phys, _ = sample_phase_error_layer(psi, spec, np.random.default_rng(76))
-    comp, _ = sample_phase_error_layer(
-        compress(psi), spec, np.random.default_rng(76)
-    )
+    spec = NoiseSpec(0.5, include_reference=True)
+    doubles = _flipping((3, 5), lay.num_fermion_modes)
+    phys, flipped = sample_phase_error_layer(psi, spec, harness._Draws(doubles))
+    comp, _ = sample_phase_error_layer(compress(psi), spec, harness._Draws(doubles))
+    assert flipped == (3, 5)
     assert difference_norm(compress(phys), comp) < 1e-13
 
 
@@ -93,19 +98,16 @@ BAD_CONFIGS = [
     ({"p_values": (0.01, -0.1)}, r"lie in \[0, 1\]"),
     ({"seed": -1}, "seed must be non-negative"),
     ({"num_error_layers": -1}, "num_error_layers must be non-negative"),
-    ({"layer_schedule": (0, 1)}, "length must match"),
-    ({"num_error_layers": 1, "layer_schedule": (4,)}, "slots run from 0 to 3"),
-    ({"register": (6, 6, 6)}, "three logical modes"),
-    ({"register": (9, 6, 8)}, "hold all atoms"),
-    ({"register": (9, 9, 7), "correction_enabled": False}, "needs 8 atoms"),
-    ({"register": (9, 8, 8)}, "N >= M_s"),
+    ({"p_values": 0.01}, "need a tuple of at least one error probability"),
+    ({"p_values": (True,)}, "must be real numbers"),
+    ({"p_values": (0.01, False)}, "must be real numbers"),
+    ({"shots": True}, "shots must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"num_error_layers": True}, "num_error_layers must be an integer"),
     ({"p_values": ()}, "at least one error probability"),
     ({"threads": 0}, "threads must be positive"),
     ({"threads": -4}, "threads must be positive"),
-    (
-        {"num_error_layers": 2, "layer_schedule": (0.7, 2.9)},
-        "layer slot must be an integer",
-    ),
+    ({"p_values": 1}, "need a tuple"),
     ({"shots": 2.5}, "shots must be an integer"),
     ({"num_error_layers": 2.5}, "num_error_layers must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
@@ -132,18 +134,39 @@ def test_bad_config_fails_before_any_shot(monkeypatch, fields, match):
         run_experiment(ExperimentConfig(**fields), threads=threads)
 
 
+class _ShotRan(Exception):
+    """Raised in place of the shots of a config that passed its checks."""
+
+
+#: Anything a caller might put in a field: a scalar or a tuple of scalars.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_ANY_VALUE = _SCALARS | st.lists(_SCALARS, max_size=3).map(tuple)
+
+
+@given(
+    name=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+    value=_ANY_VALUE,
+)
+def test_any_field_value_builds_and_runs_or_raises_value_error(name, value):
+    # One field at a time: a bad value in another field would hide it.
+    def shot_ran(*args):
+        raise _ShotRan
+
+    try:
+        config = ExperimentConfig(**{"p_values": (0.01,), name: value})
+    except ValueError:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_run_shot_range", shot_ran)
+        with pytest.raises(_ShotRan):
+            run_experiment(config)
+
+
 def _one_shot_draws(seed, point, shot, code, spec, schedule, correct):
     """The draw source of one shot, a one-shot range of the run's own."""
     width = harness._shot_plan(code, spec, schedule, correct).width
     (draws,) = harness._shot_draws(seed, point, shot, shot + 1, width)
     return draws
-
-
-def test_uncorrected_runs_need_no_atom_per_system_mode():
-    config = ExperimentConfig(
-        (0.01,), shots=8, correction_enabled=False, register=(9, 8, 8)
-    )
-    assert run_experiment(config).points[0].shots == 8
 
 
 def test_noiseless_estimate_is_exactly_minus_one():
@@ -155,15 +178,17 @@ def test_noiseless_estimate_is_exactly_minus_one():
 
 
 def test_pure_reference_noise_is_removed_exactly():
-    config = ExperimentConfig(
-        (1.0,), shots=4, num_error_layers=2, seed=5, layer_schedule=(0, 2)
-    )
-    code, base, schedule = _exchange_start(config)
-    spec = NoiseSpec(1.0, targets=(9, 11))  # bank modes only
-    for shot in range(config.shots):
-        draws = _one_shot_draws(config.seed, 0, shot, code, spec, schedule, True)
-        outcome = run_exchange_shot(base, code, spec, schedule, True, draws)
-        assert outcome == +1
+    # Both layers flip bank modes 9 and 11 alone; the bank count, the six
+    # readouts after each layer and the final readout draw at random.
+    code, base, schedule = _exchange_start(ExperimentConfig((0.5,), num_error_layers=2))
+    spec = NoiseSpec(0.5, include_reference=True)
+    assert harness._shot_plan(code, spec, schedule, True).width == 51
+    layer = _flipping((9, 11), 18)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        rest = rng.random(15).tolist()
+        draws = harness._Draws(layer + rest[:7] + layer + rest[7:])
+        assert run_exchange_shot(base, code, spec, schedule, True, draws) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -254,33 +279,11 @@ def test_first_shots_are_pinned(case, correct, reference):
 
 
 # ---------------------------------------------------------------------------
-# explicit noise targets
-# ---------------------------------------------------------------------------
-
-#: The standard 9+9+9+2 exchange register with its |1,1,0> start.
-_CODE, _BASE, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
-
-
-
-@pytest.mark.parametrize(
-    "targets, match",
-    [((2, 2), "repeat"), ((18,), "outside"), ((40,), "outside"), ((-1,), "outside")],
-)
-def test_bad_noise_targets_fail_before_any_draw(targets, match):
-    spec = NoiseSpec(0.5, targets=targets)
-    with pytest.raises(ValueError, match=match):
-        noise_modes(spec, _BASE.layout)
-    rng = CountingRng(1)
-    with pytest.raises(ValueError, match=match):
-        sample_phase_error_layer(_BASE, spec, rng)
-    with pytest.raises(ValueError, match=match):
-        run_exchange_shot(_BASE, _CODE, spec, (0, 1, 2), True, rng)
-    assert rng.draws == 0
-
-
-# ---------------------------------------------------------------------------
 # the history memo
 # ---------------------------------------------------------------------------
+
+#: The 9+9+9+2 exchange register's code with its |1,1,0> start.
+_CODE, _BASE, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
 
 #: A cap no run in these tests reaches: the memo never starts over.
 _NO_START_OVER = 10**9
@@ -306,14 +309,13 @@ def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
     return out
 
 
-#: (spec fields, schedule, correction): 6 cases x 2 points x 200 shots.
+#: (spec fields, schedule, correction): 5 cases x 2 points x 200 shots.
 #: ``reference_p0.1_5layers`` takes the plan of the five-layer reference run
 #: at p = 0.1, where the memo hits least, and runs it at the test's p values.
 MEMO_CASES = {
     "corrected": ({}, (0, 1, 2), True),
     "uncorrected": ({}, (0, 1, 2), False),
     "reference": ({"include_reference": True}, (0, 1, 2), True),
-    "targets": ({"targets": (0, 4, 8, 9, 13, 17)}, (0, 1, 2), True),
     "schedule": ({}, (3, 0, 0, 2, 1), True),
     "reference_p0.1_5layers": ({"include_reference": True}, (0, 1, 2, 3, 0), True),
 }
@@ -441,8 +443,6 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
 _NOISE_SPECS = st.builds(
     NoiseSpec,
     p=st.floats(0.0, 1.0),
-    targets=st.none()
-    | st.lists(st.integers(0, _BASE.layout.num_fermion_modes - 1), unique=True).map(tuple),
     include_reference=st.booleans(),
 )
 
