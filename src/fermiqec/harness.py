@@ -25,9 +25,9 @@ state at one step of one plan, however many histories reach it: each
 outcome of a node's event leads to the next node, and a repetition-code
 round sends a corrected flip back to the code state, so many error
 histories meet there.  A history seen for the first time builds its state
-and, if a node at the same plan step with the same last outcome holds
-exactly that state (same labels in the same order, equal amplitudes), leads
-to that node.  A node's first visit runs the plain measurement
+and, if a node at the same plan step with the same last outcome holds that
+state (the same labels with equal amplitudes, in whatever order), leads to
+that node.  A node's first visit runs the plain measurement
 (:func:`sample_phase_error_layer`, ``measure_mode_number``,
 ``measure_stabilizer``, ``measure_qubit``); a second visit computes the
 event's outcome probabilities with the ``split_*`` helper that measurement
@@ -35,9 +35,14 @@ calls and keeps them, so a shot that reaches a known state only draws and
 looks up.  Outcomes do not change.  A node's state does not depend on the
 error rate.  Two histories filed under one node carry the same state, step
 and last outcome, which is all a later gate reads (a correction reads the
-block's two readouts), so every later probability, branch and draw is the
-same computation, its amplitudes summed in the same order.  Every event
-takes the draw the plain measurement takes, compared the same way.  The
+block's two readouts).  The order of their entries changes no later number:
+every gate and branch of a plan makes each amplitude from at most two terms,
+chosen by label, and two terms add the same either way round; every
+probability is a ``math.fsum``, exact whatever the order (the bank count
+takes one per count, in ascending count order).  So every later
+probability, branch and draw is the same, up to the sign of a zero part,
+which no probability sees.  Every event takes the draw the plain
+measurement takes, compared the same way.  The
 memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs another
 drops them all and starts over.  At cap 0 it holds nothing, every visit is
 a first one, and the walk is plain Monte-Carlo.
@@ -207,8 +212,9 @@ def _integer(value, what: str) -> int:
 
 #: Most nodes a memo holds before it starts over.  A node's state on the
 #: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange
-#: benchmark call makes at most about 420 nodes, so it never starts over;
-#: its peak RSS was 60.6 MB (exchange_corrected) and 61.3 MB
+#: benchmark call makes at most about 360 nodes (exchange_reference; at
+#: most 162 on exchange_corrected, seeds 0-19), so it never starts over;
+#: its peak RSS was 59.5 MB (exchange_corrected) and 61.6 MB
 #: (exchange_reference), medians of ten runs on a 2-vCPU host.
 _MEMO_CAP = 512
 
@@ -334,7 +340,7 @@ def _shot_plan(
 
 class _Node:
     """One state at one event of a shot plan, reached by any history that
-    leads to exactly this state; whether a shot has been here before, the
+    leads to an equal state; whether a shot has been here before, the
     event's outcome probabilities once a second visit computed them
     (``None`` until then), and the node each outcome leads to."""
 
@@ -354,12 +360,13 @@ class _HistoryMemo:
     ``roots`` leads from a plan's shape to its first node, and a node's
     ``children`` from an outcome to the next node.  A history seen for the
     first time builds its state and looks it up in the state index, keyed
-    on ``(plan shape, step index, last outcome, hash of the state's ordered
-    entries)``: a node there that holds exactly the same entries (labels,
-    order and amplitudes) becomes the end of the new edge, else a new node
-    does.  The index keeps the hash, not the entries, and compares them on
-    a hit.  That compare takes 0.0 and -0.0 as equal; the sign of a zero
-    part never changes the size of a sum or product, so it changes no
+    on ``(plan shape, step index, last outcome, hash of the state's entries
+    as a set)``: a node there whose entries equal the state's as dicts (the
+    same labels and amplitudes, in any order; see the module docstring for
+    why order does not matter) becomes the end of the new edge, else a new
+    node does.  The index keeps the hash, not the entries, and compares
+    them on a hit.  That compare takes 0.0 and -0.0 as equal; the sign of a
+    zero part never changes the size of a sum or product, so it changes no
     probability.  The index holds every node, at most ``cap``: a full memo
     that needs a new node clears it and ``roots`` and starts over, while
     the shot in progress walks on from the node it holds.  Node states do
@@ -395,18 +402,17 @@ class _HistoryMemo:
     ) -> _Node:
         """The node ``children[key]`` leads to.  On a miss, ``make()``
         builds the state, and ``key`` is made to lead to the node already
-        holding exactly that state at ``place`` (plan shape, step index,
-        last outcome), or to a new one if there is none."""
+        holding an equal state at ``place`` (plan shape, step index, last
+        outcome), or to a new one if there is none."""
         node = children.get(key)
         if node is not None:
             return node
         state = make()
         if self.cap == 0:
             return _Node(state)
-        entries = tuple(state.entries.items())
-        place = (*place, hash(entries))
+        place = (*place, hash(frozenset(state.entries.items())))
         node = self._states.get(place)
-        if node is None or tuple(node.state.entries.items()) != entries:
+        if node is None or node.state.entries != state.entries:
             if len(self._states) >= self.cap:
                 # in place: ``children`` may be ``roots`` itself
                 self._states.clear()
@@ -685,8 +691,11 @@ def run_experiment(
     exchange_corrected --trace 1`` is 0.60-0.75, as starting the pool
     costs more than the shots.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    if not isinstance(confidence, numbers.Real) or not 0.0 < confidence < 1.0:
+        raise ValueError(
+            f"confidence must be a real number in (0, 1), got {confidence!r}"
+        )
+    threads = _integer(threads, "threads")
     if threads < 1:
         raise ValueError("threads must be positive")
     t0 = time.perf_counter()

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import functools
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -91,47 +93,55 @@ def test_reference_flips_agree_between_representations():
     assert difference_norm(compress(phys), comp) < 1e-13
 
 
-#: Each bad setting and the error it raises.
-BAD_CONFIGS = [
-    ({"shots": 0}, "shots must be positive"),
-    ({"p_values": (1.5,)}, r"lie in \[0, 1\]"),
-    ({"p_values": (0.01, -0.1)}, r"lie in \[0, 1\]"),
-    ({"seed": -1}, "seed must be non-negative"),
-    ({"num_error_layers": -1}, "num_error_layers must be non-negative"),
-    ({"p_values": 0.01}, "need a tuple of at least one error probability"),
-    ({"p_values": (True,)}, "must be real numbers"),
-    ({"p_values": (0.01, False)}, "must be real numbers"),
-    ({"shots": True}, "shots must be an integer"),
-    ({"seed": True}, "seed must be an integer"),
-    ({"num_error_layers": True}, "num_error_layers must be an integer"),
-    ({"p_values": ()}, "at least one error probability"),
-    ({"threads": 0}, "threads must be positive"),
-    ({"threads": -4}, "threads must be positive"),
-    ({"p_values": 1}, "need a tuple"),
-    ({"shots": 2.5}, "shots must be an integer"),
-    ({"num_error_layers": 2.5}, "num_error_layers must be an integer"),
-    ({"seed": 1.5}, "seed must be an integer"),
-    ({"correction_enabled": "no"}, "correction_enabled must be True or False"),
-    ({"include_reference_errors": 1}, "include_reference_errors must be True or False"),
-    ({"p_values": ("0.01",)}, "must be real numbers"),
-    ({"p_values": (0.01, None)}, "must be real numbers"),
-]
+#: Each bad setting and the error it raises, by case id.  A row keeps its id
+#: for good, so deleting one renames no other case; rows added later are
+#: named by their fields.
+BAD_CONFIGS = {
+    "fields0": ({"shots": 0}, "shots must be positive"),
+    "fields1": ({"p_values": (1.5,)}, r"lie in \[0, 1\]"),
+    "fields2": ({"p_values": (0.01, -0.1)}, r"lie in \[0, 1\]"),
+    "fields3": ({"seed": -1}, "seed must be non-negative"),
+    "fields4": ({"num_error_layers": -1}, "num_error_layers must be non-negative"),
+    "fields5": ({"p_values": 0.01}, "need a tuple of at least one error probability"),
+    "fields6": ({"p_values": (True,)}, "must be real numbers"),
+    "fields7": ({"p_values": (0.01, False)}, "must be real numbers"),
+    "fields8": ({"shots": True}, "shots must be an integer"),
+    "fields9": ({"seed": True}, "seed must be an integer"),
+    "fields10": ({"num_error_layers": True}, "num_error_layers must be an integer"),
+    "fields11": ({"p_values": ()}, "at least one error probability"),
+    "fields12": ({"threads": 0}, "threads must be positive"),
+    "fields13": ({"threads": -4}, "threads must be positive"),
+    "fields14": ({"p_values": 1}, "need a tuple"),
+    "fields15": ({"shots": 2.5}, "shots must be an integer"),
+    "fields16": ({"num_error_layers": 2.5}, "num_error_layers must be an integer"),
+    "fields17": ({"seed": 1.5}, "seed must be an integer"),
+    "fields18": (
+        {"correction_enabled": "no"}, "correction_enabled must be True or False"
+    ),
+    "fields19": (
+        {"include_reference_errors": 1}, "include_reference_errors must be True or False"
+    ),
+    "fields20": ({"p_values": ("0.01",)}, "must be real numbers"),
+    "fields21": ({"p_values": (0.01, None)}, "must be real numbers"),
+    "threads=True": ({"threads": True}, "threads must be an integer"),
+    "threads=2.5": ({"threads": 2.5}, "threads must be an integer"),
+    "confidence='0.9'": ({"confidence": "0.9"}, "confidence must be a real number"),
+}
+
+#: ``run_experiment`` arguments a row may set besides the config's fields.
+_RUN_ARGUMENTS = ("threads", "confidence")
 
 
-@pytest.mark.parametrize(
-    "fields, match",
-    BAD_CONFIGS,
-    ids=[f"fields{i}" for i in range(len(BAD_CONFIGS))],
-)
+@pytest.mark.parametrize("fields, match", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
 def test_bad_config_fails_before_any_shot(monkeypatch, fields, match):
     def no_shots(*args):
         raise AssertionError("a shot ran before the config was checked")
 
     monkeypatch.setattr(harness, "_run_shot_range", no_shots)
     fields = {"p_values": (0.01,), "shots": 64, **fields}
-    threads = fields.pop("threads", 1)  # a run_experiment argument, not a field
+    arguments = {name: fields.pop(name) for name in _RUN_ARGUMENTS if name in fields}
     with pytest.raises(ValueError, match=match):
-        run_experiment(ExperimentConfig(**fields), threads=threads)
+        run_experiment(ExperimentConfig(**fields), **arguments)
 
 
 class _ShotRan(Exception):
@@ -334,9 +344,10 @@ def test_memo_leaves_every_outcome_unchanged(case):
 
 
 def test_memo_holds_no_more_than_its_cap():
+    # At p = 0.1 300 shots make more nodes than the cap holds.
     capped, tiny, uncapped = _memo(), _memo(2), _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
-        _outcomes(memo, {}, (0, 1, 2), True, (0.05,), 300)
+        _outcomes(memo, {}, (0, 1, 2), True, (0.1,), 300)
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP < len(uncapped)
     # a full memo that needs one more node starts over with that node alone
@@ -393,19 +404,30 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     edges = {}
     first = memo.node(edges, "a", lambda: _BASE, place)
     assert memo.node(edges, "a", None, place) is first  # a hit builds nothing
-    assert memo.node(edges, "b", lambda: _BASE.copy(), place) is first
-    assert edges == {"a": first, "b": first}
-    for other in (("other", 0, None), ("shape", 1, None), ("shape", 0, 1)):
-        assert memo.node(edges, other, lambda: _BASE, other) is not first
     entries = list(_BASE.entries.items())
     label, amp = entries[0]
-    unequal = {
-        "reordered": dict(entries[::-1]),
-        "nudged": {**_BASE.entries, label: amp * (1 + 2**-52)},
-    }
-    for name, changed in unequal.items():
-        state = SparseState(_BASE.layout, changed, _BASE.compressed)
-        assert memo.node(edges, name, lambda: state, place) is not first
+    reordered = SparseState(_BASE.layout, dict(entries[::-1]), _BASE.compressed)
+    nudged = {**_BASE.entries, label: amp * (1 + 2**-52)}
+    nudged = SparseState(_BASE.layout, nudged, _BASE.compressed)
+    assert list(reordered.entries) != list(_BASE.entries)
+    # the same labels and amplitudes share the node, whatever their order
+    for name, state in (("b", _BASE.copy()), ("reordered", reordered)):
+        assert memo.node(edges, name, lambda: state, place) is first
+    assert edges == {"a": first, "b": first, "reordered": first}
+    assert memo.node(edges, "nudged", lambda: nudged, place) is not first
+    # another plan shape, step or last outcome never does
+    for other in (("other", 0, None), ("shape", 1, None), ("shape", 0, 1)):
+        node = memo.node(edges, (other, "a"), lambda: _BASE, other)
+        assert node is not first
+        assert memo.node(edges, (other, "reordered"), lambda: reordered, other) is node
+
+
+def test_a_fresh_corrected_call_makes_few_nodes():
+    # One 256-shot call at corrected p = 0.01, seed 0, as a run makes it:
+    # 299 nodes while nodes merged only states in the same entry order.
+    memo = _memo(_NO_START_OVER)
+    _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 256)
+    assert len(memo) < 200
 
 
 def test_a_memo_serves_only_its_own_base_and_code():
@@ -492,6 +514,51 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(plans, shots):
             for m in memos
         }
         assert len(outcomes) == 1, (plan, seed)
+
+
+@functools.cache
+def _warm_nodes(case):
+    """The plan of ``MEMO_CASES[case]`` and, by step index, the ``(last
+    outcome, state)`` of every node a memo holds after 30 shots at each of
+    p = 0.05 and 0.2."""
+    spec_fields, schedule, correct = MEMO_CASES[case]
+    memo = _memo(_NO_START_OVER)
+    _outcomes(memo, spec_fields, schedule, correct, (0.05, 0.2), 30)
+    by_step = {}
+    for (_, index, last, _), node in memo._states.items():
+        by_step.setdefault(index, []).append((last, node.state))
+    return memo.plan(NoiseSpec(0.05, **spec_fields), schedule, correct), by_step
+
+
+@given(case=st.sampled_from(sorted(MEMO_CASES)), seed=st.integers(0, 2**32))
+def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
+    # Why nodes merge by content: a memo state and a copy with its entries
+    # in another order give the same odds and, after every outcome and the
+    # gates that follow, states with the same labels and amplitudes.
+    plan, by_step = _warm_nodes(case)
+    rnd = random.Random(seed)
+    modes = noise_modes(NoiseSpec(0.0, **MEMO_CASES[case][0]), _CODE.layout)
+    for index, step in enumerate(plan.steps):
+        last, state = rnd.choice(by_step[index])
+        entries = list(state.entries.items())
+        rnd.shuffle(entries)
+        odds, branch = step.split(state)
+        permuted_odds, permuted_branch = step.split(
+            SparseState(state.layout, dict(entries), state.compressed)
+        )
+        assert permuted_odds == odds, index
+        if odds is None:  # an error layer: any flips
+            outcomes = [tuple(m for m in modes if rnd.random() < 0.2) for _ in range(3)]
+        elif isinstance(odds, dict):  # the bank count
+            outcomes = list(odds)
+        else:  # a readout: the signs it can give
+            outcomes = [o for o, q in ((1, odds), (-1, 1 - odds)) if q > 0]
+        for outcome in outcomes:
+            after = [
+                harness._settle(b(outcome), step.gates, (last, outcome)).entries
+                for b in (branch, permuted_branch)
+            ]
+            assert after[0] == after[1], (index, outcome)
 
 
 # ---------------------------------------------------------------------------
