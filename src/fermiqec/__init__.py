@@ -43,9 +43,7 @@ from .gates import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    NoiseSpec,
     PointResult,
-    run_exchange_shot,
     run_experiment,
     sample_phase_error_layer,
 )

@@ -145,15 +145,12 @@ def _csv_text(config: ExperimentConfig, result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_record(
-    config: ExperimentConfig, confidence: float, result: ExperimentResult
-) -> dict:
+def _run_record(config: ExperimentConfig, result: ExperimentResult) -> dict:
     cfg = asdict(config)
     cfg["p_values"] = list(config.p_values)
     # the same for every run; kept until the output digests are re-recorded
     cfg["register"] = list(EXCHANGE_REGISTER)
     cfg["layer_schedule"] = None
-    cfg["confidence"] = confidence
     return {
         "command": "exchange",
         "version": __version__,
@@ -172,9 +169,10 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         correction_enabled=args.correct,
         include_reference_errors=args.reference_errors,
         seed=args.seed,
+        confidence=args.confidence,
     )
-    result = run_experiment(config, confidence=args.confidence, threads=args.threads)
-    pct = 100.0 * args.confidence
+    result = run_experiment(config, threads=args.threads)
+    pct = 100.0 * config.confidence
     for pt in result.points:
         print(
             f"p={pt.p:g}  estimate={pt.estimate:+.6f}  "
@@ -188,7 +186,7 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     if args.json_out:
         with open(args.json_out, "w", newline="") as fh:
             fh.write(
-                json.dumps(_run_record(config, args.confidence, result), indent=2, sort_keys=True)
+                json.dumps(_run_record(config, result), indent=2, sort_keys=True)
                 + "\n"
             )
     return 0

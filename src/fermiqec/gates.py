@@ -472,8 +472,9 @@ def split_mode_number(
     """Probabilities and branch of an atom-number readout on ``modes``:
     ``(probs, branch)`` with ``probs`` mapping each count present, in
     ascending order, to its probability, and ``branch(count)`` the
-    renormalized projection onto that count.  Works on both representations
-    (implied reference occupations included)."""
+    renormalized projection onto that count; it raises on a count of zero
+    probability.  Works on both representations (implied reference
+    occupations included)."""
     mode_list = sorted(set(modes))
     if not mode_list:
         raise ValueError("need at least one mode to measure")
@@ -492,7 +493,10 @@ def split_mode_number(
     probs = {cnt: math.fsum(by_count[cnt]) / total for cnt in sorted(by_count)}
 
     def branch(selected: int) -> SparseState:
-        scale = 1.0 / math.sqrt(probs[selected] * total)
+        p_sel = probs.get(selected, 0.0)
+        if p_sel <= 0.0:
+            raise ValueError("selected a zero-probability branch")
+        scale = 1.0 / math.sqrt(p_sel * total)
         return apply_map(
             state, lambda l: ((l, scale),) if count_of[l] == selected else ()
         )

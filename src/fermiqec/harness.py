@@ -8,7 +8,9 @@ in the noiseless case; phase errors push it up, and the deviation epsilon
 scales linearly in the error rate without correction and quadratically with
 the repetition-code rounds enabled.  Every run uses one register,
 :data:`EXCHANGE_REGISTER`, and cycles its error layers through the four
-slots before each tunneling and before the readout.
+slots before each tunneling and before the readout.  Its
+:class:`ExperimentConfig` is the one description of a run: the shots of a
+worker share one memo built from it, with one shot plan per error rate.
 
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
@@ -16,26 +18,26 @@ shot]))``, so results are independent of how shots are distributed over
 worker processes.  :func:`_shot_draws` seeds a block of shots at once and
 draws each shot's doubles in one call; the steps read them in order.
 
-A shot is a walk over a fixed list of steps (:func:`_shot_plan`): gates,
-which map a state to a state, and events, which draw an outcome from
-probabilities that the state fixes (an error layer's flips, the bank atom
-count, a stabilizer readout, the final y-basis readout).  The walk runs over
-a memo (:class:`_HistoryMemo`), a graph whose nodes are states, one per
-state at one step of one plan, however many histories reach it: each
-outcome of a node's event leads to the next node, and a repetition-code
-round sends a corrected flip back to the code state, so many error
-histories meet there.  A history seen for the first time builds its state
-and, if a node at the same plan step with the same last outcome holds that
-state (the same labels with equal amplitudes, in whatever order), leads to
-that node.  A node's first visit runs the plain measurement
+A shot is a walk over the fixed list of steps of its error rate's plan
+(:func:`_shot_plan`): gates, which map a state to a state, and events,
+which draw an outcome from probabilities that the state fixes (an error
+layer's flips, the bank atom count, a stabilizer readout, the final y-basis
+readout).  The walk runs over a memo (:class:`_HistoryMemo`), a graph whose
+nodes are states, one per state at one step, however many histories reach
+it: each outcome of a node's event leads to the next node, and a
+repetition-code round sends a corrected flip back to the code state, so
+many error histories meet there.  A history seen for the first time builds
+its state and, if a node at the same step with the same last outcome holds
+that state (the same labels with equal amplitudes, in whatever order),
+leads to that node.  A node's first visit runs the plain measurement
 (:func:`sample_phase_error_layer`, ``measure_mode_number``,
 ``measure_stabilizer``, ``measure_qubit``); a second visit computes the
 event's outcome probabilities with the ``split_*`` helper that measurement
 calls and keeps them, so a shot that reaches a known state only draws and
 looks up.  Outcomes do not change.  A node's state does not depend on the
-error rate.  Two histories filed under one node carry the same state, step
-and last outcome, which is all a later gate reads (a correction reads the
-block's two readouts).  The order of their entries changes no later number:
+error rate, so the plans of every rate walk the same nodes.  Two histories
+filed under one node carry the same state, step and last outcome, which is
+all a later gate reads (a correction reads the block's two readouts).  The order of their entries changes no later number:
 every gate and branch of a plan makes each amplitude from at most two terms,
 chosen by label, and two terms add the same either way round; every
 probability is a ``math.fsum``, exact whatever the order (the bank count
@@ -81,13 +83,11 @@ from .states import SparseState, apply_map
 from .stats import clopper_pearson
 
 __all__ = [
-    "NoiseSpec",
     "noise_modes",
     "sample_phase_error_layer",
     "ExperimentConfig",
     "PointResult",
     "ExperimentResult",
-    "run_exchange_shot",
     "run_experiment",
     "EXCHANGE_PAIRS",
     "EXCHANGE_REGISTER",
@@ -103,19 +103,10 @@ _INTERFEROMETER = 0  # ancilla carrying the exchange phase
 _GADGET = 1  # ancilla reserved for in-shot correction machinery
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Single-mode pi phase flips, each firing independently with
-    probability ``p`` per layer, on the system modes, plus the reference
-    modes when ``include_reference`` is set."""
-
-    p: float
-    include_reference: bool = False
-
-
-def noise_modes(spec: NoiseSpec, layout: RegisterLayout) -> tuple[int, ...]:
-    """The modes an error layer draws for, ascending."""
-    last = layout.num_fermion_modes if spec.include_reference else layout.num_system_modes
+def noise_modes(layout: RegisterLayout, include_reference: bool) -> tuple[int, ...]:
+    """The modes an error layer draws for, ascending: the system modes,
+    plus the reference modes when ``include_reference`` is set."""
+    last = layout.num_fermion_modes if include_reference else layout.num_system_modes
     return tuple(range(last))
 
 
@@ -143,15 +134,16 @@ def _apply_flips(state: SparseState, flipped: tuple[int, ...]) -> SparseState:
 
 
 def sample_phase_error_layer(
-    state: SparseState, spec: NoiseSpec, rng: np.random.Generator
+    state: SparseState, p: float, modes: tuple[int, ...], rng: np.random.Generator
 ) -> tuple[SparseState, tuple[int, ...]]:
-    """One error layer: a draw per target mode (ascending, system before
-    reference), then a single diagonal pass applying the sampled flips.
+    """One error layer: a single-mode pi phase flip on each of ``modes``
+    (ascending), each firing independently with probability ``p``; a draw
+    per mode, then a single diagonal pass applying the sampled flips.
 
     Draws are consumed even at p = 0 so rng streams stay aligned across
     noise settings.  Returns ``state`` itself when nothing flipped.
     """
-    flipped = _draw_flips(noise_modes(spec, state.layout), spec.p, rng)
+    flipped = _draw_flips(modes, p, rng)
     return _apply_flips(state, flipped), flipped
 
 
@@ -162,9 +154,9 @@ def sample_phase_error_layer(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One exchange run on :data:`EXCHANGE_REGISTER`, its error layers in
-    the default cycle of slots.  The fields are checked here, before any
-    shot."""
+    """One exchange run on :data:`EXCHANGE_REGISTER`, its error layers
+    cycling through the four slots, and the confidence of its intervals.
+    The fields are checked here, before any shot."""
 
     p_values: tuple[float, ...]
     shots: int = 100_000
@@ -172,6 +164,7 @@ class ExperimentConfig:
     correction_enabled: bool = True
     include_reference_errors: bool = False
     seed: int = 0
+    confidence: float = 0.99
 
     def __post_init__(self) -> None:
         for name in ("seed", "shots", "num_error_layers"):
@@ -195,6 +188,11 @@ class ExperimentConfig:
                 raise ValueError(f"error probabilities must be real numbers, got {p!r}")
         if not all(0.0 <= p <= 1.0 for p in self.p_values):
             raise ValueError("error probabilities must lie in [0, 1]")
+        confidence = self.confidence
+        if not isinstance(confidence, numbers.Real) or not 0.0 < confidence < 1.0:
+            raise ValueError(
+                f"confidence must be a real number in (0, 1), got {confidence!r}"
+            )
 
 
 def _integer(value, what: str) -> int:
@@ -241,12 +239,12 @@ class _Step(NamedTuple):
     gates: tuple[_Gate, ...]
 
 
-def _error_layer(spec: NoiseSpec, modes: tuple[int, ...]) -> tuple:
+def _error_layer(p: float, modes: tuple[int, ...]) -> tuple:
     """``(measure, split, pick)`` of an error layer."""
     return (
-        lambda s, rng: sample_phase_error_layer(s, spec, rng)[::-1],
+        lambda s, rng: sample_phase_error_layer(s, p, modes, rng)[::-1],
         lambda s: (None, functools.partial(_apply_flips, s)),
-        lambda _, rng: _draw_flips(modes, spec.p, rng),
+        lambda _, rng: _draw_flips(modes, p, rng),
     )
 
 
@@ -287,25 +285,21 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
 
 class _Plan(NamedTuple):
     """One shot: ``head``, the gates before the first event, then
-    ``steps``, each event with the gates after it.  ``shape`` tells plans
-    with the same steps (whatever their p) from others.
-    ``width`` is the number of doubles a shot draws: each error layer
-    draws one per noise mode, every other event one."""
+    ``steps``, each event with the gates after it.  ``width`` is the number
+    of doubles a shot draws: each error layer draws one per noise mode,
+    every other event one."""
 
-    shape: tuple
     head: tuple[_Gate, ...]
     steps: tuple[_Step, ...]
     width: int
 
 
-def _shot_plan(
-    code: RepetitionCode,
-    spec: NoiseSpec,
-    schedule: tuple[int, ...],
-    correction_enabled: bool,
-) -> _Plan:
-    """The :class:`_Plan` of one shot."""
-    modes = noise_modes(spec, code.layout)
+def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Plan:
+    """The :class:`_Plan` of one shot of ``config`` at error rate ``p``.
+    Slots 0..2 precede the three tunnelings and slot 3 the final readout;
+    error layer ``i`` goes in slot ``i % 4``."""
+    reference = config.include_reference_errors
+    modes = noise_modes(code.layout, reference)
     head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
     steps: list[tuple] = []
     gates = head
@@ -317,12 +311,12 @@ def _shot_plan(
         width += draws
         steps.append((measure, split, pick, gates))
 
-    layer = _error_layer(spec, modes)
+    layer = _error_layer(p, modes)
     for slot in range(4):
-        for _ in range(schedule.count(slot)):
+        for _ in range(slot, config.num_error_layers, 4):
             event(*layer, len(modes))
-            if correction_enabled:
-                if spec.include_reference:
+            if config.correction_enabled:
+                if reference:
                     event(*_BANK_COUNT)
                     gates.append(lambda s, _: recover_codespace(s, code))
                 for block in range(code.num_blocks):
@@ -333,9 +327,8 @@ def _shot_plan(
             gates.append(_tunnel(code, *EXCHANGE_PAIRS[slot]))
     gates.append(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
     event(*_FINAL_READOUT)
-    shape = (schedule, correction_enabled, spec.include_reference)
     steps = tuple(_Step(*e, tuple(g)) for *e, g in steps)
-    return _Plan(shape, tuple(head), steps, width)
+    return _Plan(tuple(head), steps, width)
 
 
 class _Node:
@@ -354,56 +347,55 @@ class _Node:
 
 
 class _HistoryMemo:
-    """Nodes of exchange shots from one ``base`` and ``code``, and the shot
-    plans that walk them.
+    """The nodes of one run's shots, which all follow ``config`` and start
+    from ``base`` on ``code``, and the shot plan of each error rate.
 
-    ``roots`` leads from a plan's shape to its first node, and a node's
-    ``children`` from an outcome to the next node.  A history seen for the
-    first time builds its state and looks it up in the state index, keyed
-    on ``(plan shape, step index, last outcome, hash of the state's entries
-    as a set)``: a node there whose entries equal the state's as dicts (the
-    same labels and amplitudes, in any order; see the module docstring for
-    why order does not matter) becomes the end of the new edge, else a new
-    node does.  The index keeps the hash, not the entries, and compares
-    them on a hit.  That compare takes 0.0 and -0.0 as equal; the sign of a
-    zero part never changes the size of a sum or product, so it changes no
-    probability.  The index holds every node, at most ``cap``: a full memo
-    that needs a new node clears it and ``roots`` and starts over, while
-    the shot in progress walks on from the node it holds.  Node states do
-    not depend on p, so one memo serves every error rate:
-    :func:`_run_shot_range` shares one across all points of a task.
-    ``cap=0`` keeps no node.
+    ``roots`` leads to the first node, and a node's ``children`` from an
+    outcome to the next node.  A history seen for the first time builds its
+    state and looks it up in the state index, keyed on ``(step index, last
+    outcome, hash of the state's entries as a set)``: a node there whose
+    entries equal the state's as dicts (the same labels and amplitudes, in
+    any order; see the module docstring for why order does not matter)
+    becomes the end of the new edge, else a new node does.  The index keeps
+    the hash, not the entries, and compares them on a hit.  That compare
+    takes 0.0 and -0.0 as equal; the sign of a zero part never changes the
+    size of a sum or product, so it changes no probability.  The index
+    holds every node, at most ``cap``: a full memo that needs a new node
+    clears it and ``roots`` and starts over, while the shot in progress
+    walks on from the node it holds.  Node states do not depend on p, so
+    the plans of every error rate walk the same nodes.  ``cap=0`` keeps no
+    node.
     """
 
-    def __init__(self, base: SparseState, code: RepetitionCode, cap: int = _MEMO_CAP):
+    def __init__(
+        self, config: ExperimentConfig, code: RepetitionCode, base: SparseState, cap: int
+    ):
         if cap < 0:
             raise ValueError("memo cap must be non-negative")
-        self.base = base
+        self.config = config
         self.code = code
+        self.base = base
         self.cap = cap
-        self.roots: dict[tuple, _Node] = {}
+        self.roots: dict[None, _Node] = {}
         self._states: dict[tuple, _Node] = {}
-        self._plans: dict[tuple, tuple] = {}
+        self._plans: dict[float, _Plan] = {}
 
     def __len__(self) -> int:
         return len(self._states)
 
-    def plan(
-        self, spec: NoiseSpec, schedule: tuple[int, ...], correction_enabled: bool
-    ) -> _Plan:
-        """The :func:`_shot_plan` for these settings, built once."""
-        key = (spec, schedule, correction_enabled)
-        if key not in self._plans:
-            self._plans[key] = _shot_plan(self.code, spec, schedule, correction_enabled)
-        return self._plans[key]
+    def plan(self, p: float) -> _Plan:
+        """The :func:`_shot_plan` at error rate ``p``, built once."""
+        if p not in self._plans:
+            self._plans[p] = _shot_plan(self.code, self.config, p)
+        return self._plans[p]
 
     def node(
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
     ) -> _Node:
         """The node ``children[key]`` leads to.  On a miss, ``make()``
         builds the state, and ``key`` is made to lead to the node already
-        holding an equal state at ``place`` (plan shape, step index, last
-        outcome), or to a new one if there is none."""
+        holding an equal state at ``place`` (step index, last outcome), or
+        to a new one if there is none."""
         node = children.get(key)
         if node is not None:
             return node
@@ -442,42 +434,30 @@ def _branch(
     return _settle(branch(outcome), step.gates, syndrome)
 
 
-def run_exchange_shot(
-    base: SparseState,
-    code: RepetitionCode,
-    spec: NoiseSpec,
-    schedule: tuple[int, ...],
-    correction_enabled: bool,
-    rng: np.random.Generator,
-    memo: _HistoryMemo | None = None,
-) -> int:
-    """One interferometry shot; returns the y-basis outcome (+1 or -1).
+def run_exchange_shot(memo: _HistoryMemo, p: float, rng: np.random.Generator) -> int:
+    """One interferometry shot of ``memo``'s config at error rate ``p``;
+    returns the y-basis outcome (+1 or -1).
 
-    ``base`` is the prepared |1,1,0> logical state without ancilla
-    activity.  Error layers fire at their scheduled slots; with correction
-    enabled each layer is followed by a full round, preceded by a bank
-    number measurement plus re-encoding when the layer can dephase the
-    reference.  That re-encoding is exact for reference phases alone; a
+    The shot starts from ``memo.base``, the prepared |1,1,0> logical state
+    without ancilla activity.  Error layers cycle through their slots; with
+    correction enabled each layer is followed by a full round, preceded by
+    a bank number measurement plus re-encoding when the layer can dephase
+    the reference.  That re-encoding is exact for reference phases alone; a
     system flip landing in the same layer aliases under it, so mixed
     layers are only approximately corrected (the combined error set fails
     the exact-correctability conditions).
 
     ``rng`` is a numpy generator or a shot's draw source from
     :func:`_shot_draws`; the shot takes its plan's ``width`` doubles.
-    ``memo`` (made for this ``base`` and ``code``) caches the states and
-    probabilities of states reached before, by this history or another;
-    without one nothing is cached.
-    The outcome is the same either way.
+    ``memo`` caches the states and probabilities of states reached before,
+    by this history or another; at cap 0 it caches nothing.  The outcome is
+    the same either way.
     """
-    if memo is None:
-        memo = _HistoryMemo(base, code, 0)
-    elif memo.base is not base or memo.code is not code:
-        raise ValueError("a history memo serves only the base and code it was made for")
-    shape, head, steps, _ = memo.plan(spec, tuple(schedule), correction_enabled)
-    children, key, last = memo.roots, shape, None
-    make = functools.partial(_settle, base, head, ())
+    head, steps, _ = memo.plan(p)
+    children, key, last = memo.roots, None, None
+    make = functools.partial(_settle, memo.base, head, ())
     for index, step in enumerate(steps):
-        node = memo.node(children, key, make, (shape, index, last))
+        node = memo.node(children, key, make, (index, last))
         if node.seen:
             branch = None
             if node.odds is None:
@@ -637,32 +617,25 @@ def _shot_draws(
         start = end
 
 
-def _exchange_start(
-    config: ExperimentConfig,
-) -> tuple[RepetitionCode, SparseState, tuple[int, ...]]:
-    """The code, the compressed |1,1,0> base state and the layer schedule
-    that every shot of ``config`` starts from.  Slots 0..2 precede the three
-    tunnelings and slot 3 the final readout; the layers cycle through them."""
+def _exchange_start() -> tuple[RepetitionCode, SparseState]:
+    """The code and the compressed |1,1,0> base state that every exchange
+    shot starts from."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
-    base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    return code, base, tuple(i % 4 for i in range(config.num_error_layers))
+    return code, logical_basis_state(code, (1, 1, 0), compressed=True)
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
-    picklable work unit; the code and its label-map memos serve them all)."""
-    code, base, schedule = _exchange_start(config)
-    memo = _HistoryMemo(base, code)  # states do not depend on p: one for all points
+    picklable work unit; the code, its label-map memos and one history
+    memo serve them all)."""
+    code, base = _exchange_start()
+    memo = _HistoryMemo(config, code, base, _MEMO_CAP)
     counts = []
     for point_index, p in enumerate(config.p_values):
-        spec = NoiseSpec(p, include_reference=config.include_reference_errors)
-        width = memo.plan(spec, schedule, config.correction_enabled).width
+        width = memo.plan(p).width
         minus = 0
         for draws in _shot_draws(config.seed, point_index, start, stop, width):
-            outcome = run_exchange_shot(
-                base, code, spec, schedule, config.correction_enabled, draws, memo
-            )
-            if outcome < 0:
+            if run_exchange_shot(memo, p, draws) < 0:
                 minus += 1
         counts.append(minus)
     return counts
@@ -675,13 +648,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_experiment(
-    config: ExperimentConfig, confidence: float = 0.99, threads: int = 1
-) -> ExperimentResult:
-    """Run every noise point; estimate = -<Y> with an exact binomial CI.
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+    """Run every noise point; estimate = -<Y> with an exact binomial CI at
+    ``config.confidence``.
 
-    ``threads`` only sets how many processes share the shots, each taking a
-    contiguous shot range of every point with a history memo of its own;
+    The shots of a worker share one history memo, built from ``config``,
+    with one shot plan per error rate.  ``threads`` only sets how many
+    processes share the shots, each taking a contiguous shot range of
+    every point with a history memo of its own;
     the per-shot seeding makes the counts — and therefore every number in
     the result — identical for any worker count.  No more workers start
     than there are shots or CPUs this process may use.  Fan-out does not
@@ -691,10 +665,6 @@ def run_experiment(
     exchange_corrected --trace 1`` is 0.60-0.75, as starting the pool
     costs more than the shots.
     """
-    if not isinstance(confidence, numbers.Real) or not 0.0 < confidence < 1.0:
-        raise ValueError(
-            f"confidence must be a real number in (0, 1), got {confidence!r}"
-        )
     threads = _integer(threads, "threads")
     if threads < 1:
         raise ValueError("threads must be positive")
@@ -712,7 +682,7 @@ def run_experiment(
     for p, *counts in zip(config.p_values, *parts):
         minus = sum(counts)
         estimate = (2 * minus - config.shots) / config.shots
-        lo, hi = clopper_pearson(minus, config.shots, confidence)
+        lo, hi = clopper_pearson(minus, config.shots, config.confidence)
         points.append(
             PointResult(p, config.shots, minus, estimate, 2 * lo - 1, 2 * hi - 1)
         )

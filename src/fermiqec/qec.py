@@ -129,6 +129,7 @@ def split_stabilizer(
     """Probabilities and branch of one block stabilizer readout:
     ``(p_plus, branch)`` with ``p_plus`` the probability of outcome +1, the
     (1 + S)/2 branch, and ``branch(outcome)`` the renormalized post state.
+    The branch raises on a zero-probability outcome.
 
     A physical state runs the gadget: it entangles ``ancilla`` via two
     controlled pi/2 Majorana rotations (higher mode first, split by
@@ -158,12 +159,13 @@ def split_stabilizer(
 
     def branch(outcome: int) -> SparseState:
         if outcome > 0:
-            return scale_state(plus, 1.0 / math.sqrt(p_plus * total))
-        minus = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
-        p_minus = minus.norm_sq() / total
-        if p_minus <= 0.0:
+            part, p_sel = plus, p_plus
+        else:
+            part = add_states(state, plus, 1.0, -1.0)  # (1 - S)/2 = 1 - (1 + S)/2
+            p_sel = part.norm_sq() / total
+        if p_sel <= 0.0:
             raise ValueError("selected a zero-probability branch")
-        return scale_state(minus, 1.0 / math.sqrt(p_minus * total))
+        return scale_state(part, 1.0 / math.sqrt(p_sel * total))
 
     return p_plus, branch
 

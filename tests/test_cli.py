@@ -99,6 +99,14 @@ def test_exchange_writes_csv_and_json(tmp_path, capsys):
     assert record["results"][0]["count_minus"] == 0
 
 
+def test_exchange_records_its_confidence(tmp_path, capsys):
+    json_path = tmp_path / "run.json"
+    argv = ["exchange", "--p", "0", "--shots", "2", "--confidence", "0.9"]
+    assert main([*argv, "--json", str(json_path)]) == 0
+    assert "90% CI" in capsys.readouterr().out
+    assert json.loads(json_path.read_text())["config"]["confidence"] == 0.9
+
+
 def test_exchange_uncorrected_label(capsys):
     assert main(["exchange", "--p", "0", "--shots", "2", "--no-correct"]) == 0
     assert "uncorrected" in capsys.readouterr().out

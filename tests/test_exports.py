@@ -1,9 +1,11 @@
 """Every exported name exists and is used outside its own module's exports.
 Every function and method in ``src/`` is read, and every parameter default
 and record field default is overridden in some call, by code in ``src/``
-or ``bench/``: an option that only tests set has no caller.  Every function
-the benchmark tracer wraps by name still resolves, and an exchange run
-still calls what it wraps."""
+or ``bench/``: an option that only tests set has no caller.  Calls match a
+def by name, so no name in ``src/`` is both a method and a function, and
+only ``x.name(...)`` calls count for a method.  Every function the
+benchmark tracer wraps by name still resolves, and an exchange run still
+calls what it wraps."""
 
 import ast
 import importlib
@@ -115,19 +117,41 @@ def _passed(call: ast.Call, params: list[str]) -> set[str]:
     return {*params[: len(call.args)], *(k.arg for k in call.keywords)}
 
 
-def _calls() -> dict[str, list[ast.Call]]:
-    """Every call in ``src/`` or ``bench/``, by the callee's name:
-    ``f(...)`` or ``x.f(...)``, and ``Cls(...)`` for ``Cls.__init__``."""
-    calls: dict[str, list[ast.Call]] = {}
+def test_no_name_is_both_a_method_and_a_function():
+    # A method's calls would count for a function of its name, or the
+    # other way round.
+    kinds: dict[str, set[bool]] = {}
+    for _, fn, is_method in _defs():
+        kinds.setdefault(fn.name, set()).add(is_method)
+    assert not sorted(name for name, kind in kinds.items() if len(kind) == 2)
+
+
+def _calls() -> dict[tuple[str, bool], list[ast.Call]]:
+    """Every call in ``src/`` or ``bench/``, by the callee's name and
+    whether it is an attribute: ``(f, False)`` for ``f(...)`` and ``(f,
+    True)`` for ``x.f(...)``."""
+    calls: dict[tuple[str, bool], list[ast.Call]] = {}
     for path in USERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
-                calls.setdefault(name, []).append(node)
+                if isinstance(node.func, ast.Attribute):
+                    key = (node.func.attr, True)
+                else:
+                    key = (getattr(node.func, "id", ""), False)
+                calls.setdefault(key, []).append(node)
     return calls
 
 
+def _calls_of(calls: dict, name: str, attribute_only: bool = False) -> list[ast.Call]:
+    """The calls of ``name``: ``x.name(...)``, and ``name(...)`` unless
+    ``attribute_only``."""
+    plain = [] if attribute_only else calls.get((name, False), [])
+    return [*plain, *calls.get((name, True), [])]
+
+
 def test_every_default_is_passed_in_src_or_bench():
+    # A method counts only ``x.name(...)`` calls, and ``__init__`` those of
+    # its class, ``Cls(...)`` or ``module.Cls(...)``.
     calls = _calls()
     unpassed = []
     for qualname, fn, is_method in _defs():
@@ -139,8 +163,11 @@ def test_every_default_is_passed_in_src_or_bench():
         ]
         if is_method:
             positional = positional[1:]
-        callee = qualname.split(".")[-2] if fn.name == "__init__" else fn.name
-        passed = set().union(*(_passed(c, positional) for c in calls.get(callee, [])))
+        if fn.name == "__init__":
+            found = _calls_of(calls, qualname.split(".")[-2])
+        else:
+            found = _calls_of(calls, fn.name, attribute_only=is_method)
+        passed = set().union(*(_passed(c, positional) for c in found))
         if "*" not in passed:
             unpassed += [f"{qualname}({p})" for p in defaulted if p not in passed]
     assert not unpassed
@@ -168,7 +195,7 @@ def test_every_field_default_is_passed_in_src_or_bench():
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
             ]
             params = [f.target.id for f in fields]
-            passed = set().union(*(_passed(c, params) for c in calls.get(cls.name, [])))
+            passed = set().union(*(_passed(c, params) for c in _calls_of(calls, cls.name)))
             if "*" not in passed:
                 unpassed += [
                     f"{cls.name}.{f.target.id}"

@@ -19,7 +19,6 @@ from fermiqec.harness import (
     EXCHANGE_PAIRS,
     _exchange_start,
     ExperimentConfig,
-    NoiseSpec,
     noise_modes,
     run_exchange_shot,
     run_experiment,
@@ -32,21 +31,17 @@ from fermiqec.states import SparseState, difference_norm
 
 def test_noise_modes_selection():
     lay = RegisterLayout(3, 4, 4)
-    assert noise_modes(NoiseSpec(0.1), lay) == (0, 1, 2)
-    assert noise_modes(NoiseSpec(0.1, include_reference=True), lay) == (
-        0, 1, 2, 3, 4, 5, 6,
-    )
+    assert noise_modes(lay, False) == (0, 1, 2)
+    assert noise_modes(lay, True) == (0, 1, 2, 3, 4, 5, 6)
 
 
 def test_error_layer_draw_budget_is_fixed():
     lay = RegisterLayout(3, 4, 4)
     psi = random_h_state(lay, np.random.default_rng(71))
-    for spec, expected in [
-        (NoiseSpec(0.0), 3),
-        (NoiseSpec(0.0, include_reference=True), 7),
-    ]:
+    for reference, expected in [(False, 3), (True, 7)]:
         rng = CountingRng(72)
-        out, flipped = sample_phase_error_layer(psi, spec, rng)
+        modes = noise_modes(lay, reference)
+        out, flipped = sample_phase_error_layer(psi, 0.0, modes, rng)
         assert rng.draws == expected
         assert flipped == ()
         assert difference_norm(out, psi) == 0.0
@@ -65,7 +60,7 @@ def test_error_layer_at_unit_rate_flips_every_target():
     lay = RegisterLayout(3, 4, 4)
     psi = random_h_state(lay, np.random.default_rng(73))
     rng = np.random.default_rng(74)
-    out, flipped = sample_phase_error_layer(psi, NoiseSpec(1.0), rng)
+    out, flipped = sample_phase_error_layer(psi, 1.0, noise_modes(lay, False), rng)
     assert flipped == (0, 1, 2)
     want = psi.with_entries(
         {
@@ -85,10 +80,10 @@ def _flipping(modes, width):
 def test_reference_flips_agree_between_representations():
     lay = RegisterLayout(3, 4, 4)
     psi = random_h_state(lay, np.random.default_rng(75))
-    spec = NoiseSpec(0.5, include_reference=True)
+    modes = noise_modes(lay, True)
     doubles = _flipping((3, 5), lay.num_fermion_modes)
-    phys, flipped = sample_phase_error_layer(psi, spec, harness._Draws(doubles))
-    comp, _ = sample_phase_error_layer(compress(psi), spec, harness._Draws(doubles))
+    phys, flipped = sample_phase_error_layer(psi, 0.5, modes, harness._Draws(doubles))
+    comp, _ = sample_phase_error_layer(compress(psi), 0.5, modes, harness._Draws(doubles))
     assert flipped == (3, 5)
     assert difference_norm(compress(phys), comp) < 1e-13
 
@@ -129,7 +124,7 @@ BAD_CONFIGS = {
 }
 
 #: ``run_experiment`` arguments a row may set besides the config's fields.
-_RUN_ARGUMENTS = ("threads", "confidence")
+_RUN_ARGUMENTS = ("threads",)
 
 
 @pytest.mark.parametrize("fields, match", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
@@ -172,10 +167,9 @@ def test_any_field_value_builds_and_runs_or_raises_value_error(name, value):
             run_experiment(config)
 
 
-def _one_shot_draws(seed, point, shot, code, spec, schedule, correct):
+def _one_shot_draws(seed, point, shot, memo, p):
     """The draw source of one shot, a one-shot range of the run's own."""
-    width = harness._shot_plan(code, spec, schedule, correct).width
-    (draws,) = harness._shot_draws(seed, point, shot, shot + 1, width)
+    (draws,) = harness._shot_draws(seed, point, shot, shot + 1, memo.plan(p).width)
     return draws
 
 
@@ -190,15 +184,15 @@ def test_noiseless_estimate_is_exactly_minus_one():
 def test_pure_reference_noise_is_removed_exactly():
     # Both layers flip bank modes 9 and 11 alone; the bank count, the six
     # readouts after each layer and the final readout draw at random.
-    code, base, schedule = _exchange_start(ExperimentConfig((0.5,), num_error_layers=2))
-    spec = NoiseSpec(0.5, include_reference=True)
-    assert harness._shot_plan(code, spec, schedule, True).width == 51
+    config = ExperimentConfig((0.5,), num_error_layers=2, include_reference_errors=True)
+    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
+    assert memo.plan(0.5).width == 51
     layer = _flipping((9, 11), 18)
     rng = np.random.default_rng(5)
     for _ in range(40):
         rest = rng.random(15).tolist()
         draws = harness._Draws(layer + rest[:7] + layer + rest[7:])
-        assert run_exchange_shot(base, code, spec, schedule, True, draws) == +1
+        assert run_exchange_shot(memo, 0.5, draws) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -278,12 +272,11 @@ def test_first_shots_are_pinned(case, correct, reference):
         correction_enabled=correct,
         include_reference_errors=reference,
     )
-    code, base, schedule = _exchange_start(config)
-    spec = NoiseSpec(0.05, include_reference=reference)
+    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
     outcomes = []
     for shot in range(config.shots):
-        draws = _one_shot_draws(config.seed, 0, shot, code, spec, schedule, correct)
-        outcome = run_exchange_shot(base, code, spec, schedule, correct, draws)
+        draws = _one_shot_draws(config.seed, 0, shot, memo, 0.05)
+        outcome = run_exchange_shot(memo, 0.05, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
 
@@ -293,50 +286,45 @@ def test_first_shots_are_pinned(case, correct, reference):
 # ---------------------------------------------------------------------------
 
 #: The 9+9+9+2 exchange register's code with its |1,1,0> start.
-_CODE, _BASE, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
+_CODE, _BASE = _exchange_start()
 
 #: A cap no run in these tests reaches: the memo never starts over.
 _NO_START_OVER = 10**9
 
 
-def _memo(*cap):
-    """A history memo for the standard start, with the default cap unless
-    one is given."""
-    return harness._HistoryMemo(_BASE, _CODE, *cap)
+def _memo(cap, **fields):
+    """A history memo for the standard start, holding at most ``cap``
+    nodes, of a config with these fields (the rest at their defaults)."""
+    return harness._HistoryMemo(ExperimentConfig((0.05,), **fields), _CODE, _BASE, cap)
 
 
-def _outcomes(memo, spec_fields, schedule, correct, p_values, shots, seed=0):
+def _outcomes(memo, p_values, shots, seed=0):
     """Outcomes of ``shots`` shots at each p, seeded as a run seeds them and
     sharing ``memo`` across the points."""
     out = []
     for point, p in enumerate(p_values):
-        spec = NoiseSpec(p, **spec_fields)
-        width = harness._shot_plan(_CODE, spec, schedule, correct).width
-        for draws in harness._shot_draws(seed, point, 0, shots, width):
-            out.append(
-                run_exchange_shot(_BASE, _CODE, spec, schedule, correct, draws, memo)
-            )
+        for draws in harness._shot_draws(seed, point, 0, shots, memo.plan(p).width):
+            out.append(run_exchange_shot(memo, p, draws))
     return out
 
 
-#: (spec fields, schedule, correction): 5 cases x 2 points x 200 shots.
-#: ``reference_p0.1_5layers`` takes the plan of the five-layer reference run
-#: at p = 0.1, where the memo hits least, and runs it at the test's p values.
+#: Config fields: 5 cases x 2 points x 200 shots.  ``reference_p0.1_5layers``
+#: takes the plan of the five-layer reference run at p = 0.1, where the memo
+#: hits least, and runs it at the test's p values.
 MEMO_CASES = {
-    "corrected": ({}, (0, 1, 2), True),
-    "uncorrected": ({}, (0, 1, 2), False),
-    "reference": ({"include_reference": True}, (0, 1, 2), True),
-    "schedule": ({}, (3, 0, 0, 2, 1), True),
-    "reference_p0.1_5layers": ({"include_reference": True}, (0, 1, 2, 3, 0), True),
+    "corrected": {},
+    "uncorrected": {"correction_enabled": False},
+    "reference": {"include_reference_errors": True},
+    "corrected_5layers": {"num_error_layers": 5},
+    "reference_p0.1_5layers": {"num_error_layers": 5, "include_reference_errors": True},
 }
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_memo_leaves_every_outcome_unchanged(case):
-    spec_fields, schedule, correct = MEMO_CASES[case]
     runs = {
-        cap: _outcomes(_memo(cap), spec_fields, schedule, correct, (0.01, 0.05), 200)
+        cap: _outcomes(_memo(cap, **MEMO_CASES[case]), (0.01, 0.05), 200)
         for cap in (_NO_START_OVER, 0, 2)
     }
     assert set(runs[_NO_START_OVER]) <= {-1, 1}
@@ -345,15 +333,15 @@ def test_memo_leaves_every_outcome_unchanged(case):
 
 def test_memo_holds_no_more_than_its_cap():
     # At p = 0.1 300 shots make more nodes than the cap holds.
-    capped, tiny, uncapped = _memo(), _memo(2), _memo(_NO_START_OVER)
+    capped, tiny, uncapped = _memo(harness._MEMO_CAP), _memo(2), _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
-        _outcomes(memo, {}, (0, 1, 2), True, (0.1,), 300)
+        _outcomes(memo, (0.1,), 300)
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP < len(uncapped)
     # a full memo that needs one more node starts over with that node alone
     full = _memo(3)
     for step in range(4):
-        node = full.node(full.roots, step, lambda: _BASE, ("shape", step, None))
+        node = full.node(full.roots, step, lambda: _BASE, (step, None))
     assert len(full) == 1 and full.roots == {3: node}
     assert len(_memo(0)) == 0
     with pytest.raises(ValueError, match="cap"):
@@ -362,34 +350,10 @@ def test_memo_holds_no_more_than_its_cap():
         _memo(None)
 
 
-def test_one_memo_serves_every_plan_shape():
-    # Equal states at the same step of different plans must not merge: the
-    # plans' later gates differ.  Shots of five plans take turns in one memo.
-    plans = [
-        (NoiseSpec(0.05), (0, 1, 2), True),
-        (NoiseSpec(0.05), (0, 1, 2), False),
-        (NoiseSpec(0.05, include_reference=True), (0, 1, 2), True),
-        (NoiseSpec(0.05), (3, 0, 0, 2, 1), True),
-        (NoiseSpec(0.05), (0, 1, 2, 3), False),
-    ]
-    memo = _memo()
-    for shot in range(60):
-        for index, (spec, schedule, correct) in enumerate(plans):
-            outcomes = [
-                run_exchange_shot(
-                    _BASE, _CODE, spec, schedule, correct,
-                    np.random.default_rng([index, shot]), m,
-                )
-                for m in (memo, _memo(0))
-            ]
-            assert outcomes[0] == outcomes[1], (index, shot)
-
-
 def test_histories_that_reach_one_state_share_its_node():
-    memo, plain = _memo(_NO_START_OVER), _memo(0)
-    spec = {"include_reference": True}
-    merged = _outcomes(memo, spec, (0, 1, 2), True, (0.01,), 256)
-    assert merged == _outcomes(plain, spec, (0, 1, 2), True, (0.01,), 256)
+    fields = {"include_reference_errors": True}
+    memo, plain = _memo(_NO_START_OVER, **fields), _memo(0, **fields)
+    assert _outcomes(memo, (0.01,), 256) == _outcomes(plain, (0.01,), 256)
     nodes = {id(node) for node in memo._states.values()}
     edges = [*memo.roots.values()]
     for node in memo._states.values():
@@ -399,8 +363,8 @@ def test_histories_that_reach_one_state_share_its_node():
 
 
 def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
-    memo = _memo()
-    place = ("shape", 0, None)
+    memo = _memo(harness._MEMO_CAP)
+    place = (0, None)
     edges = {}
     first = memo.node(edges, "a", lambda: _BASE, place)
     assert memo.node(edges, "a", None, place) is first  # a hit builds nothing
@@ -415,8 +379,8 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
         assert memo.node(edges, name, lambda: state, place) is first
     assert edges == {"a": first, "b": first, "reordered": first}
     assert memo.node(edges, "nudged", lambda: nudged, place) is not first
-    # another plan shape, step or last outcome never does
-    for other in (("other", 0, None), ("shape", 1, None), ("shape", 0, 1)):
+    # another step or last outcome never does
+    for other in ((1, None), (0, 1)):
         node = memo.node(edges, (other, "a"), lambda: _BASE, other)
         assert node is not first
         assert memo.node(edges, (other, "reordered"), lambda: reordered, other) is node
@@ -426,18 +390,8 @@ def test_a_fresh_corrected_call_makes_few_nodes():
     # One 256-shot call at corrected p = 0.01, seed 0, as a run makes it:
     # 299 nodes while nodes merged only states in the same entry order.
     memo = _memo(_NO_START_OVER)
-    _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 256)
+    _outcomes(memo, (0.01,), 256)
     assert len(memo) < 200
-
-
-def test_a_memo_serves_only_its_own_base_and_code():
-    memo = _memo()
-    equal_code, equal_base, _ = _exchange_start(ExperimentConfig((0.0,), shots=1))
-    rng = CountingRng(3)
-    for base, code in ((equal_base, _CODE), (_BASE, equal_code)):
-        with pytest.raises(ValueError, match="made for"):
-            run_exchange_shot(base, code, NoiseSpec(0.01), (0, 1, 2), True, rng, memo)
-    assert rng.draws == 0
 
 
 def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
@@ -449,71 +403,54 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
         return readout(*args)
 
     monkeypatch.setattr(harness, "measure_stabilizer", counted)
-    plain = _outcomes(_memo(0), {}, (0, 1, 2), True, (0.01,), 40)
+    plain = _outcomes(_memo(0), (0.01,), 40)
     assert len(calls) == 40 * 3 * 6  # every readout of every shot
     calls.clear()
-    memo = _memo()
-    warm = _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 40)
+    memo = _memo(harness._MEMO_CAP)
+    warm = _outcomes(memo, (0.01,), 40)
     first_visits = len(calls)
     calls.clear()
-    replay = _outcomes(memo, {}, (0, 1, 2), True, (0.01,), 40)
+    replay = _outcomes(memo, (0.01,), 40)
     assert plain == warm == replay
     assert 0 < first_visits < 40 * 3 * 6
     assert calls == []  # the replay only revisits nodes
 
 
-_NOISE_SPECS = st.builds(
-    NoiseSpec,
-    p=st.floats(0.0, 1.0),
-    include_reference=st.booleans(),
+#: The config fields a run may set that change its shots' plan.
+_PLAN_FIELDS = st.fixed_dictionaries(
+    {
+        "num_error_layers": st.integers(0, 4),
+        "correction_enabled": st.booleans(),
+        "include_reference_errors": st.booleans(),
+    }
 )
 
 
-@given(
-    spec=_NOISE_SPECS,
-    schedule=st.lists(st.integers(0, 3), max_size=4).map(tuple),
-    correct=st.booleans(),
-)
-def test_no_noise_setting_crashes_a_shot(spec, schedule, correct):
-    memo = _memo()
+@given(p=st.floats(0.0, 1.0), fields=_PLAN_FIELDS)
+def test_no_noise_setting_crashes_a_shot(p, fields):
+    memo, plain = _memo(harness._MEMO_CAP, **fields), _memo(0, **fields)
     for _ in range(2):  # the second pass replays the first from the memo
         for shot in range(3):
             outcomes = [
-                run_exchange_shot(
-                    _BASE, _CODE, spec, schedule, correct, np.random.default_rng(shot), m
-                )
-                for m in (memo, None)
+                run_exchange_shot(m, p, np.random.default_rng(shot)) for m in (memo, plain)
             ]
             assert outcomes[0] == outcomes[1]
             assert outcomes[0] in (-1, 1)
 
 
-_PLANS = st.tuples(
-    st.builds(
-        NoiseSpec, p=st.sampled_from((0.05, 0.2, 0.5)), include_reference=st.booleans()
-    ),
-    st.lists(st.integers(0, 3), max_size=3).map(tuple),
-    st.booleans(),
-)
-
-
 @given(
-    plans=st.lists(_PLANS, min_size=1, max_size=3),
+    fields=_PLAN_FIELDS,
+    p_values=st.lists(st.sampled_from((0.05, 0.2, 0.5)), min_size=1, max_size=3),
     shots=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), max_size=10),
 )
-def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(plans, shots):
+def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values, shots):
     # Caps this small start over in the middle of nearly every shot; seeds
     # repeat, so shots also revisit nodes that survived a start-over.
-    memos = [_memo(cap) for cap in (0, 1, 2, 3, 5)]
-    for plan, seed in shots:
-        spec, schedule, correct = plans[plan % len(plans)]
-        outcomes = {
-            run_exchange_shot(
-                _BASE, _CODE, spec, schedule, correct, np.random.default_rng(seed), m
-            )
-            for m in memos
-        }
-        assert len(outcomes) == 1, (plan, seed)
+    memos = [_memo(cap, **fields) for cap in (0, 1, 2, 3, 5)]
+    for point, seed in shots:
+        p = p_values[point % len(p_values)]
+        outcomes = {run_exchange_shot(m, p, np.random.default_rng(seed)) for m in memos}
+        assert len(outcomes) == 1, (point, seed)
 
 
 @functools.cache
@@ -521,13 +458,12 @@ def _warm_nodes(case):
     """The plan of ``MEMO_CASES[case]`` and, by step index, the ``(last
     outcome, state)`` of every node a memo holds after 30 shots at each of
     p = 0.05 and 0.2."""
-    spec_fields, schedule, correct = MEMO_CASES[case]
-    memo = _memo(_NO_START_OVER)
-    _outcomes(memo, spec_fields, schedule, correct, (0.05, 0.2), 30)
+    memo = _memo(_NO_START_OVER, **MEMO_CASES[case])
+    _outcomes(memo, (0.05, 0.2), 30)
     by_step = {}
-    for (_, index, last, _), node in memo._states.items():
+    for (index, last, _), node in memo._states.items():
         by_step.setdefault(index, []).append((last, node.state))
-    return memo.plan(NoiseSpec(0.05, **spec_fields), schedule, correct), by_step
+    return memo.plan(0.05), by_step
 
 
 @given(case=st.sampled_from(sorted(MEMO_CASES)), seed=st.integers(0, 2**32))
@@ -537,7 +473,7 @@ def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
     # gates that follow, states with the same labels and amplitudes.
     plan, by_step = _warm_nodes(case)
     rnd = random.Random(seed)
-    modes = noise_modes(NoiseSpec(0.0, **MEMO_CASES[case][0]), _CODE.layout)
+    modes = noise_modes(_CODE.layout, MEMO_CASES[case].get("include_reference_errors", False))
     for index, step in enumerate(plan.steps):
         last, state = rnd.choice(by_step[index])
         entries = list(state.entries.items())
@@ -601,14 +537,12 @@ def test_any_shot_draws_what_numpy_draws(seed, point, start):
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_plan_width_is_what_a_shot_draws(case):
-    spec_fields, schedule, correct = MEMO_CASES[case]
-    spec = NoiseSpec(0.2, **spec_fields)
-    width = harness._shot_plan(_CODE, spec, schedule, correct).width
-    memo = _memo()
+    memo, plain = _memo(harness._MEMO_CAP, **MEMO_CASES[case]), _memo(0, **MEMO_CASES[case])
+    width = memo.plan(0.2).width
     for seed in range(3):  # first visits, then second visits on the memo
-        for m in (None, memo, memo):
+        for m in (plain, memo, memo):
             rng = CountingRng(seed)
-            run_exchange_shot(_BASE, _CODE, spec, schedule, correct, rng, m)
+            run_exchange_shot(m, 0.2, rng)
             assert rng.draws == width
 
 
@@ -635,13 +569,12 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
         include_reference_errors=reference,
         seed=9,
     )
-    code, base, schedule = _exchange_start(config)
+    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
     plain = []
     for point, p in enumerate(config.p_values):
-        spec = NoiseSpec(p, include_reference=reference)
         outcomes = [
             run_exchange_shot(
-                base, code, spec, schedule, correct,
+                memo, p,
                 np.random.default_rng(np.random.SeedSequence([config.seed, point, shot])),
             )
             for shot in range(config.shots)
@@ -653,11 +586,11 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
 def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
     # Shots seed in blocks and draw one at a time: the memory a range holds
     # for its draws is one block's, however many shots it runs.
-    def take_all(base, code, spec, schedule, correct, draws, memo):
-        draws.random(memo.plan(spec, schedule, correct).width)
+    def take_all(memo, p, draws):
+        draws.random(memo.plan(p).width)
         return 1
 
-    monkeypatch.setattr(harness, "_exchange_start", lambda _: (_CODE, _BASE, (0, 1, 2)))
+    monkeypatch.setattr(harness, "_exchange_start", lambda: (_CODE, _BASE))
     monkeypatch.setattr(harness, "run_exchange_shot", take_all)
 
     def peak(shots):

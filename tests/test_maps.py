@@ -29,7 +29,7 @@ from fermiqec.gates import (
     measure_mode_number,
     measure_qubit,
 )
-from fermiqec.harness import NoiseSpec, sample_phase_error_layer
+from fermiqec.harness import noise_modes, sample_phase_error_layer
 from fermiqec.logical import (
     _tunneling_map,
     controlled_tunneling_logical,
@@ -61,8 +61,8 @@ TOL = 1e-12
 def _flips(state, seed=7):
     """Error layer hitting system and bank modes alike (same draws on both
     representations)."""
-    spec = NoiseSpec(0.5, include_reference=True)
-    out, flipped = sample_phase_error_layer(state, spec, np.random.default_rng(seed))
+    modes = noise_modes(state.layout, True)
+    out, flipped = sample_phase_error_layer(state, 0.5, modes, np.random.default_rng(seed))
     assert any(m < 9 for m in flipped) and any(m >= 9 for m in flipped)
     return out
 

@@ -10,15 +10,17 @@ from fermiqec.backend import compress
 from fermiqec.codes import (
     RepetitionCode,
     logical_basis_state,
+    prepare_logical_vacuum,
     random_codespace_state,
 )
-from fermiqec.gates import apply_local_phase, apply_qubit_gate
+from fermiqec.gates import apply_local_phase, apply_qubit_gate, split_mode_number
 from fermiqec.qec import (
     SYNDROME_TABLE,
     decode,
     measure_reference_and_recover,
     measure_stabilizer,
     qec_round,
+    split_stabilizer,
 )
 from fermiqec.reference import h_basis_state
 from fermiqec.registers import RegisterLayout
@@ -159,6 +161,31 @@ def test_readout_of_a_zero_state_fails_cleanly(compressed):
     with pytest.raises(ValueError, match="zero state"):
         measure_stabilizer(zero, code, 0, "s12", rng)
     assert rng.draws == 0
+
+
+def _flipped_vacuum(code, compressed):
+    """The logical vacuum after a pi phase on mode 0: s12 of block 0 reads
+    -1 for certain, and the bank holds 1 or 3 atoms."""
+    return apply_local_phase(prepare_logical_vacuum(code, compressed), 0, math.pi)
+
+
+@BY_READOUT
+def test_a_stabilizer_branch_of_zero_probability_fails_cleanly(compressed):
+    code = RepetitionCode(LAY)
+    p_plus, branch = split_stabilizer(_flipped_vacuum(code, compressed), code, 0, "s12")
+    assert p_plus == 0.0
+    with pytest.raises(ValueError, match="selected a zero-probability branch"):
+        branch(+1)
+
+
+@BY_READOUT
+def test_a_count_branch_of_zero_probability_fails_cleanly(compressed):
+    state = _flipped_vacuum(RepetitionCode(LAY), compressed)
+    probs, branch = split_mode_number(state, LAY.reference_modes())
+    assert sorted(probs) == [1, 3]
+    for count in (0, 2, 4):
+        with pytest.raises(ValueError, match="selected a zero-probability branch"):
+            branch(count)
 
 
 @pytest.mark.parametrize("flip", [None, *range(9)])
