@@ -30,15 +30,14 @@ __all__ = ["main"]
 
 
 def _p_list(text: str) -> tuple[float, ...]:
+    """The floats of a comma-separated list; their range is the config's
+    check."""
     try:
-        values = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of probabilities, got {text!r}"
         ) from exc
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
-        raise argparse.ArgumentTypeError("probabilities must lie in [0, 1]")
-    return values
 
 
 def _positive_int(text: str) -> int:

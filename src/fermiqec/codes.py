@@ -19,12 +19,19 @@ label's image is derived once and then looked up.  The stabilizer and swap
 images compose the label images that the gates themselves hand to
 :func:`fermiqec.states.apply_map` (the dressed ladders' and the mode
 fswaps'), so deriving one builds no state.
+
+The code space is tabulated the same way.  A code builds its logical basis
+states once per representation, as a tree from one vacuum, and with them a
+table from each label to the words that hold it and their conjugated
+amplitudes.  :func:`project_codespace` reads each amplitude of a state
+once against that table and sums each overlap with ``math.fsum``; the
+products and the exact sums are those of one :meth:`SparseState.inner`
+per word, so the projection is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -109,6 +116,7 @@ class RepetitionCode:
         self.num_blocks = layout.num_system_modes // 3
         self._maps: dict[Hashable, tuple[Hashable, LabelMap]] = {}
         self._words: dict[bool, list[SparseState]] = {}
+        self._tables: dict[bool, dict[int, tuple[tuple[int, complex], ...]]] = {}
 
     def block_modes(self, block: int) -> tuple[int, int, int]:
         if not 0 <= block < self.num_blocks:
@@ -147,6 +155,10 @@ class RepetitionCode:
         through.  Labels whose system count cannot occur in a valid
         compressed state are annihilated.
         """
+        key = ("stabilizer", which, block)
+        held = self._maps.get(key)
+        if held is not None:  # the map, before building what derives it
+            return held[1]
         lay = self.layout
         hi, lo, kind = stabilizer_majoranas(self, block, which)
         ladders = {
@@ -171,9 +183,7 @@ class RepetitionCode:
                     coef = (1j if create else -1j) * coef
             return ((sys, 1j * coef),)
 
-        return self.label_map(
-            ("stabilizer", which, block), None, lay.system_mask, derive
-        )
+        return self.label_map(key, None, lay.system_mask, derive)
 
     def compiled_fswap(self, block_a: int, block_b: int) -> LabelMap:
         """The transversal block fswap as a label map on system bits.
@@ -200,14 +210,42 @@ class RepetitionCode:
         )
 
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:
-        """Orthonormal logical basis states the register can hold."""
+        """Orthonormal logical basis states the register can hold: each
+        :func:`logical_basis_state` of a pattern that fits, patterns in
+        ``itertools.product`` order.
+
+        They grow as a tree from one vacuum: a pattern's state is its
+        prefix's state, raised on the next block when its bit is set, the
+        ladders :func:`logical_basis_state` runs, in its order."""
         if compressed not in self._words:
-            self._words[compressed] = [
-                logical_basis_state(self, bits, compressed)
-                for bits in itertools.product((0, 1), repeat=self.num_blocks)
-                if 2 * self.num_blocks + sum(bits) <= self.layout.total_atoms
-            ]
+            spare = self.layout.total_atoms - 2 * self.num_blocks
+            level = []  # (blocks raised, state) per prefix that fits
+            if spare >= 0:
+                level.append((0, prepare_logical_vacuum(self, compressed)))
+            for block in range(self.num_blocks):
+                grown = []
+                for raised, state in level:
+                    grown.append((raised, state))
+                    if raised < spare:
+                        raised_state = apply_logical_C_dagger(state, self, block)
+                        grown.append((raised + 1, raised_state))
+                level = grown
+            self._words[compressed] = [state for _, state in level]
         return list(self._words[compressed])
+
+    def codespace_table(
+        self, compressed: bool
+    ) -> dict[int, tuple[tuple[int, complex], ...]]:
+        """Label -> ``(index, conj(amplitude))`` of each codeword of
+        :meth:`codespace_states` holding it, in word order: the terms of
+        every overlap ``<w|psi>`` that one amplitude of ``psi`` enters."""
+        if compressed not in self._tables:
+            table: dict[int, tuple[tuple[int, complex], ...]] = {}
+            for i, word in enumerate(self.codespace_states(compressed)):
+                for l, a in word.entries.items():
+                    table[l] = (*table.get(l, ()), (i, a.conjugate()))
+            self._tables[compressed] = table
+        return self._tables[compressed]
 
 
 def stabilizer_majoranas(
@@ -377,19 +415,39 @@ def project_codespace(state: SparseState, code: RepetitionCode) -> SparseState:
     Ancilla qubits are spectators: each ancilla bit pattern is projected
     independently, so entanglement between the ancillas and the logical
     content survives the projection.
+
+    One pass over the state reads each amplitude once and looks its
+    fermion part up in :meth:`RepetitionCode.codespace_table`, which gives
+    the words holding that label with their conjugated amplitudes.  Each
+    overlap ``<w|part>`` is ``complex(fsum(re), fsum(im))`` of the products
+    ``conj(w_l) * part_l`` over the labels the word and the ancilla group
+    share: the products :meth:`SparseState.inner` forms, in the same
+    operand order, summed by ``math.fsum``, which is exact whatever the
+    order.  So each overlap, and each amplitude built from it in word
+    order, equals the one of a ``w.inner(part)`` per word bit for bit.
     """
     lay = state.layout
     compressed = state.compressed
     words = code.codespace_states(compressed)
+    table = code.codespace_table(compressed)
     fermions = lay.system_mask if compressed else lay.system_mask | lay.reference_mask
-    groups: dict[int, dict[int, complex]] = {}
+    # per ancilla pattern, in order of first appearance: the real and the
+    # imaginary parts of each word's overlap terms
+    groups: dict[int, list[tuple[list[float], list[float]]]] = {}
     for l, a in state.entries.items():
-        groups.setdefault(l & ~fermions, {})[l & fermions] = a
+        base = l & ~fermions
+        terms = groups.get(base)
+        if terms is None:
+            terms = groups[base] = [([], []) for _ in words]
+        for i, conj_wl in table.get(l & fermions, ()):
+            t = conj_wl * a
+            re, im = terms[i]
+            re.append(t.real)
+            im.append(t.imag)
     out_entries: dict[int, complex] = {}
-    for base, sub in groups.items():
-        part = SparseState(lay, sub, compressed)
-        for w in words:
-            ov = w.inner(part)
+    for base, terms in groups.items():
+        for w, (re, im) in zip(words, terms):
+            ov = complex(math.fsum(re), math.fsum(im))
             if ov != 0.0:
                 for l, wl in w.entries.items():
                     key = base | l

@@ -22,7 +22,8 @@ it caches probabilities without a copy of their arithmetic.
 On compressed states the reference occupations are implied by the system
 count (the occupation rule of :mod:`fermiqec.registers`).  Diagonal gates
 and number measurements stay well defined on reference modes: they count
-atoms through :meth:`~fermiqec.registers.RegisterLayout.occupation`.  Gates
+atoms through :meth:`~fermiqec.registers.RegisterLayout.occupation` or its
+table, :meth:`~fermiqec.registers.RegisterLayout.counter`.  Gates
 that move atoms between literal and implied modes do not; those raise.
 """
 
@@ -35,7 +36,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .registers import RegisterLayout, jw_sign
-from .states import SparseState, add_states, apply_map, phase_factor
+from .states import SparseState, add_states, apply_map, phase_factor, weight_sum
 
 __all__ = [
     "LocalPhase",
@@ -177,12 +178,10 @@ def number_expectation(state: SparseState, mode: int) -> float:
     _check_fermion_mode(lay, mode)
     total = measurable_norm_sq(state)
     bit = 1 << mode
-    num = math.fsum(
-        a.real * a.real + a.imag * a.imag
-        for l, a in state.entries.items()
-        if lay.occupation(l, bit, state.compressed)
-    )
-    return num / total
+    occupied = [
+        a for l, a in state.entries.items() if lay.occupation(l, bit, state.compressed)
+    ]
+    return weight_sum(occupied) / total
 
 
 def _check_literal_pair(state: SparseState, a: int, b: int, what: str) -> None:
@@ -429,11 +428,7 @@ def split_qubit(
     +1) and ``branch(outcome)`` the renormalized post state.  The branch
     raises on a zero-probability outcome."""
     bit = ancilla_mask(state, qubit)
-    p0 = math.fsum(
-        a.real * a.real + a.imag * a.imag
-        for l, a in state.entries.items()
-        if not l & bit
-    )
+    p0 = weight_sum([a for l, a in state.entries.items() if not l & bit])
     total = measurable_norm_sq(state)
     prob0 = p0 / total
 
@@ -484,13 +479,13 @@ def split_mode_number(
         _check_fermion_mode(lay, m)
         mask |= 1 << m
     total = measurable_norm_sq(state)
-    by_count: dict[int, list[float]] = {}
+    count = lay.counter(mask, state.compressed)
+    by_count: dict[int, list[complex]] = {}
     count_of: dict[int, int] = {}
     for l, a in state.entries.items():
-        cnt = lay.occupation(l, mask, state.compressed)
-        count_of[l] = cnt
-        by_count.setdefault(cnt, []).append(a.real * a.real + a.imag * a.imag)
-    probs = {cnt: math.fsum(by_count[cnt]) / total for cnt in sorted(by_count)}
+        cnt = count_of[l] = count(l)
+        by_count.setdefault(cnt, []).append(a)
+    probs = {cnt: weight_sum(by_count[cnt]) / total for cnt in sorted(by_count)}
 
     def branch(selected: int) -> SparseState:
         p_sel = probs.get(selected, 0.0)

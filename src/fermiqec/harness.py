@@ -123,14 +123,8 @@ def _apply_flips(state: SparseState, flipped: tuple[int, ...]) -> SparseState:
     itself when nothing flipped."""
     if not flipped:
         return state
-    lay = state.layout
-    flip_mask = sum(1 << m for m in flipped)
-    compressed = state.compressed
-
-    def image(l: int) -> tuple[tuple[int, complex]]:
-        return ((l, -1.0 if lay.occupation(l, flip_mask, compressed) & 1 else 1.0),)
-
-    return apply_map(state, image)
+    count = state.layout.counter(sum(1 << m for m in flipped), state.compressed)
+    return apply_map(state, lambda l: ((l, -1.0 if count(l) & 1 else 1.0),))
 
 
 def sample_phase_error_layer(

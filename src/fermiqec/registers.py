@@ -21,13 +21,16 @@ The occupation rule: a consistent label with ``n_sys`` system atoms holds
 the other ``N - n_sys`` on a contiguous reference prefix, so reference mode
 ``j`` is occupied exactly when ``j < N - n_sys``.  That is why compressed
 labels can drop the reference bits.  :meth:`RegisterLayout.holds` and
-:meth:`RegisterLayout.occupation` apply the rule for every other module.
+:meth:`RegisterLayout.occupation` apply the rule for every other module;
+:meth:`RegisterLayout.counter` tabulates ``occupation`` for the gates that
+count one mask on many labels.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = ["RegisterLayout", "jw_sign"]
 
@@ -111,6 +114,29 @@ class RegisterLayout:
         bank = max(self.total_atoms - system.bit_count(), 0)
         prefix = ((1 << bank) - 1) << self.num_system_modes
         return ((system | prefix) & mask).bit_count()
+
+    def counter(self, mask: int, compressed: bool) -> Callable[[int], int]:
+        """``label -> occupation(label, mask, compressed)`` for one mask.
+
+        A compressed count is the system atoms under ``mask`` plus a
+        reference part that depends on the system-atom count alone; the
+        function reads that part from a table indexed by the count.  The
+        table holds :meth:`occupation` of one label per count, so the
+        occupation rule stays in that method."""
+        if not compressed:
+            return lambda label: (label & mask).bit_count()
+        every, system = self.system_mask, mask & self.system_mask
+        if not mask & self.reference_mask:
+            return lambda label: (label & system).bit_count()
+        bank = [
+            self.occupation((1 << n) - 1, mask & self.reference_mask, True)
+            for n in range(self.num_system_modes + 1)
+        ]
+
+        def count(label: int) -> int:
+            return (label & system).bit_count() + bank[(label & every).bit_count()]
+
+        return count
 
     # -- label dissection ------------------------------------------------
 

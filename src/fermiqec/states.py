@@ -11,9 +11,14 @@ is the one kernel for all of them; a gate only supplies ``image(label)``,
 the ``(label, coefficient)`` pairs that label is sent to.
 
 All operations in this package are functional: they return new states and
-never mutate their inputs.  Amplitudes below ``PRUNE_EPS`` are dropped on
-construction; norms and probabilities are accumulated with ``math.fsum`` so
-they do not depend on dict iteration order (this is what makes the two
+never mutate their inputs.  Amplitudes below ``PRUNE_EPS`` in magnitude are
+dropped on construction; a state with none keeps the dict it was given.
+Norms and probabilities are sums of weights ``a.real * a.real + a.imag *
+a.imag``.  :func:`weight_sum` forms them over a whole state with separate
+float64 multiply and add ufuncs (no complex ``abs``, no dot product,
+nothing fused), so each equals the Python expression bit for bit, and adds
+them with ``math.fsum``, which is exact whatever the order.  So no norm or
+probability depends on dict iteration order (this is what makes the two
 backends agree bit-for-bit on measurement draws).
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -35,6 +40,7 @@ __all__ = [
     "add_states",
     "scale_state",
     "difference_norm",
+    "weight_sum",
     "random_full_state",
     "phase_factor",
     "apply_map",
@@ -43,7 +49,22 @@ __all__ = [
 PRUNE_EPS = 1e-14
 
 
+def weight_sum(amplitudes: Collection[complex]) -> float:
+    """``math.fsum`` of ``a.real * a.real + a.imag * a.imag`` over the
+    amplitudes: a squared norm or an unnormalized probability.  The weights
+    are formed by separate float64 multiply and add ufuncs, so each equals
+    that Python expression bit for bit, and the sum is exact whatever the
+    amplitudes' order."""
+    amps = np.fromiter(amplitudes, complex, len(amplitudes))
+    re, im = amps.real, amps.imag
+    return math.fsum((re * re + im * im).tolist())
+
+
 def _pruned(entries: dict[int, complex]) -> dict[int, complex]:
+    """The entries of magnitude at least ``PRUNE_EPS``, in order;
+    ``entries`` itself when the least magnitude reaches it."""
+    if not entries or min(map(abs, entries.values())) >= PRUNE_EPS:
+        return entries
     return {l: a for l, a in entries.items() if abs(a) >= PRUNE_EPS}
 
 
@@ -70,9 +91,7 @@ class SparseState:
     # -- norms and overlaps ------------------------------------------------
 
     def norm_sq(self) -> float:
-        return math.fsum(
-            [a.real * a.real + a.imag * a.imag for a in self.entries.values()]
-        )
+        return weight_sum(self.entries.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -159,11 +178,10 @@ def scale_state(a: SparseState, c: complex) -> SparseState:
 def difference_norm(a: SparseState, b: SparseState) -> float:
     """2-norm of (a - b); the deviation measure used by equivalence checks."""
     a._check_compatible(b)
-    terms = []
-    for l in a.entries.keys() | b.entries.keys():
-        d = a.entries.get(l, 0.0) - b.entries.get(l, 0.0)
-        terms.append(d.real * d.real + d.imag * d.imag)
-    return math.sqrt(math.fsum(terms))
+    x, y = a.entries, b.entries
+    return math.sqrt(
+        weight_sum([x.get(l, 0.0) - y.get(l, 0.0) for l in x.keys() | y.keys()])
+    )
 
 
 def random_full_state(layout: RegisterLayout, rng: np.random.Generator) -> SparseState:

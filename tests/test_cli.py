@@ -59,11 +59,19 @@ def test_syndrome_table_json(capsys):
     assert offsets[(1, -1)] == 2
 
 
-def test_exchange_rejects_bad_probability_lists(capsys):
-    for bad in ("1.5", "abc", "0.1,,0.2"):
+def test_exchange_rejects_bad_probability_lists(monkeypatch, capsys):
+    for bad in ("abc", "0.1,,0.2"):
         with pytest.raises(SystemExit) as exc:
             main(["exchange", "--p", bad, "--shots", "1"])
         assert exc.value.code == 2
+
+    def no_shots(*args):
+        raise AssertionError("a shot ran before the probabilities were checked")
+
+    monkeypatch.setattr(harness, "_run_shot_range", no_shots)
+    capsys.readouterr()
+    assert main(["exchange", "--p", "1.5", "--shots", "1"]) == 2
+    assert capsys.readouterr().err == "error: error probabilities must lie in [0, 1]\n"
 
 
 def test_exchange_writes_csv_and_json(tmp_path, capsys):

@@ -6,10 +6,14 @@ killing the empty word) in the standard ordering |n1 n2 n3> =
 (c1†)^n1 (c2†)^n2 (c3†)^n3 |vacuum>; bits (0, 1, 2) hold modes (1, 2, 3).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import on_ancillas, spread_h_state
+
+from fermiqec.backend import compress
 
 from fermiqec.codes import (
     RepetitionCode,
@@ -22,9 +26,15 @@ from fermiqec.codes import (
     random_codespace_state,
     stabilizer_expectation,
 )
-from fermiqec.gates import apply_annihilation, apply_local_phase
+from fermiqec.gates import apply_annihilation, apply_local_phase, split_mode_number
 from fermiqec.registers import RegisterLayout
-from fermiqec.states import add_states, basis_state, difference_norm, random_full_state
+from fermiqec.states import (
+    SparseState,
+    add_states,
+    basis_state,
+    difference_norm,
+    random_full_state,
+)
 
 SQUARE = RegisterLayout(3, 3, 3)
 
@@ -165,3 +175,96 @@ def test_steane_codewords_and_stabilizers():
             assert difference_norm(code.apply_x_stabilizer(w, g), w) < 1e-12
     with pytest.raises(ValueError):
         SteaneCode(RegisterLayout(6, 6, 6))
+
+
+# ---------------------------------------------------------------------------
+# the tabulated code space against one inner product per word
+# ---------------------------------------------------------------------------
+
+
+def _patterns(code):
+    """Every logical pattern the register can hold, in product order."""
+    spare = code.layout.total_atoms - 2 * code.num_blocks
+    return [
+        bits
+        for bits in itertools.product((0, 1), repeat=code.num_blocks)
+        if sum(bits) <= spare
+    ]
+
+
+def _bits(state):
+    """Each entry as (label, real bits, imaginary bits), in entry order."""
+    return [(l, a.real.hex(), a.imag.hex()) for l, a in state.entries.items()]
+
+
+def _project_by_inner(state, code):
+    """The code-space projection as one ``w.inner(part)`` per word and
+    ancilla group, the words built one :func:`logical_basis_state` each."""
+    lay, compressed = state.layout, state.compressed
+    words = [logical_basis_state(code, bits, compressed) for bits in _patterns(code)]
+    fermions = lay.system_mask if compressed else lay.system_mask | lay.reference_mask
+    groups = {}
+    for l, a in state.entries.items():
+        groups.setdefault(l & ~fermions, {})[l & fermions] = a
+    out = {}
+    for base, sub in groups.items():
+        part = SparseState(lay, sub, compressed)
+        for w in words:
+            ov = w.inner(part)
+            if ov != 0.0:
+                for l, wl in w.entries.items():
+                    out[base | l] = out.get(base | l, 0j) + ov * wl
+    return state.with_entries(out)
+
+
+def _projection_inputs(lay, seed):
+    """Random physical and compressed states over every ancilla pattern,
+    each also after reference phases and a bank-count branch."""
+    code = RepetitionCode(lay)
+    physical = spread_h_state(lay, seed)
+    rng = np.random.default_rng(seed)
+    coded = random_codespace_state(code, rng)
+    for pattern in range(1, 1 << lay.num_ancilla_qubits):
+        word = random_codespace_state(code, rng)
+        coded = add_states(coded, on_ancillas(word, pattern), 1.0, rng.normal())
+    for mode in lay.reference_modes():
+        coded = apply_local_phase(coded, mode, rng.uniform(0, 2 * math.pi))
+    for state in (physical, coded):
+        for rep in (state, compress(state)):
+            yield rep
+            probs, branch = split_mode_number(rep, lay.reference_modes())
+            for count in probs:
+                yield branch(count)
+
+
+def _register_id(sizes):
+    return "+".join(map(str, sizes))
+
+
+@pytest.mark.parametrize("ancillas", [0, 1, 2])
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (6, 6, 6), (6, 6, 5)], ids=_register_id)
+def test_project_codespace_matches_one_inner_per_word(sizes, ancillas):
+    lay = RegisterLayout(*sizes, num_ancilla_qubits=ancillas)
+    code = RepetitionCode(lay)
+    for seed in range(2):
+        for state in _projection_inputs(lay, seed):
+            want = _bits(_project_by_inner(state, code))
+            assert want  # every input has a code-space part
+            assert _bits(project_codespace(state, code)) == want
+
+
+def test_project_codespace_of_a_full_state_matches_one_inner_per_word():
+    lay = RegisterLayout(6, 6, 6)
+    code = RepetitionCode(lay)
+    psi = random_full_state(lay, np.random.default_rng(33))
+    assert _bits(project_codespace(psi, code)) == _bits(_project_by_inner(psi, code))
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize(
+    "sizes", [(3, 3, 3), (6, 6, 5), (6, 6, 6), (9, 9, 9), (6, 6, 3)], ids=_register_id
+)
+def test_codespace_states_are_the_logical_basis_states_in_order(sizes, compressed):
+    code = RepetitionCode(RegisterLayout(*sizes, num_ancilla_qubits=2))
+    want = [_bits(logical_basis_state(code, bits, compressed)) for bits in _patterns(code)]
+    assert [_bits(w) for w in code.codespace_states(compressed)] == want

@@ -84,3 +84,48 @@ def test_holds_boundaries():
     assert [n for n in range(-2, 7) if lay.holds(n)] == [-1, 0, 1, 2, 3, 4]
     square = RegisterLayout(9, 9, 9)
     assert [n for n in range(-2, 12) if square.holds(n)] == list(range(10))
+
+
+def _masks(lay, rng):
+    """Single modes, the system, the bank, both, and random fermion masks,
+    so masks with and without reference bits."""
+    fermions = (1 << lay.num_fermion_modes) - 1
+    masks = [1 << m for m in range(lay.num_fermion_modes)]
+    masks += [0, lay.system_mask, lay.reference_mask, fermions]
+    masks += [int(m) for m in rng.integers(fermions + 1, size=12)]
+    assert any(m & lay.reference_mask for m in masks)
+    assert any(m and not m & lay.reference_mask for m in masks)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 4, 2, 1), (6, 5, 5, 1)], ids=lambda s: "+".join(map(str, s))
+)
+def test_counter_is_occupation_on_every_label(sizes):
+    lay = RegisterLayout(*sizes)
+    rng = np.random.default_rng(sum(sizes))
+    every_label = {
+        False: range(1 << (lay.num_fermion_modes + lay.num_ancilla_qubits)),
+        True: range(1 << (lay.num_system_modes + lay.num_ancilla_qubits)),
+    }
+    for mask in _masks(lay, rng):
+        for compressed, labels in every_label.items():
+            count = lay.counter(mask, compressed)
+            want = [lay.occupation(l, mask, compressed) for l in labels]
+            assert [count(l) for l in labels] == want
+
+
+def test_counter_is_occupation_on_exchange_labels():
+    lay = RegisterLayout(9, 9, 9, num_ancilla_qubits=2)
+    rng = np.random.default_rng(5)
+    physical = spread_h_state(lay, 6)
+    samples = {
+        False: [*physical.entries, *map(int, rng.integers(1 << 20, size=500))],
+        True: [*compress(physical).entries, *map(int, rng.integers(1 << 11, size=500))],
+    }
+    for mask in _masks(lay, rng):
+        for compressed, labels in samples.items():
+            count = lay.counter(mask, compressed)
+            assert [count(l) for l in labels] == [
+                lay.occupation(l, mask, compressed) for l in labels
+            ]

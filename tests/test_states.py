@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fermiqec.reference import is_in_H, random_h_state
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import (
+    PRUNE_EPS,
     SparseState,
     add_states,
     basis_state,
@@ -13,6 +16,7 @@ from fermiqec.states import (
     phase_factor,
     random_full_state,
     scale_state,
+    weight_sum,
 )
 
 LAY = RegisterLayout(3, 3, 3)
@@ -85,3 +89,44 @@ def test_random_h_state_is_consistent_and_normalized():
         psi = random_h_state(LAY, rng)
         assert is_in_H(psi)
         assert abs(psi.norm() - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# weights and pruning against the Python expressions they replace
+# ---------------------------------------------------------------------------
+
+BELOW_EPS = math.nextafter(PRUNE_EPS, 0.0)
+#: Parts near the pruning edge, from both sides, and ordinary ones.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, PRUNE_EPS, -PRUNE_EPS, BELOW_EPS, 2 * PRUNE_EPS]),
+    st.floats(-1e-13, 1e-13),
+    st.floats(-1e100, 1e100, allow_subnormal=True),
+)
+AMPLITUDES = st.lists(st.builds(complex, PARTS, PARTS), max_size=40)
+
+
+@given(AMPLITUDES)
+@example([])
+@example([1.0 + 0.0j])
+@example([complex(PRUNE_EPS, 0.0)])
+@example([complex(0.0, BELOW_EPS)])
+@example([complex(PRUNE_EPS, BELOW_EPS), complex(BELOW_EPS, -PRUNE_EPS)])
+def test_weight_sum_is_the_fsum_of_the_python_weights(amps):
+    python = math.fsum([a.real * a.real + a.imag * a.imag for a in amps])
+    assert weight_sum(amps).hex() == python.hex()
+
+
+@given(AMPLITUDES)
+@example([complex(PRUNE_EPS, 0.0), complex(BELOW_EPS, 0.0)])
+@example([complex(0.0, -PRUNE_EPS), complex(-BELOW_EPS, 0.0), 1.0 + 0.0j])
+@example([complex(BELOW_EPS, BELOW_EPS)])  # magnitude above the threshold
+def test_with_entries_drops_exactly_the_amplitudes_below_prune_eps(amps):
+    entries = {3 * i: a for i, a in enumerate(amps)}
+    out = basis_state(LAY, 0).with_entries(dict(entries))
+    want = {l: a for l, a in entries.items() if abs(a) >= PRUNE_EPS}
+    assert list(out.entries.items()) == list(want.items())
+
+
+def test_with_entries_keeps_a_dict_with_nothing_to_drop_as_it_is():
+    clean = {0: 0.6 + 0.0j, 5: 0.8j, 9: complex(0.0, -PRUNE_EPS)}
+    assert basis_state(LAY, 0).with_entries(clean).entries is clean
