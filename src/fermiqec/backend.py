@@ -54,7 +54,7 @@ def compress(state: SparseState) -> SparseState:
     """Drop the (implied) reference bits; ancillas slide down to sit right
     above the system block."""
     if state.compressed:
-        return state.copy()
+        return state
     if not is_in_H(state):
         raise ValueError("only reference-consistent states can be compressed")
     lay = state.layout
@@ -69,7 +69,7 @@ def compress(state: SparseState) -> SparseState:
 def decompress(state: SparseState) -> SparseState:
     """Reinstate the reference prefix implied by each label's system count."""
     if not state.compressed:
-        return state.copy()
+        return state
     lay = state.layout
     out = {
         h_label(lay, lay.system_part(l), l >> lay.num_system_modes): a
@@ -154,7 +154,7 @@ def run_dual(
     rng_p = np.random.default_rng(seed)
     rng_c = np.random.default_rng(seed)
 
-    phys = initial.copy()
+    phys = initial
     outcomes_p: list[int] = []
     for idx, op in enumerate(ops):
         phys, outs = run_circuit(phys, [op], rng_p, code)

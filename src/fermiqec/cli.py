@@ -40,14 +40,9 @@ def _p_list(text: str) -> tuple[float, ...]:
         ) from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _nonnegative_int(text: str) -> int:
+    """``verify --seed``: the ``steane`` suite ignores its seed, so nothing
+    else would reject a negative one."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
@@ -232,10 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated phase-error probabilities, e.g. 0.002,0.005,0.01",
     )
-    p_ex.add_argument("--shots", type=_positive_int, default=100_000)
+    # the ranges of these integers are the config's and run_experiment's checks
+    p_ex.add_argument("--shots", type=int, default=100_000)
     p_ex.add_argument(
         "--layers",
-        type=_nonnegative_int,
+        type=int,
         default=3,
         help="number of injected error layers",
     )
@@ -250,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let error layers hit the reference modes too",
     )
-    p_ex.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_ex.add_argument("--seed", type=int, default=0)
     p_ex.add_argument("--confidence", type=float, default=0.99)
     p_ex.add_argument(
         "--threads",
-        type=_positive_int,
+        type=int,
         default=1,
         help="worker processes, at most one per shot and per usable CPU "
         "(results are independent of this); slower than one worker at a few "

@@ -128,20 +128,17 @@ class RepetitionCode:
         return 0b111 << self.block_modes(block)[0]
 
     def label_map(
-        self,
-        key: Hashable,
-        variant: Hashable,
-        mask: int,
-        derive: Callable[[int], tuple[tuple[int, complex], ...]],
+        self, key: Hashable, variant: Hashable, build: Callable[[], LabelMap]
     ) -> LabelMap:
-        """The :class:`LabelMap` stored under ``key``, made from ``derive``
-        on first use.  The code keeps one map per key: asking for another
-        ``variant`` (a new tunneling angle, say) replaces it, so maps for
-        one-off parameters do not pile up."""
+        """The :class:`LabelMap` stored under ``key``; ``build()`` makes it
+        only when the code holds none for this ``variant``.  The code keeps
+        one map per key: asking for another ``variant`` (a new tunneling
+        angle, say) replaces it, so maps for one-off parameters do not pile
+        up."""
         held = self._maps.get(key)
         if held is not None and held[0] == variant:
             return held[1]
-        lmap = LabelMap(mask, derive)
+        lmap = build()
         self._maps[key] = (variant, lmap)
         return lmap
 
@@ -155,35 +152,35 @@ class RepetitionCode:
         through.  Labels whose system count cannot occur in a valid
         compressed state are annihilated.
         """
-        key = ("stabilizer", which, block)
-        held = self._maps.get(key)
-        if held is not None:  # the map, before building what derives it
-            return held[1]
-        lay = self.layout
-        hi, lo, kind = stabilizer_majoranas(self, block, which)
-        ladders = {
-            (mode, create): compressed_ladder_image(lay, mode, create)
-            for mode in (hi, lo)
-            for create in (False, True)
-        }
 
-        def derive(sys: int) -> tuple[tuple[int, complex], ...]:
-            if not lay.holds(sys.bit_count()):
-                return ()
-            coef = 1.0 + 0.0j
-            for mode in (hi, lo):
-                # a Majorana on one label is the one ladder that fires
-                create = not sys >> mode & 1
-                image = ladders[mode, create](sys)
-                if not image:
+        def build() -> LabelMap:
+            lay = self.layout
+            hi, lo, kind = stabilizer_majoranas(self, block, which)
+            ladders = {
+                (mode, create): compressed_ladder_image(lay, mode, create)
+                for mode in (hi, lo)
+                for create in (False, True)
+            }
+
+            def derive(sys: int) -> tuple[tuple[int, complex], ...]:
+                if not lay.holds(sys.bit_count()):
                     return ()
-                ((sys, sign),) = image
-                coef = sign * coef
-                if kind == "y":
-                    coef = (1j if create else -1j) * coef
-            return ((sys, 1j * coef),)
+                coef = 1.0 + 0.0j
+                for mode in (hi, lo):
+                    # a Majorana on one label is the one ladder that fires
+                    create = not sys >> mode & 1
+                    image = ladders[mode, create](sys)
+                    if not image:
+                        return ()
+                    ((sys, sign),) = image
+                    coef = sign * coef
+                    if kind == "y":
+                        coef = (1j if create else -1j) * coef
+                return ((sys, 1j * coef),)
 
-        return self.label_map(key, None, lay.system_mask, derive)
+            return LabelMap(lay.system_mask, derive)
+
+        return self.label_map(("stabilizer", which, block), None, build)
 
     def compiled_fswap(self, block_a: int, block_b: int) -> LabelMap:
         """The transversal block fswap as a label map on system bits.
@@ -193,21 +190,23 @@ class RepetitionCode:
         count system modes, so the map serves both representations:
         reference and ancilla bits pass through.
         """
-        swaps = [
-            fswap_image(ma, mb)
-            for ma, mb in zip(self.block_modes(block_a), self.block_modes(block_b))
-        ]
 
-        def derive(sys: int) -> tuple[tuple[int, complex], ...]:
-            coef = 1.0
-            for swap in swaps:
-                ((sys, sign),) = swap(sys)
-                coef *= sign
-            return ((sys, complex(coef)),)
+        def build() -> LabelMap:
+            swaps = [
+                fswap_image(ma, mb)
+                for ma, mb in zip(self.block_modes(block_a), self.block_modes(block_b))
+            ]
 
-        return self.label_map(
-            ("fswap", block_a, block_b), None, self.layout.system_mask, derive
-        )
+            def derive(sys: int) -> tuple[tuple[int, complex], ...]:
+                coef = 1.0
+                for swap in swaps:
+                    ((sys, sign),) = swap(sys)
+                    coef *= sign
+                return ((sys, complex(coef)),)
+
+            return LabelMap(self.layout.system_mask, derive)
+
+        return self.label_map(("fswap", block_a, block_b), None, build)
 
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:
         """Orthonormal logical basis states the register can hold: each

@@ -221,7 +221,7 @@ def apply_local_phase(state: SparseState, mode: int, theta: float) -> SparseStat
     _check_fermion_mode(state.layout, mode)
     ph = phase_factor(theta)
     if ph == 1.0:
-        return state.copy()
+        return state
     return apply_map(state, _phase_where_occupied(state, (mode,), ph))
 
 

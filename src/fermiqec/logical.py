@@ -137,19 +137,21 @@ def _tunneling_map(
     Even joint parity is left alone; on odd parity the label keeps
     ``cos theta`` and its transversal swap image gains ``i sin theta``.
     """
-    swap = code.compiled_fswap(block_a, block_b)
-    pair = code.block_mask(block_a) | code.block_mask(block_b)
-    c, s = math.cos(theta), math.sin(theta)
 
-    def derive(part: int) -> tuple[tuple[int, complex], ...]:
-        if part & control != control or not (part & pair).bit_count() & 1:
-            return ((part, 1.0),)
-        ((t, sign),) = swap.part(part & swap.mask)
-        return ((part, c), (t | part & ~swap.mask, 1j * s * sign))
+    def build() -> LabelMap:
+        swap = code.compiled_fswap(block_a, block_b)
+        pair = code.block_mask(block_a) | code.block_mask(block_b)
+        c, s = math.cos(theta), math.sin(theta)
 
-    return code.label_map(
-        ("tunneling", block_a, block_b, control), theta, swap.mask | control, derive
-    )
+        def derive(part: int) -> tuple[tuple[int, complex], ...]:
+            if part & control != control or not (part & pair).bit_count() & 1:
+                return ((part, 1.0),)
+            ((t, sign),) = swap.part(part & swap.mask)
+            return ((part, c), (t | part & ~swap.mask, 1j * s * sign))
+
+        return LabelMap(swap.mask | control, derive)
+
+    return code.label_map(("tunneling", block_a, block_b, control), theta, build)
 
 
 def tunneling_logical(

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .codes import (
+    LabelMap,
     RepetitionCode,
     prepare_logical_vacuum,
     project_codespace,
@@ -99,18 +100,18 @@ def decode(syndrome: tuple[int, int]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _plus_projector(
-    code: RepetitionCode, block: int, which: str
-) -> Callable[[int], tuple[tuple[int, complex], ...]]:
+def _plus_projector(code: RepetitionCode, block: int, which: str) -> LabelMap:
     """(1 + S)/2 on compressed labels: the label itself plus half its image
     under the code's memoized stabilizer map."""
-    stab = code.compiled_stabilizer(which, block)
-    return code.label_map(
-        ("plus", which, block),
-        None,
-        stab.mask,
-        lambda sys: ((sys, 0.5), *((t, 0.5 * c) for t, c in stab.part(sys))),
-    )
+
+    def build() -> LabelMap:
+        stab = code.compiled_stabilizer(which, block)
+        return LabelMap(
+            stab.mask,
+            lambda sys: ((sys, 0.5), *((t, 0.5 * c) for t, c in stab.part(sys))),
+        )
+
+    return code.label_map(("plus", which, block), None, build)
 
 
 def _reset_ancilla(state: SparseState, qubit: int) -> SparseState:

@@ -10,9 +10,10 @@ a sum of two such terms (tunneling, Hadamard, projectors).  :func:`apply_map`
 is the one kernel for all of them; a gate only supplies ``image(label)``,
 the ``(label, coefficient)`` pairs that label is sent to.
 
-All operations in this package are functional: they return new states and
-never mutate their inputs.  Amplitudes below ``PRUNE_EPS`` in magnitude are
-dropped on construction; a state with none keeps the dict it was given.
+All operations in this package are functional: they never mutate a state,
+so one that leaves its input unchanged may return the input itself.
+Amplitudes below ``PRUNE_EPS`` in magnitude are dropped on construction; a
+state with none keeps the dict it was given.
 Norms and probabilities are sums of weights ``a.real * a.real + a.imag *
 a.imag``.  :func:`weight_sum` forms them over a whole state with separate
 float64 multiply and add ufuncs (no complex ``abs``, no dot product,
@@ -80,9 +81,6 @@ class SparseState:
     layout: RegisterLayout
     entries: dict[int, complex] = field(default_factory=dict)
     compressed: bool = False
-
-    def copy(self) -> "SparseState":
-        return SparseState(self.layout, dict(self.entries), self.compressed)
 
     def with_entries(self, entries: dict[int, complex]) -> "SparseState":
         """New state with the same layout/representation, pruned."""

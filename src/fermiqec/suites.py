@@ -193,7 +193,7 @@ def check_repetition_code(rng: Rng, trials: int) -> tuple[float, float, float, f
 def check_dephasing_correctability() -> KLReport:
     """Knill-Laflamme matrix of no error and the single-mode pi phases on the
     one-block code; its two violations are the deviations."""
-    errors = [lambda s: s.copy()] + [
+    errors = [lambda s: s] + [
         (lambda s, m=m: apply_local_phase(s, m, math.pi)) for m in range(3)
     ]
     words = RepetitionCode(SQUARE).codespace_states()

@@ -74,6 +74,26 @@ def test_exchange_rejects_bad_probability_lists(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: error probabilities must lie in [0, 1]\n"
 
 
+def test_exchange_integers_are_checked_by_the_config(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exchange", "--p", "0.1", "--shots", "abc"])
+    assert exc.value.code == 2
+
+    def no_shots(*args):
+        raise AssertionError("a shot ran before the integers were checked")
+
+    monkeypatch.setattr(harness, "_run_shot_range", no_shots)
+    capsys.readouterr()
+    for flag, value, message in (
+        ("--shots", "0", "shots must be positive"),
+        ("--layers", "-1", "num_error_layers must be non-negative"),
+        ("--seed", "-1", "seed must be non-negative"),
+        ("--threads", "0", "threads must be positive"),
+    ):
+        assert main(["exchange", "--p", "0.1", flag, value]) == 2, flag
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_exchange_writes_csv_and_json(tmp_path, capsys):
     csv_path = tmp_path / "points.csv"
     json_path = tmp_path / "run.json"

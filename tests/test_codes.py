@@ -132,7 +132,7 @@ def test_project_codespace_keeps_ancilla_entanglement():
 def test_dephasing_set_is_correctable_and_loss_pairs_are_not():
     code = RepetitionCode(SQUARE)
     words = code.codespace_states()
-    identity = lambda s: s.copy()
+    identity = lambda s: s
     flips = [(lambda s, m=m: apply_local_phase(s, m, math.pi)) for m in range(3)]
     losses = [(lambda s, m=m: apply_annihilation(s, m)) for m in range(3)]
 

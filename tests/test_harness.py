@@ -375,7 +375,8 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     nudged = SparseState(_BASE.layout, nudged, _BASE.compressed)
     assert list(reordered.entries) != list(_BASE.entries)
     # the same labels and amplitudes share the node, whatever their order
-    for name, state in (("b", _BASE.copy()), ("reordered", reordered)):
+    equal = SparseState(_BASE.layout, dict(entries), _BASE.compressed)
+    for name, state in (("b", equal), ("reordered", reordered)):
         assert memo.node(edges, name, lambda: state, place) is first
     assert edges == {"a": first, "b": first, "reordered": first}
     assert memo.node(edges, "nudged", lambda: nudged, place) is not first

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import spread_h_state
 
+from fermiqec import codes
 from fermiqec.backend import compress
 from fermiqec.codes import (
     RepetitionCode,
@@ -40,7 +41,7 @@ from fermiqec.logical import (
     phase_gadget_logical,
     tunneling_logical,
 )
-from fermiqec.qec import measure_stabilizer, qec_round
+from fermiqec.qec import _plus_projector, measure_stabilizer, qec_round
 from fermiqec.reference import apply_c, apply_c_dagger, apply_global_reference_phase
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import (
@@ -256,6 +257,33 @@ def test_tunneling_maps_keep_one_angle_per_block_pair():
         assert _tunneling_map(code, 0, 1, theta) is not first
     # a new angle replaces the stored map instead of adding one
     assert len(code._maps) == held
+
+
+def test_a_held_map_is_returned_without_building(monkeypatch):
+    built = []
+    for name in ("fswap_image", "compressed_ladder_image"):
+
+        def counting(*args, name=name, image=getattr(codes, name)):
+            built.append(name)
+            return image(*args)
+
+        monkeypatch.setattr(codes, name, counting)
+    code = RepetitionCode(LAY)
+    control = 1 << LAY.ancilla_bit(0, compressed=True)
+    # each first request derives from images the code does not hold yet
+    requests = {
+        "stabilizer": lambda: code.compiled_stabilizer("s12", 1),
+        "fswap": lambda: code.compiled_fswap(0, 2),
+        "plus": lambda: _plus_projector(code, 1, "s23"),
+        "tunneling": lambda: _tunneling_map(code, 0, 1, THETA),
+        "controlled tunneling": lambda: _tunneling_map(code, 1, 2, THETA, control),
+    }
+    for name, request in requests.items():
+        first = request()
+        assert built, name
+        built.clear()
+        assert request() is first, name
+        assert not built, name
 
 
 def _one_label_stabilizer(code, which, block, sys):

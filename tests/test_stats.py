@@ -98,20 +98,28 @@ def test_argument_validation():
 def test_scipy_waits_for_the_first_interval():
     script = textwrap.dedent(
         """
+        import importlib
+        import pkgutil
         import sys
 
         import numpy as np
 
         import fermiqec
-        from fermiqec.backend import random_h_circuit, run_dual
-        from fermiqec.reference import random_h_state
 
-        lay = fermiqec.RegisterLayout(3, 3, 3, num_ancilla_qubits=2)
+        for info in pkgutil.iter_modules(fermiqec.__path__):
+            importlib.import_module(f"fermiqec.{info.name}")
+        from fermiqec.backend import random_h_circuit, run_dual
+        from fermiqec.codes import RepetitionCode
+        from fermiqec.reference import random_h_state
+        from fermiqec.registers import RegisterLayout
+        from fermiqec.stats import clopper_pearson
+
+        lay = RegisterLayout(3, 3, 3, num_ancilla_qubits=2)
         ops = random_h_circuit(lay, np.random.default_rng(1), length=20)
-        code = fermiqec.RepetitionCode(lay)
+        code = RepetitionCode(lay)
         run_dual(random_h_state(lay, np.random.default_rng(2)), ops, 3, code)
         assert "scipy" not in sys.modules, "scipy loaded before any interval"
-        fermiqec.clopper_pearson(3, 10)
+        clopper_pearson(3, 10)
         assert "scipy" in sys.modules
         """
     )
