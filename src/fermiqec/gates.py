@@ -29,6 +29,7 @@ that move atoms between literal and implied modes do not; those raise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -36,7 +37,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .registers import RegisterLayout, jw_sign
-from .states import SparseState, add_states, apply_map, phase_factor, weight_sum
+from .states import (
+    SparseState,
+    add_states,
+    amplitude_weights,
+    apply_map,
+    phase_factor,
+    weight_sum,
+)
 
 __all__ = [
     "LocalPhase",
@@ -166,7 +174,12 @@ def _check_fermion_mode(lay: RegisterLayout, mode: int) -> None:
 def measurable_norm_sq(state: SparseState) -> float:
     """Squared norm of a state about to be measured; raises on a
     (numerically) zero state."""
-    total = state.norm_sq()
+    return _measurable(state.norm_sq())
+
+
+def _measurable(total: float) -> float:
+    """``total``, the squared norm of a state about to be measured; raises
+    when it is (numerically) zero."""
     if total < 1e-12:
         raise ValueError("cannot measure a (numerically) zero state")
     return total
@@ -478,23 +491,23 @@ def split_mode_number(
     for m in mode_list:
         _check_fermion_mode(lay, m)
         mask |= 1 << m
-    total = measurable_norm_sq(state)
+    entries = state.entries
+    weights = amplitude_weights(entries.values())
+    total = _measurable(math.fsum(weights.tolist()))
     count = lay.counter(mask, state.compressed)
-    by_count: dict[int, list[complex]] = {}
-    count_of: dict[int, int] = {}
-    for l, a in state.entries.items():
-        cnt = count_of[l] = count(l)
-        by_count.setdefault(cnt, []).append(a)
-    probs = {cnt: weight_sum(by_count[cnt]) / total for cnt in sorted(by_count)}
+    counts = np.fromiter(map(count, entries), np.int64, len(entries))
+    probs = {
+        cnt: math.fsum(weights[counts == cnt].tolist()) / total
+        for cnt in np.flatnonzero(np.bincount(counts)).tolist()
+    }
 
     def branch(selected: int) -> SparseState:
         p_sel = probs.get(selected, 0.0)
         if p_sel <= 0.0:
             raise ValueError("selected a zero-probability branch")
         scale = 1.0 / math.sqrt(p_sel * total)
-        return apply_map(
-            state, lambda l: ((l, scale),) if count_of[l] == selected else ()
-        )
+        keep = set(itertools.compress(entries, (counts == selected).tolist()))
+        return apply_map(state, lambda l: ((l, scale),) if l in keep else ())
 
     return probs, branch
 

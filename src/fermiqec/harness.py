@@ -15,45 +15,55 @@ worker share one memo built from it, with one shot plan per error rate.
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
 shot]))``, so results are independent of how shots are distributed over
-worker processes.  :func:`_shot_draws` seeds a block of shots at once and
-draws each shot's doubles in one call; the steps read them in order.
+worker processes.  :func:`_shot_draws` seeds a block of up to
+``_SEED_BLOCK`` shots at once and draws them into one array, a row per
+shot; each event reads its own columns of a row.
 
 A shot is a walk over the fixed list of steps of its error rate's plan
 (:func:`_shot_plan`): gates, which map a state to a state, and events,
 which draw an outcome from probabilities that the state fixes (an error
 layer's flips, the bank atom count, a stabilizer readout, the final y-basis
-readout).  The walk runs over a memo (:class:`_HistoryMemo`), a graph whose
+readout).  The shots of a block walk together, breadth first
+(:func:`_walk_block`): at each step the shots at one node move as one
+group and part by outcome, and groups that reach one node merge.  The
+walk runs over a memo (:class:`_HistoryMemo`), a graph whose
 nodes are states, one per state at one step, however many histories reach
 it: each outcome of a node's event leads to the next node, and a
 repetition-code round sends a corrected flip back to the code state, so
 many error histories meet there.  A history seen for the first time builds
 its state and, if a node at the same step with the same last outcome holds
 that state (the same labels with equal amplitudes, in whatever order),
-leads to that node.  A node's first visit runs the plain measurement
+leads to that node.  At a node's first visit the lowest shot of the group
+there runs the plain measurement on its doubles
 (:func:`sample_phase_error_layer`, ``measure_mode_number``,
-``measure_stabilizer``, ``measure_qubit``); a second visit computes the
+``measure_stabilizer``, ``measure_qubit``).  Any other shot computes the
 event's outcome probabilities with the ``split_*`` helper that measurement
-calls and keeps them, so a shot that reaches a known state only draws and
-looks up.  Outcomes do not change.  A node's state does not depend on the
-error rate, so the plans of every rate walk the same nodes.  Two histories
-filed under one node carry the same state, step and last outcome, which is
-all a later gate reads (a correction reads the block's two readouts).  The order of their entries changes no later number:
+calls, and the node keeps them, so a group that reaches a known state only
+compares its doubles and looks up, one vectorized comparison per node.
+Outcomes do not change: each shot's doubles are compared with the
+probabilities the plain measurement forms, the way it compares them.  A
+node's state does not depend on the error rate, so the plans of every rate
+walk the same nodes.  Two histories filed under one node carry the same
+state, step and last outcome, which is all a later gate reads (a
+correction reads the block's two readouts).  The order of their entries
+changes no later number:
 every gate and branch of a plan makes each amplitude from at most two terms,
 chosen by label, and two terms add the same either way round; every
 probability is a ``math.fsum``, exact whatever the order (the bank count
 takes one per count, in ascending count order).  So every later
 probability, branch and draw is the same, up to the sign of a zero part,
-which no probability sees.  Every event takes the draw the plain
-measurement takes, compared the same way.  The
-memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs another
-drops them all and starts over.  At cap 0 it holds nothing, every visit is
-a first one, and the walk is plain Monte-Carlo.
+which no probability sees.  The memo holds at most ``_MEMO_CAP`` nodes;
+one that is full and needs another drops them all and starts over, and
+the groups walk on from the nodes they hold.  At cap 0 it holds nothing
+and every node is new; a one-shot block then runs the plain measurement
+at every event, which is plain Monte-Carlo.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -61,17 +71,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .codes import RepetitionCode, logical_basis_state
 from .gates import (
     apply_qubit_gate,
-    draw_sign,
     measure_mode_number,
     measure_qubit,
-    select_count,
     split_mode_number,
     split_qubit,
     to_measurement_basis,
@@ -113,7 +121,7 @@ def noise_modes(layout: RegisterLayout, include_reference: bool) -> tuple[int, .
 def _draw_flips(modes: tuple[int, ...], p: float, rng: np.random.Generator) -> tuple[int, ...]:
     """The modes one error layer flips: one draw of ``len(modes)`` doubles
     (the same doubles as one scalar draw each), a flip where ``u < p``.
-    The doubles may come as an ndarray or, from a shot's draw source, as
+    The doubles may come as an ndarray or, from a :class:`_StepDraws`, as
     a list."""
     return tuple(m for m, u in zip(modes, rng.random(len(modes))) if u < p)
 
@@ -203,10 +211,10 @@ def _integer(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 #: Most nodes a memo holds before it starts over.  A node's state on the
-#: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange
-#: benchmark call makes at most about 360 nodes (exchange_reference; at
-#: most 162 on exchange_corrected, seeds 0-19), so it never starts over;
-#: its peak RSS was 59.5 MB (exchange_corrected) and 61.6 MB
+#: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange call
+#: makes at most 356 nodes (reference errors at p = 0.01; 130-181 corrected
+#: at p = 0.002 and 0.01; seeds 0-19), so it never starts over; the peak
+#: RSS of ``bench/run.py`` was 60.2 MB (exchange_corrected) and 62.5 MB
 #: (exchange_reference), medians of ten runs on a 2-vCPU host.
 _MEMO_CAP = 512
 
@@ -216,54 +224,106 @@ _MEMO_CAP = 512
 _Gate = Callable[[SparseState, tuple], SparseState]
 
 
+class _StepDraws(NamedTuple):
+    """One shot's doubles for one event, drawn as the plain measurements
+    draw from a generator: ``random()`` gives the first, ``random(n)`` all
+    ``n``."""
+
+    doubles: list[float]
+
+    def random(self, size: int | None = None):
+        if (1 if size is None else size) != len(self.doubles):
+            raise ValueError(f"an event of {len(self.doubles)} doubles asked for {size}")
+        return self.doubles[0] if size is None else self.doubles
+
+
 class _Step(NamedTuple):
     """One event of a shot and the gates that follow it.
 
-    ``measure(state, rng) -> (outcome, post)`` is the plain step: one
-    measurement with its one draw.  ``split(state) -> (odds, branch)`` gives
-    the outcome probabilities and ``branch(outcome)``, the post state;
-    ``pick(odds, rng)`` takes the draw ``measure`` takes and compares it the
-    same way.  An error layer's odds are its p, which ``pick`` carries, so
-    its ``split`` gives ``None`` for them.
+    A shot reads the doubles at ``columns`` of its row for this event.
+    ``measure(state, draws) -> (outcome, post)`` is the plain step: one
+    measurement, drawing one shot's doubles from ``draws``
+    (:class:`_StepDraws`).  ``split(state) -> (odds, branch)`` gives the
+    outcome probabilities and ``branch(outcome)``, the post state;
+    ``pick(odds, u)`` compares the doubles ``u`` of a group of shots, one
+    row each, as ``measure`` compares its draw, and gives each outcome with
+    a selector of the rows that take it.  An error layer's odds are its p,
+    which ``pick`` carries, so its ``split`` gives ``None`` for them.
     """
 
-    measure: Callable[[SparseState, np.random.Generator], tuple]
+    measure: Callable[[SparseState, _StepDraws], tuple]
     split: Callable[[SparseState], tuple]
-    pick: Callable[[object, np.random.Generator], object]
+    pick: Callable[[object, np.ndarray], Iterable[tuple]]
+    columns: slice
     gates: tuple[_Gate, ...]
+
+
+def _pick_flips(
+    modes: tuple[int, ...], p: float, u: np.ndarray
+) -> Iterable[tuple[tuple[int, ...], object]]:
+    """The flips of one error layer in each row of ``u`` (one double per
+    mode), a flip where ``u < p`` as in :func:`_draw_flips`: the rows
+    that flip nothing, then the rows of each flip pattern."""
+    hits = u < p
+    flipped: dict[int, list[int]] = {}
+    for row, j in zip(*(a.tolist() for a in np.nonzero(hits))):
+        flipped.setdefault(row, []).append(modes[j])
+    groups: dict[tuple[int, ...], object] = {(): ~hits.any(axis=1)}
+    for row, flips in flipped.items():
+        groups.setdefault(tuple(flips), []).append(row)
+    return groups.items()
+
+
+def _pick_signs(p_plus: float, u: np.ndarray) -> Iterable[tuple[int, np.ndarray]]:
+    """+1 for the rows whose double is below ``p_plus``, -1 for the others,
+    as :func:`~fermiqec.gates.draw_sign` compares."""
+    plus = u[:, 0] < p_plus
+    return ((1, plus), (-1, ~plus))
+
+
+def _pick_counts(probs: dict[int, float], u: np.ndarray) -> Iterable[tuple[int, np.ndarray]]:
+    """The count each row's double selects, as
+    :func:`~fermiqec.gates.select_count` selects it: the first count in
+    ascending order whose running sum of probabilities, added up in that
+    order from 0.0, exceeds the double, else the largest."""
+    counts = list(probs)
+    sums = list(itertools.accumulate(probs.values(), initial=0.0))[1:]
+    index = np.minimum(np.searchsorted(sums, u[:, 0], side="right"), len(counts) - 1)
+    present = np.flatnonzero(np.bincount(index)).tolist()
+    return ((counts[i], index == i) for i in present)
 
 
 def _error_layer(p: float, modes: tuple[int, ...]) -> tuple:
     """``(measure, split, pick)`` of an error layer."""
     return (
-        lambda s, rng: sample_phase_error_layer(s, p, modes, rng)[::-1],
+        lambda s, draws: sample_phase_error_layer(s, p, modes, draws)[::-1],
         lambda s: (None, functools.partial(_apply_flips, s)),
-        lambda _, rng: _draw_flips(modes, p, rng),
+        lambda _, u: _pick_flips(modes, p, u),
     )
 
 
 def _stabilizer(code: RepetitionCode, block: int, which: str) -> tuple:
     """``(measure, split, pick)`` of one block stabilizer readout."""
     return (
-        lambda s, rng: measure_stabilizer(s, code, block, which, rng, _GADGET),
+        lambda s, draws: measure_stabilizer(s, code, block, which, draws, _GADGET),
         lambda s: split_stabilizer(s, code, block, which, _GADGET),
-        draw_sign,
+        _pick_signs,
     )
 
 
 #: ``(measure, split, pick)`` of the bank atom count.
 _BANK_COUNT = (
-    lambda s, rng: measure_mode_number(s, s.layout.reference_modes(), rng),
+    lambda s, draws: measure_mode_number(s, s.layout.reference_modes(), draws),
     lambda s: split_mode_number(s, s.layout.reference_modes()),
-    lambda probs, rng: select_count(probs, rng.random()),
+    _pick_counts,
 )
 
 #: ``(measure, split, pick)`` of the final readout, on a state already
 #: rotated to the y basis.
 _FINAL_READOUT = (
-    lambda s, rng: measure_qubit(s, _INTERFEROMETER, rng),
+    lambda s, draws: measure_qubit(s, _INTERFEROMETER, draws),
     lambda s: split_qubit(s, _INTERFEROMETER),
-    draw_sign,
+    _pick_signs,
 )
 
 
@@ -302,8 +362,8 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
     def event(measure, split, pick, draws: int = 1) -> None:
         nonlocal gates, width
         gates = []
+        steps.append((measure, split, pick, slice(width, width + draws), gates))
         width += draws
-        steps.append((measure, split, pick, gates))
 
     layer = _error_layer(p, modes)
     for slot in range(4):
@@ -328,8 +388,9 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
 class _Node:
     """One state at one event of a shot plan, reached by any history that
     leads to an equal state; whether a shot has been here before, the
-    event's outcome probabilities once a second visit computed them
-    (``None`` until then), and the node each outcome leads to."""
+    event's outcome probabilities once a shot other than the first one
+    needed them (``None`` until then), and the node each outcome leads
+    to."""
 
     __slots__ = ("state", "seen", "odds", "children")
 
@@ -355,8 +416,8 @@ class _HistoryMemo:
     takes 0.0 and -0.0 as equal; the sign of a zero part never changes the
     size of a sum or product, so it changes no probability.  The index
     holds every node, at most ``cap``: a full memo that needs a new node
-    clears it and ``roots`` and starts over, while the shot in progress
-    walks on from the node it holds.  Node states do not depend on p, so
+    clears it and ``roots`` and starts over, while the block in progress
+    walks on from the nodes it holds.  Node states do not depend on p, so
     the plans of every error rate walk the same nodes.  ``cap=0`` keeps no
     node.
     """
@@ -428,11 +489,12 @@ def _branch(
     return _settle(branch(outcome), step.gates, syndrome)
 
 
-def run_exchange_shot(memo: _HistoryMemo, p: float, rng: np.random.Generator) -> int:
-    """One interferometry shot of ``memo``'s config at error rate ``p``;
-    returns the y-basis outcome (+1 or -1).
+def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
+    """The y-basis outcome (+1 or -1) of each shot of ``block`` at error
+    rate ``p``, one shot per row of doubles, all following ``memo``'s
+    config.
 
-    The shot starts from ``memo.base``, the prepared |1,1,0> logical state
+    Each shot starts from ``memo.base``, the prepared |1,1,0> logical state
     without ancilla activity.  Error layers cycle through their slots; with
     correction enabled each layer is followed by a full round, preceded by
     a bank number measurement plus re-encoding when the layer can dephase
@@ -441,30 +503,68 @@ def run_exchange_shot(memo: _HistoryMemo, p: float, rng: np.random.Generator) ->
     layers are only approximately corrected (the combined error set fails
     the exact-correctability conditions).
 
-    ``rng`` is a numpy generator or a shot's draw source from
-    :func:`_shot_draws`; the shot takes its plan's ``width`` doubles.
-    ``memo`` caches the states and probabilities of states reached before,
-    by this history or another; at cap 0 it caches nothing.  The outcome is
-    the same either way.
+    The shots walk the plan's steps together, breadth first: at each step
+    the shots standing at one node move as one group, and groups that
+    reach one node merge.  At a node not visited before, the group's
+    lowest row runs the plain measurement on its doubles, and the other
+    rows pick from the node's split; at a visited node every row picks.
+    Each row takes the outcome the plain measurement would give it, so the
+    outcomes do not depend on the block's size or on what ``memo`` holds.
     """
-    head, steps, _ = memo.plan(p)
-    children, key, last = memo.roots, None, None
-    make = functools.partial(_settle, memo.base, head, ())
+    head, steps, width = memo.plan(p)
+    if block.ndim != 2 or block.shape[1] != width:
+        raise ValueError(
+            f"a shot of this plan reads {width} doubles, got a block of shape {block.shape}"
+        )
+    outcomes = np.empty(len(block), np.int64)
+    root = memo.node(
+        memo.roots, None, functools.partial(_settle, memo.base, head, ()), (0, None)
+    )
+    groups = [(root, None, np.arange(len(block)))]
+    final = len(steps) - 1
     for index, step in enumerate(steps):
-        node = memo.node(children, key, make, (index, last))
-        if node.seen:
-            branch = None
-            if node.odds is None:
-                node.odds, branch = step.split(node.state)
-            outcome = step.pick(node.odds, rng)
-            make = functools.partial(
-                _branch, step, node, branch, outcome, (last, outcome)
-            )
-        else:
-            node.seen = True
-            outcome, post = step.measure(node.state, rng)
-            make = functools.partial(_settle, post, step.gates, (last, outcome))
-        children, key, last = node.children, outcome, outcome
+        arrivals: dict[_Node, tuple] = {}  # by identity
+        for node, last, rows in groups:
+            picks, made, branch = [], {}, None
+            if not node.seen:
+                node.seen = True
+                draws = _StepDraws(block[rows[0], step.columns].tolist())
+                outcome, post = step.measure(node.state, draws)
+                picks.append((outcome, rows[:1]))
+                made[outcome] = functools.partial(
+                    _settle, post, step.gates, (last, outcome)
+                )
+                rows = rows[1:]
+            if len(rows):
+                if node.odds is None:
+                    node.odds, branch = step.split(node.state)
+                u = block[rows, step.columns]
+                picks += [(o, rows[which]) for o, which in step.pick(node.odds, u)]
+            for outcome, taken in picks:
+                if not len(taken):
+                    continue
+                if index == final:
+                    outcomes[taken] = outcome
+                    continue
+                make = made.get(outcome) or functools.partial(
+                    _branch, step, node, branch, outcome, (last, outcome)
+                )
+                child = memo.node(node.children, outcome, make, (index + 1, outcome))
+                arrivals.setdefault(child, (child, outcome, []))[2].append(taken)
+        groups = [
+            (child, last, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
+            for child, last, parts in arrivals.values()
+        ]
+    return outcomes
+
+
+def run_exchange_shot(memo: _HistoryMemo, p: float, block: np.ndarray) -> int:
+    """The y-basis outcome (+1 or -1) of one interferometry shot of
+    ``memo``'s config at error rate ``p``, whose doubles are the one row of
+    ``block``: :func:`_walk_block` on a one-shot block.  At cap 0 the memo
+    caches nothing, every node is a first visit, and this is plain
+    Monte-Carlo."""
+    (outcome,) = _walk_block(memo, p, block).tolist()
     return outcome
 
 
@@ -567,48 +667,37 @@ def _pcg64_states(seed: int, point: int, start: int, stop: int) -> list[tuple[in
     return out
 
 
-class _Draws:
-    """One shot's doubles, handed out in order through the two forms of
-    ``Generator.random`` the steps call: ``random()`` for the next double,
-    ``random(n)`` for a list of the next ``n``.  Asking for more than the
-    shot holds raises."""
-
-    __slots__ = ("_doubles", "_used")
-
-    def __init__(self, doubles: list[float]):
-        self._doubles = doubles
-        self._used = 0
-
-    def random(self, size: int | None = None):
-        used = self._used
-        end = used + (1 if size is None else size)
-        if end > len(self._doubles):
-            raise ValueError(f"a shot asked for more than its {len(self._doubles)} doubles")
-        self._used = end
-        return self._doubles[used] if size is None else self._doubles[used:end]
-
-
 def _shot_draws(
     seed: int, point: int, start: int, stop: int, width: int
-) -> Iterator[_Draws]:
-    """The draw source of each shot ``start..stop-1`` at ``point``, in
-    order: the first ``width`` doubles of ``default_rng(SeedSequence([seed,
-    point, shot]))``, fixed by the run's seed and the shot's point and
-    index alone.  Seeds blocks of at most ``_SEED_BLOCK`` shots at once and
-    draws each shot's doubles in one call into one reused generator."""
-    bits = np.random.PCG64()
-    generator = np.random.Generator(bits)
+) -> Iterator[np.ndarray]:
+    """The doubles of shots ``start..stop-1`` at ``point``, in blocks of at
+    most ``_SEED_BLOCK`` shots: one row per shot, in order, holding the
+    first ``width`` doubles of ``default_rng(SeedSequence([seed, point,
+    shot]))``, fixed by the run's seed and the shot's point and index
+    alone.  Seeds each block at once and draws each row in one call into
+    one reused generator; holds no block once it has handed it out."""
+    generator = np.random.Generator(np.random.PCG64())
     while start < stop:
         end = min(start + _SEED_BLOCK, stop, (start >> 32) + 1 << 32)
-        for state, inc in _pcg64_states(seed, point, start, end):
-            bits.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield _Draws(generator.random(width).tolist())
+        yield _draw_rows(generator, _pcg64_states(seed, point, start, end), width)
         start = end
+
+
+def _draw_rows(
+    generator: np.random.Generator, states: list[tuple[int, int]], width: int
+) -> np.ndarray:
+    """One row of ``width`` doubles per PCG64 ``(state, inc)``, drawn by
+    ``generator`` from that state."""
+    rows = np.empty((len(states), width))
+    for row, (state, inc) in zip(rows, states):
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.random(out=row)
+    return rows
 
 
 def _exchange_start() -> tuple[RepetitionCode, SparseState]:
@@ -628,9 +717,9 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
     for point_index, p in enumerate(config.p_values):
         width = memo.plan(p).width
         minus = 0
-        for draws in _shot_draws(config.seed, point_index, start, stop, width):
-            if run_exchange_shot(memo, p, draws) < 0:
-                minus += 1
+        for block in _shot_draws(config.seed, point_index, start, stop, width):
+            minus += int(np.count_nonzero(_walk_block(memo, p, block) < 0))
+            del block  # before the next block is drawn
         counts.append(minus)
     return counts
 
@@ -656,8 +745,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     pay at a few hundred shots per worker: at 256 corrected shots per
     worker (p = 0.01, two workers on a 2-vCPU host),
     ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` is 0.60-0.75, as starting the pool
-    costs more than the shots.
+    exchange_corrected --trace 1`` is 0.42-0.82 (seeds 0-4), as starting
+    the pool costs more than the shots.
     """
     threads = _integer(threads, "threads")
     if threads < 1:

@@ -42,6 +42,7 @@ __all__ = [
     "scale_state",
     "difference_norm",
     "weight_sum",
+    "amplitude_weights",
     "random_full_state",
     "phase_factor",
     "apply_map",
@@ -50,15 +51,19 @@ __all__ = [
 PRUNE_EPS = 1e-14
 
 
-def weight_sum(amplitudes: Collection[complex]) -> float:
-    """``math.fsum`` of ``a.real * a.real + a.imag * a.imag`` over the
-    amplitudes: a squared norm or an unnormalized probability.  The weights
-    are formed by separate float64 multiply and add ufuncs, so each equals
-    that Python expression bit for bit, and the sum is exact whatever the
-    amplitudes' order."""
+def amplitude_weights(amplitudes: Collection[complex]) -> np.ndarray:
+    """``a.real * a.real + a.imag * a.imag`` of each amplitude, in order, as
+    a float64 array.  The weights are formed by separate float64 multiply
+    and add ufuncs, so each equals that Python expression bit for bit."""
     amps = np.fromiter(amplitudes, complex, len(amplitudes))
     re, im = amps.real, amps.imag
-    return math.fsum((re * re + im * im).tolist())
+    return re * re + im * im
+
+
+def weight_sum(amplitudes: Collection[complex]) -> float:
+    """``math.fsum`` of the :func:`amplitude_weights`: a squared norm or an
+    unnormalized probability, exact whatever the amplitudes' order."""
+    return math.fsum(amplitude_weights(amplitudes).tolist())
 
 
 def _pruned(entries: dict[int, complex]) -> dict[int, complex]:

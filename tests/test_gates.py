@@ -22,6 +22,7 @@ from fermiqec.gates import (
     measure_qubit,
     number_expectation,
     select_count,
+    split_mode_number,
     split_qubit,
     to_measurement_basis,
 )
@@ -31,8 +32,10 @@ from fermiqec.states import (
     SparseState,
     add_states,
     basis_state,
+    apply_map,
     difference_norm,
     random_full_state,
+    weight_sum,
 )
 
 LAY = RegisterLayout(3, 3, 3)
@@ -138,6 +141,41 @@ def test_measure_mode_number_collapses_count():
     assert count in (1, 2)
     assert abs(post.norm() - 1.0) < 1e-14
     assert all(bin(l & 0b111).count("1") == count for l in post.entries)
+
+
+def _count_split_by_label(state, modes):
+    """The reference for ``split_mode_number``: amplitudes grouped by count
+    one label at a time, one ``weight_sum`` per count and one for the
+    norm, and the branch as a per-label projection."""
+    mask = sum(1 << m for m in modes)
+    count = state.layout.counter(mask, state.compressed)
+    total = state.norm_sq()
+    by_count = {}
+    for l, a in state.entries.items():
+        by_count.setdefault(count(l), []).append(a)
+    probs = {c: weight_sum(by_count[c]) / total for c in sorted(by_count)}
+
+    def branch(selected):
+        scale = 1.0 / math.sqrt(probs[selected] * total)
+        return apply_map(state, lambda l: ((l, scale),) if count(l) == selected else ())
+
+    return probs, branch
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("sizes", [(3, 4, 4), (9, 9, 9)])
+def test_split_mode_number_matches_the_per_label_loop(sizes, compressed):
+    lay = RegisterLayout(*sizes, num_ancilla_qubits=2)
+    for seed in range(4):
+        psi = random_h_state(lay, np.random.default_rng(seed))
+        psi = compress(psi) if compressed else psi
+        for modes in (lay.reference_modes(), (0, 2), tuple(range(lay.num_fermion_modes))):
+            probs, branch = split_mode_number(psi, modes)
+            want, want_branch = _count_split_by_label(psi, modes)
+            assert list(probs.items()) == list(want.items())  # bit for bit, in order
+            for c in want:
+                got = branch(c).entries
+                assert list(got.items()) == list(want_branch(c).entries.items())
 
 
 def test_measure_mode_number_definite_count_is_deterministic():

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import itertools
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
+from fermiqec.gates import draw_sign, select_count
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
     _exchange_start,
@@ -82,8 +84,9 @@ def test_reference_flips_agree_between_representations():
     psi = random_h_state(lay, np.random.default_rng(75))
     modes = noise_modes(lay, True)
     doubles = _flipping((3, 5), lay.num_fermion_modes)
-    phys, flipped = sample_phase_error_layer(psi, 0.5, modes, harness._Draws(doubles))
-    comp, _ = sample_phase_error_layer(compress(psi), 0.5, modes, harness._Draws(doubles))
+    draws = harness._StepDraws(doubles)
+    phys, flipped = sample_phase_error_layer(psi, 0.5, modes, draws)
+    comp, _ = sample_phase_error_layer(compress(psi), 0.5, modes, draws)
     assert flipped == (3, 5)
     assert difference_norm(compress(phys), comp) < 1e-13
 
@@ -168,9 +171,10 @@ def test_any_field_value_builds_and_runs_or_raises_value_error(name, value):
 
 
 def _one_shot_draws(seed, point, shot, memo, p):
-    """The draw source of one shot, a one-shot range of the run's own."""
-    (draws,) = harness._shot_draws(seed, point, shot, shot + 1, memo.plan(p).width)
-    return draws
+    """The doubles of one shot as a one-shot block, a one-shot range of the
+    run's own."""
+    (block,) = harness._shot_draws(seed, point, shot, shot + 1, memo.plan(p).width)
+    return block
 
 
 def test_noiseless_estimate_is_exactly_minus_one():
@@ -191,8 +195,8 @@ def test_pure_reference_noise_is_removed_exactly():
     rng = np.random.default_rng(5)
     for _ in range(40):
         rest = rng.random(15).tolist()
-        draws = harness._Draws(layer + rest[:7] + layer + rest[7:])
-        assert run_exchange_shot(memo, 0.5, draws) == +1
+        block = np.array([layer + rest[:7] + layer + rest[7:]])
+        assert run_exchange_shot(memo, 0.5, block) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -279,6 +283,28 @@ def test_first_shots_are_pinned(case, correct, reference):
         outcome = run_exchange_shot(memo, 0.05, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
+    # the same shots walked as one block over a memo
+    memo = harness._HistoryMemo(config, *_exchange_start(), harness._MEMO_CAP)
+    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, memo.plan(0.05).width)
+    signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, 0.05, block)]
+    assert "".join(signs) == PINNED_OUTCOMES[case]
+
+
+#: ``count_minus`` at p = 0.002 and 0.01 of 600 shots at seed 0, three seed
+#: blocks of 256, 256 and 88 shots, recorded from the walk that ran one shot
+#: at a time.
+PINNED_COUNTS = {
+    "corrected": ({}, [0, 0]),
+    "uncorrected": ({"correction_enabled": False}, [15, 63]),
+    "reference": ({"include_reference_errors": True}, [3, 38]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
+def test_counts_across_seed_blocks_are_pinned(case):
+    fields, counts = PINNED_COUNTS[case]
+    config = ExperimentConfig((0.002, 0.01), shots=600, seed=0, **fields)
+    assert [p.count_minus for p in run_experiment(config).points] == counts
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +325,25 @@ def _memo(cap, **fields):
 
 
 def _outcomes(memo, p_values, shots, seed=0):
-    """Outcomes of ``shots`` shots at each p, seeded as a run seeds them and
-    sharing ``memo`` across the points."""
+    """Outcomes of ``shots`` shots at each p, seeded and walked in blocks as
+    a run does it, sharing ``memo`` across the points."""
     out = []
     for point, p in enumerate(p_values):
-        for draws in harness._shot_draws(seed, point, 0, shots, memo.plan(p).width):
-            out.append(run_exchange_shot(memo, p, draws))
+        for block in harness._shot_draws(seed, point, 0, shots, memo.plan(p).width):
+            out += harness._walk_block(memo, p, block).tolist()
+    return out
+
+
+def _plain_outcomes(p_values, shots, seed=0, **fields):
+    """The oracle of :func:`_outcomes`: the same shots, each walked alone
+    as a one-shot block over a memo of cap 0, so every visit is a first one
+    and runs the plain measurement."""
+    memo = _memo(0, **fields)
+    out = []
+    for point, p in enumerate(p_values):
+        for shot in range(shots):
+            block = _one_shot_draws(seed, point, shot, memo, p)
+            out.append(run_exchange_shot(memo, p, block))
     return out
 
 
@@ -323,12 +362,14 @@ MEMO_CASES = {
 @pytest.mark.slow
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_memo_leaves_every_outcome_unchanged(case):
+    # cap 2 starts over in the middle of the block
     runs = {
         cap: _outcomes(_memo(cap, **MEMO_CASES[case]), (0.01, 0.05), 200)
         for cap in (_NO_START_OVER, 0, 2)
     }
-    assert set(runs[_NO_START_OVER]) <= {-1, 1}
-    assert runs[_NO_START_OVER] == runs[0] == runs[2]
+    plain = _plain_outcomes((0.01, 0.05), 200, **MEMO_CASES[case])
+    assert set(plain) <= {-1, 1}
+    assert runs[_NO_START_OVER] == runs[0] == runs[2] == plain
 
 
 def test_memo_holds_no_more_than_its_cap():
@@ -352,8 +393,8 @@ def test_memo_holds_no_more_than_its_cap():
 
 def test_histories_that_reach_one_state_share_its_node():
     fields = {"include_reference_errors": True}
-    memo, plain = _memo(_NO_START_OVER, **fields), _memo(0, **fields)
-    assert _outcomes(memo, (0.01,), 256) == _outcomes(plain, (0.01,), 256)
+    memo = _memo(_NO_START_OVER, **fields)
+    assert _outcomes(memo, (0.01,), 256) == _plain_outcomes((0.01,), 256, **fields)
     nodes = {id(node) for node in memo._states.values()}
     edges = [*memo.roots.values()]
     for node in memo._states.values():
@@ -404,17 +445,23 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
         return readout(*args)
 
     monkeypatch.setattr(harness, "measure_stabilizer", counted)
-    plain = _outcomes(_memo(0), (0.01,), 40)
+    plain = _plain_outcomes((0.01,), 40)
     assert len(calls) == 40 * 3 * 6  # every readout of every shot
     calls.clear()
     memo = _memo(harness._MEMO_CAP)
     warm = _outcomes(memo, (0.01,), 40)
-    first_visits = len(calls)
+    first_visits = sorted(args[4].doubles for args in calls)  # each reader's doubles
     calls.clear()
     replay = _outcomes(memo, (0.01,), 40)
     assert plain == warm == replay
-    assert 0 < first_visits < 40 * 3 * 6
+    assert 0 < len(first_visits) < 40 * 3 * 6
     assert calls == []  # the replay only revisits nodes
+    # a node's plain readout is run by the shot that reaches it first when
+    # the shots walk one at a time: the lowest shot of the group there
+    memo = _memo(harness._MEMO_CAP)
+    for shot in range(40):
+        run_exchange_shot(memo, 0.01, _one_shot_draws(0, 0, shot, memo, 0.01))
+    assert sorted(args[4].doubles for args in calls) == first_visits
 
 
 #: The config fields a run may set that change its shots' plan.
@@ -430,13 +477,14 @@ _PLAN_FIELDS = st.fixed_dictionaries(
 @given(p=st.floats(0.0, 1.0), fields=_PLAN_FIELDS)
 def test_no_noise_setting_crashes_a_shot(p, fields):
     memo, plain = _memo(harness._MEMO_CAP, **fields), _memo(0, **fields)
+    width = plain.plan(p).width
+    block = np.concatenate(
+        [np.random.default_rng(shot).random((1, width)) for shot in range(3)]
+    )
+    want = [run_exchange_shot(plain, p, row[None]) for row in block]
+    assert set(want) <= {-1, 1}
     for _ in range(2):  # the second pass replays the first from the memo
-        for shot in range(3):
-            outcomes = [
-                run_exchange_shot(m, p, np.random.default_rng(shot)) for m in (memo, plain)
-            ]
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0] in (-1, 1)
+        assert harness._walk_block(memo, p, block).tolist() == want
 
 
 @given(
@@ -445,13 +493,21 @@ def test_no_noise_setting_crashes_a_shot(p, fields):
     shots=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), max_size=10),
 )
 def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values, shots):
-    # Caps this small start over in the middle of nearly every shot; seeds
-    # repeat, so shots also revisit nodes that survived a start-over.
+    # Caps this small start over in the middle of nearly every block; seeds
+    # repeat, so shots also revisit nodes that survived a start-over.  Each
+    # point's shots walk as one block, against one-shot blocks at cap 0.
     memos = [_memo(cap, **fields) for cap in (0, 1, 2, 3, 5)]
+    plain = _memo(0, **fields)
+    seeds = {}
     for point, seed in shots:
-        p = p_values[point % len(p_values)]
-        outcomes = {run_exchange_shot(m, p, np.random.default_rng(seed)) for m in memos}
-        assert len(outcomes) == 1, (point, seed)
+        seeds.setdefault(point % len(p_values), []).append(seed)
+    for point, listed in seeds.items():
+        p = p_values[point]
+        width = plain.plan(p).width
+        rows = [np.random.default_rng(seed).random((1, width)) for seed in listed]
+        want = [run_exchange_shot(plain, p, row) for row in rows]
+        for m in memos:
+            assert harness._walk_block(m, p, np.concatenate(rows)).tolist() == want, point
 
 
 @functools.cache
@@ -499,6 +555,95 @@ def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
 
 
 # ---------------------------------------------------------------------------
+# a block's picks
+# ---------------------------------------------------------------------------
+
+#: The largest double a generator's ``random()`` returns.
+_TOP = 1.0 - 2.0**-53
+
+
+def _per_row(picks, rows):
+    """The outcome of each of ``rows`` rows from a vectorized pick's
+    ``(outcome, selector)`` pairs, checking that each row gets one."""
+    out = [None] * rows
+    for outcome, which in picks:
+        for row in np.arange(rows)[which].tolist():
+            assert out[row] is None
+            out[row] = outcome
+    assert None not in out
+    return out
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_a_double_equal_to_p_flips_nothing(p):
+    modes = tuple(range(9))
+    below = float(np.nextafter(p, 0.0))
+    u = np.array(
+        [
+            [p] * 9,
+            [below] + [p] * 8,
+            [p] * 8 + [0.0],
+            [float(np.nextafter(p, 1.0))] * 9,
+            [_TOP] * 9,
+            *np.random.default_rng(7).random((4, 9)).tolist(),
+        ]
+    )
+    got = _per_row(harness._pick_flips(modes, p, u), len(u))
+    want = [harness._draw_flips(modes, p, harness._StepDraws(row)) for row in u.tolist()]
+    assert got == want
+    assert got[0] == ()
+    if p > 0.0:
+        assert got[1] == (0,) and got[2] == (8,)
+
+
+@pytest.mark.parametrize("p_plus", [0.0, 0.3, 0.5, _TOP, 1.0])
+def test_a_double_equal_to_p_plus_reads_minus(p_plus):
+    doubles = [p_plus, float(np.nextafter(p_plus, 0.0)), float(np.nextafter(p_plus, 1.0))]
+    doubles += [0.0, _TOP, *np.random.default_rng(8).random(4).tolist()]
+    got = _per_row(harness._pick_signs(p_plus, np.array(doubles)[:, None]), len(doubles))
+    assert got == [draw_sign(p_plus, harness._StepDraws([u])) for u in doubles]
+    assert got[0] == -1
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        {0: 0.25, 1: 0.5, 3: 0.25},
+        {0: 0.7, 1: 0.2, 2: 0.1},  # the sums reach 1 - 2**-53, the largest double
+        {2: 0.5, 5: 0.25},  # the sums stop at 0.75
+        {4: 1.0},
+        {0: 0.0, 1: 0.6, 2: 0.0, 3: 0.4},
+    ],
+)
+def test_a_double_at_or_above_the_last_sum_selects_the_largest_count(probs):
+    sums = list(itertools.accumulate(probs.values(), initial=0.0))[1:]
+    near = {s + d for s in sums for d in (0.0, -(2.0**-53), 2.0**-53)}
+    doubles = sorted(u for u in near | {0.0, _TOP, 0.9} if 0.0 <= u <= _TOP)
+    got = _per_row(harness._pick_counts(probs, np.array(doubles)[:, None]), len(doubles))
+    assert got == [select_count(probs, u) for u in doubles]
+    assert all(c == max(probs) for c, u in zip(got, doubles) if u >= sums[-1])
+
+
+@pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
+def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case):
+    fields = MEMO_CASES[case]
+    memo, plain = _memo(_NO_START_OVER, **fields), _memo(0, **fields)
+    plan = plain.plan(0.5)
+    first = plan.steps[0].columns
+    width = first.stop - first.start
+    # row 0 flips nothing in the first layer and row i + 1 flips mode i
+    # alone; at p = 0.5 the later events part the rows further
+    block = np.random.default_rng(3).random((width + 1, plan.width))
+    block[:, first] = np.vstack([np.full(width, _TOP), np.where(np.eye(width), 0.0, _TOP)])
+    want = [run_exchange_shot(plain, 0.5, row[None]) for row in block]
+    for _ in range(2):  # first visits, then a replay on the warm memo
+        assert harness._walk_block(memo, 0.5, block).tolist() == want
+    (root,) = memo.roots.values()
+    assert len(root.children) == len(block)  # every shot its own branch
+    assert set(want) == {-1, 1}
+
+
+# ---------------------------------------------------------------------------
 # a shot's draws
 # ---------------------------------------------------------------------------
 
@@ -522,7 +667,9 @@ def _numpy_doubles(seed, point, shot, width):
     ],
 )
 def test_batched_draws_are_numpys_per_shot_draws(seed, point, start, stop):
-    got = [d.random(11) for d in harness._shot_draws(seed, point, start, stop, 11)]
+    blocks = list(harness._shot_draws(seed, point, start, stop, 11))
+    assert all(0 < len(b) <= harness._SEED_BLOCK for b in blocks)
+    got = np.concatenate(blocks).tolist()
     assert got == [_numpy_doubles(seed, point, s, 11) for s in range(start, stop)]
 
 
@@ -532,31 +679,40 @@ def test_batched_draws_are_numpys_per_shot_draws(seed, point, start, stop):
     start=st.integers(0, 2**70),
 )
 def test_any_shot_draws_what_numpy_draws(seed, point, start):
-    got = [d.random(4) for d in harness._shot_draws(seed, point, start, start + 3, 4)]
+    blocks = harness._shot_draws(seed, point, start, start + 3, 4)
+    got = np.concatenate(list(blocks)).tolist()
     assert got == [_numpy_doubles(seed, point, s, 4) for s in range(start, start + 3)]
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_plan_width_is_what_a_shot_draws(case):
     memo, plain = _memo(harness._MEMO_CAP, **MEMO_CASES[case]), _memo(0, **MEMO_CASES[case])
-    width = memo.plan(0.2).width
+    plan = memo.plan(0.2)
+    # the events read the columns of a row in order, each its own, and
+    # nothing past the width
+    columns = [step.columns for step in plan.steps]
+    assert [c.start for c in columns] == [0] + [c.stop for c in columns[:-1]]
+    assert columns[-1].stop == plan.width
     for seed in range(3):  # first visits, then second visits on the memo
+        block = np.random.default_rng(seed).random((1, plan.width))
         for m in (plain, memo, memo):
-            rng = CountingRng(seed)
-            run_exchange_shot(m, 0.2, rng)
-            assert rng.draws == width
+            # a plain measurement draws exactly its event's columns
+            # (``_StepDraws`` raises otherwise)
+            assert run_exchange_shot(m, 0.2, block) in (-1, 1)
 
 
 def test_a_shot_cannot_draw_past_its_width():
-    for ask in ([None, None, None, None], [2, 2], [3, None], [4]):
-        (draws,) = harness._shot_draws(0, 0, 0, 1, 3)
-        with pytest.raises(ValueError, match="more than its 3 doubles"):
-            for size in ask:
-                draws.random(size)
-    (draws,) = harness._shot_draws(0, 0, 0, 1, 3)
-    assert [draws.random(2), draws.random()] == [
-        _numpy_doubles(0, 0, 0, 2), _numpy_doubles(0, 0, 0, 3)[2]
-    ]
+    memo = _memo(0)
+    width = memo.plan(0.05).width
+    for shape in ((1, width - 1), (1, width + 1), (width,), (1, 1, width)):
+        with pytest.raises(ValueError, match=f"reads {width} doubles"):
+            run_exchange_shot(memo, 0.05, np.zeros(shape))
+    # an event's plain measurement draws its own doubles and no others
+    for doubles, ask in (([0.5], 2), ([0.5, 0.25], None), ([0.5, 0.25], 3)):
+        with pytest.raises(ValueError, match="asked for"):
+            harness._StepDraws(doubles).random(ask)
+    assert harness._StepDraws([0.5]).random() == 0.5
+    assert harness._StepDraws([0.5, 0.25]).random(2) == [0.5, 0.25]
 
 
 @pytest.mark.parametrize(
@@ -573,10 +729,13 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
     memo = harness._HistoryMemo(config, *_exchange_start(), 0)
     plain = []
     for point, p in enumerate(config.p_values):
+        width = memo.plan(p).width
         outcomes = [
             run_exchange_shot(
                 memo, p,
-                np.random.default_rng(np.random.SeedSequence([config.seed, point, shot])),
+                np.random.default_rng(
+                    np.random.SeedSequence([config.seed, point, shot])
+                ).random((1, width)),
             )
             for shot in range(config.shots)
         ]
@@ -585,14 +744,14 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
 
 
 def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
-    # Shots seed in blocks and draw one at a time: the memory a range holds
-    # for its draws is one block's, however many shots it runs.
-    def take_all(memo, p, draws):
-        draws.random(memo.plan(p).width)
-        return 1
+    # Shots seed and walk in blocks: the memory a range holds for its draws
+    # is one block's, however many shots it runs.
+    def take_all(memo, p, block):
+        assert block.shape == (len(block), memo.plan(p).width)
+        return np.ones(len(block), np.int64)
 
     monkeypatch.setattr(harness, "_exchange_start", lambda: (_CODE, _BASE))
-    monkeypatch.setattr(harness, "run_exchange_shot", take_all)
+    monkeypatch.setattr(harness, "_walk_block", take_all)
 
     def peak(shots):
         config = ExperimentConfig((0.01,), shots=shots, include_reference_errors=True)
