@@ -31,26 +31,33 @@ nodes are states, one per state at one step, however many histories reach
 it: each outcome of a node's event leads to the next node, and a
 repetition-code round sends a corrected flip back to the code state, so
 many error histories meet there.  A history seen for the first time builds
-its state and, if a node at the same step with the same last outcome holds
-that state (the same labels with equal amplitudes, in whatever order),
-leads to that node.  At a node's first visit the lowest shot of the group
-there runs the plain measurement on its doubles
-(:func:`sample_phase_error_layer`, ``measure_mode_number``,
-``measure_stabilizer``, ``measure_qubit``).  Any other shot computes the
-event's outcome probabilities with the ``split_*`` helper that measurement
-calls, and the node keeps them, so a group that reaches a known state only
-compares its doubles and looks up, one vectorized comparison per node.
-Outcomes do not change: each shot's doubles are compared with the
-probabilities the plain measurement forms, the way it compares them.  A
-node's state does not depend on the error rate, so the plans of every rate
-walk the same nodes.  Two histories filed under one node carry the same
-state, step and last outcome, which is all a later gate reads (a
-correction reads the block's two readouts).  The order of their entries
-changes no later number:
-every gate and branch of a plan makes each amplitude from at most two terms,
-chosen by label, and two terms add the same either way round; every
-probability is a ``math.fsum``, exact whatever the order (the bank count
-takes one per count, in ascending count order).  So every later
+its state and, if a node at the same step holds that state up to a global
+phase ``k`` in {1, -1, i, -i} (the same labels with amplitudes equal after
+the turn, in whatever order), leads to that node; at a correction's step
+the node must also have the same last outcome.  At a node's first visit
+the lowest shot of the group there runs the plain measurement on its
+doubles (:func:`sample_phase_error_layer`, ``measure_mode_number``,
+``measure_stabilizer``, and for the final readout the outcome
+``measure_qubit`` draws, without the post state no step reads).  Any other
+shot computes the event's outcome probabilities with the ``split_*``
+helper that measurement calls, and the node keeps them, so a group that
+reaches a known state only compares its doubles and looks up, one
+vectorized comparison per node.  Outcomes do not change: each shot's
+doubles are compared with the probabilities the plain measurement forms,
+the way it compares them.  A node's state does not depend on the error
+rate, so the plans of every rate walk the same nodes.  Two histories filed
+under one node carry the same step and the same state up to ``k``, and at
+a correction's step the same last outcome, which is all a later gate reads
+(a correction reads the block's two readouts; no other gate reads an
+outcome).  Neither the order of their entries nor ``k`` changes a later
+probability: every gate and branch of a plan makes each amplitude from at
+most two terms, chosen by label, and two terms add the same either way
+round; every probability is a ``math.fsum``, exact whatever the order (the
+bank count takes one per count, in ascending count order).  Multiplying by
+``k`` only swaps and negates real and imaginary parts, and rounding to
+nearest is symmetric under both, so each later amplitude, built by sums,
+products and quotients by constants, is ``k`` times the unturned one and
+each weight ``re * re + im * im`` is the same.  So every later
 probability, branch and draw is the same, up to the sign of a zero part,
 which no probability sees.  The memo holds at most ``_MEMO_CAP`` nodes;
 one that is full and needs another drops them all and starts over, and
@@ -78,8 +85,8 @@ import numpy as np
 from .codes import RepetitionCode, logical_basis_state
 from .gates import (
     apply_qubit_gate,
+    draw_sign,
     measure_mode_number,
-    measure_qubit,
     split_mode_number,
     split_qubit,
     to_measurement_basis,
@@ -212,9 +219,9 @@ def _integer(value, what: str) -> int:
 
 #: Most nodes a memo holds before it starts over.  A node's state on the
 #: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange call
-#: makes at most 356 nodes (reference errors at p = 0.01; 130-181 corrected
+#: makes at most 247 nodes (reference errors at p = 0.01; 46-144 corrected
 #: at p = 0.002 and 0.01; seeds 0-19), so it never starts over; the peak
-#: RSS of ``bench/run.py`` was 60.2 MB (exchange_corrected) and 62.5 MB
+#: RSS of ``bench/run.py`` was 60.0 MB (exchange_corrected) and 61.5 MB
 #: (exchange_reference), medians of ten runs on a 2-vCPU host.
 _MEMO_CAP = 512
 
@@ -249,12 +256,15 @@ class _Step(NamedTuple):
     row each, as ``measure`` compares its draw, and gives each outcome with
     a selector of the rows that take it.  An error layer's odds are its p,
     which ``pick`` carries, so its ``split`` gives ``None`` for them.
+    ``reads_last`` is set where the gates read the outcome before this
+    event's (a block's s12 readout, for the correction after its s23).
     """
 
     measure: Callable[[SparseState, _StepDraws], tuple]
     split: Callable[[SparseState], tuple]
     pick: Callable[[object, np.ndarray], Iterable[tuple]]
     columns: slice
+    reads_last: bool
     gates: tuple[_Gate, ...]
 
 
@@ -318,13 +328,16 @@ _BANK_COUNT = (
     _pick_counts,
 )
 
-#: ``(measure, split, pick)`` of the final readout, on a state already
-#: rotated to the y basis.
-_FINAL_READOUT = (
-    lambda s, draws: measure_qubit(s, _INTERFEROMETER, draws),
-    lambda s: split_qubit(s, _INTERFEROMETER),
-    _pick_signs,
-)
+def _read_final(state: SparseState, draws: _StepDraws) -> tuple[int, None]:
+    """The final readout's plain step, on a state already rotated to the y
+    basis: the outcome :func:`~fermiqec.gates.measure_qubit` draws, without
+    the post state, which no step reads."""
+    p0, _ = split_qubit(state, _INTERFEROMETER)
+    return draw_sign(p0, draws), None
+
+
+#: ``(measure, split, pick)`` of the final readout.
+_FINAL_READOUT = (_read_final, lambda s: split_qubit(s, _INTERFEROMETER), _pick_signs)
 
 
 def _tunnel(code: RepetitionCode, a: int, b: int) -> _Gate:
@@ -359,10 +372,10 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
     gates = head
     width = 0
 
-    def event(measure, split, pick, draws: int = 1) -> None:
+    def event(measure, split, pick, draws: int = 1, reads_last: bool = False) -> None:
         nonlocal gates, width
         gates = []
-        steps.append((measure, split, pick, slice(width, width + draws), gates))
+        steps.append((measure, split, pick, slice(width, width + draws), reads_last, gates))
         width += draws
 
     layer = _error_layer(p, modes)
@@ -375,7 +388,7 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
                     gates.append(lambda s, _: recover_codespace(s, code))
                 for block in range(code.num_blocks):
                     event(*_stabilizer(code, block, "s12"))
-                    event(*_stabilizer(code, block, "s23"))
+                    event(*_stabilizer(code, block, "s23"), reads_last=True)
                     gates.append(_correct(code, block))
         if slot < 3:
             gates.append(_tunnel(code, *EXCHANGE_PAIRS[slot]))
@@ -387,7 +400,8 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
 
 class _Node:
     """One state at one event of a shot plan, reached by any history that
-    leads to an equal state; whether a shot has been here before, the
+    leads to that state up to a quarter-turn global phase, held in
+    :func:`_canonical` form; whether a shot has been here before, the
     event's outcome probabilities once a shot other than the first one
     needed them (``None`` until then), and the node each outcome leads
     to."""
@@ -401,25 +415,51 @@ class _Node:
         self.children: dict[object, _Node] = {}
 
 
+def _canonical(state: SparseState) -> SparseState:
+    """``state`` times the one ``k`` in {1, -1, i, -i} that puts the
+    amplitude of its lowest label in the half-open quadrant ``re > 0, im >=
+    0``; ``state`` itself when that is ``k = 1``.  The four states ``k *
+    state`` have one canonical form, equal as dicts, whatever the signs of
+    their zero parts.  ``k * a`` only negates and swaps the real and
+    imaginary parts of ``a``, so it rounds nothing (a zero part may change
+    sign)."""
+    entries = state.entries
+    a = entries[min(entries)]
+    if a.real > 0.0 and a.imag >= 0.0:
+        return state
+    if a.imag > 0.0 and a.real <= 0.0:
+        k = -1j
+    elif a.real < 0.0 and a.imag <= 0.0:
+        k = -1
+    else:
+        k = 1j
+    return SparseState(
+        state.layout, {l: k * a for l, a in entries.items()}, state.compressed
+    )
+
+
 class _HistoryMemo:
     """The nodes of one run's shots, which all follow ``config`` and start
     from ``base`` on ``code``, and the shot plan of each error rate.
 
     ``roots`` leads to the first node, and a node's ``children`` from an
     outcome to the next node.  A history seen for the first time builds its
-    state and looks it up in the state index, keyed on ``(step index, last
-    outcome, hash of the state's entries as a set)``: a node there whose
-    entries equal the state's as dicts (the same labels and amplitudes, in
-    any order; see the module docstring for why order does not matter)
-    becomes the end of the new edge, else a new node does.  The index keeps
-    the hash, not the entries, and compares them on a hit.  That compare
-    takes 0.0 and -0.0 as equal; the sign of a zero part never changes the
-    size of a sum or product, so it changes no probability.  The index
-    holds every node, at most ``cap``: a full memo that needs a new node
-    clears it and ``roots`` and starts over, while the block in progress
-    walks on from the nodes it holds.  Node states do not depend on p, so
-    the plans of every error rate walk the same nodes.  ``cap=0`` keeps no
-    node.
+    state, takes its :func:`_canonical` form and looks that up in the state
+    index, keyed on ``(step index, last outcome, hash of the entries as a
+    set)``, where the last outcome is ``None`` unless the step's gates read
+    it (:attr:`_Step.reads_last`): a node there whose entries equal the
+    canonical state's as dicts (the same labels and amplitudes, in any
+    order; see the module docstring for why order and a quarter-turn phase
+    do not matter) becomes the end of the new edge, else a new node holding
+    the canonical state does.  The index keeps the hash, not the entries,
+    and compares them on a hit.  That compare takes 0.0 and -0.0 as equal;
+    the sign of a zero part never changes the size of a sum or product, so
+    it changes no probability.  The index holds every node, at most
+    ``cap``: a full memo that needs a new node clears it and ``roots`` and
+    starts over, while the block in progress walks on from the nodes it
+    holds.  Node states do not depend on p, so the plans of every error
+    rate walk the same nodes.  ``cap=0`` keeps no node and takes no
+    canonical form.
     """
 
     def __init__(
@@ -449,14 +489,15 @@ class _HistoryMemo:
     ) -> _Node:
         """The node ``children[key]`` leads to.  On a miss, ``make()``
         builds the state, and ``key`` is made to lead to the node already
-        holding an equal state at ``place`` (step index, last outcome), or
-        to a new one if there is none."""
+        holding its canonical form at ``place`` (step index, and the last
+        outcome or ``None``), or to a new one if there is none."""
         node = children.get(key)
         if node is not None:
             return node
         state = make()
         if self.cap == 0:
             return _Node(state)
+        state = _canonical(state)
         place = (*place, hash(frozenset(state.entries.items())))
         node = self._states.get(place)
         if node is None or node.state.entries != state.entries:
@@ -549,7 +590,8 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
                 make = made.get(outcome) or functools.partial(
                     _branch, step, node, branch, outcome, (last, outcome)
                 )
-                child = memo.node(node.children, outcome, make, (index + 1, outcome))
+                place = (index + 1, outcome if steps[index + 1].reads_last else None)
+                child = memo.node(node.children, outcome, make, place)
                 arrivals.setdefault(child, (child, outcome, []))[2].append(taken)
         groups = [
             (child, last, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))

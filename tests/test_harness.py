@@ -1,22 +1,24 @@
 """Noise injection and the exchange-interferometry driver."""
 
+import cmath
 import contextlib
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import CountingRng
-from hypothesis import given
+from conftest import CountingRng, spread_h_state
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
-from fermiqec.gates import draw_sign, select_count
+from fermiqec.gates import draw_sign, measure_qubit, select_count, split_qubit
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
     _exchange_start,
@@ -373,10 +375,11 @@ def test_memo_leaves_every_outcome_unchanged(case):
 
 
 def test_memo_holds_no_more_than_its_cap():
-    # At p = 0.1 300 shots make more nodes than the cap holds.
+    # At p = 0.15 300 shots make more nodes than the cap holds (588
+    # uncapped at seed 0).
     capped, tiny, uncapped = _memo(harness._MEMO_CAP), _memo(2), _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
-        _outcomes(memo, (0.1,), 300)
+        _outcomes(memo, (0.15,), 300)
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP < len(uncapped)
     # a full memo that needs one more node starts over with that node alone
@@ -403,6 +406,23 @@ def test_histories_that_reach_one_state_share_its_node():
     assert len(nodes) == len(memo) < len(edges)  # some nodes have two in-edges
 
 
+#: Each quarter turn ``k`` as the exact map ``a -> k * a``: it swaps and
+#: negates parts and rounds nothing.
+_TURNS = {
+    1: lambda a: a,
+    1j: lambda a: complex(-a.imag, a.real),
+    -1: lambda a: complex(-a.real, -a.imag),
+    -1j: lambda a: complex(a.imag, -a.real),
+}
+
+
+def _turned(state, k):
+    """``k * state`` for a quarter turn ``k``, part by part."""
+    turn = _TURNS[k]
+    entries = {l: turn(a) for l, a in state.entries.items()}
+    return SparseState(state.layout, entries, state.compressed)
+
+
 def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     memo = _memo(harness._MEMO_CAP)
     place = (0, None)
@@ -410,30 +430,87 @@ def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
     first = memo.node(edges, "a", lambda: _BASE, place)
     assert memo.node(edges, "a", None, place) is first  # a hit builds nothing
     entries = list(_BASE.entries.items())
-    label, amp = entries[0]
-    reordered = SparseState(_BASE.layout, dict(entries[::-1]), _BASE.compressed)
-    nudged = {**_BASE.entries, label: amp * (1 + 2**-52)}
-    nudged = SparseState(_BASE.layout, nudged, _BASE.compressed)
+
+    def like_base(changed):
+        """A state on ``_BASE``'s register with the entries ``changed``."""
+        return SparseState(_BASE.layout, dict(changed), _BASE.compressed)
+
+    reordered = like_base(entries[::-1])
     assert list(reordered.entries) != list(_BASE.entries)
-    # the same labels and amplitudes share the node, whatever their order
-    equal = SparseState(_BASE.layout, dict(entries), _BASE.compressed)
-    for name, state in (("b", equal), ("reordered", reordered)):
-        assert memo.node(edges, name, lambda: state, place) is first
-    assert edges == {"a": first, "b": first, "reordered": first}
-    assert memo.node(edges, "nudged", lambda: nudged, place) is not first
+    # the same labels and amplitudes share the node, whatever their order,
+    # and so do the states a quarter-turn phase away
+    shared = {"b": like_base(entries), "reordered": reordered}
+    shared.update({f"turned {k}": _turned(_BASE, k) for k in (-1, 1j, -1j)})
+    shared["turned reordered"] = _turned(reordered, 1j)
+    for name, state in shared.items():
+        assert memo.node(edges, name, lambda: state, place) is first, name
+    assert edges == {"a": first, **dict.fromkeys(shared, first)}
+    # one rounding step, an eighth turn or one negated amplitude does not
+    lowest, top = min(_BASE.entries), max(_BASE.entries)
+    amps = _BASE.entries
+    eighth = cmath.exp(1j * math.pi / 4)
+    others = {
+        "nudged": like_base({**amps, lowest: amps[lowest] * (1 + 2**-52)}),
+        "eighth turn": like_base({l: eighth * a for l, a in entries}),
+        "lowest negated": like_base({**amps, lowest: -amps[lowest]}),
+        "top negated": like_base({**amps, top: -amps[top]}),
+    }
+    for name, state in others.items():
+        assert memo.node(edges, name, lambda: state, place) is not first, name
     # another step or last outcome never does
     for other in ((1, None), (0, 1)):
         node = memo.node(edges, (other, "a"), lambda: _BASE, other)
         assert node is not first
         assert memo.node(edges, (other, "reordered"), lambda: reordered, other) is node
+        assert memo.node(edges, (other, "turned"), lambda: _turned(_BASE, -1), other) is node
+
+
+#: Lowest-label amplitudes on and near the edges of the canonical quadrant
+#: ``re > 0, im >= 0``, zero parts of either sign included.
+_EDGE_AMPLITUDES = [
+    complex(1.0, 0.0), complex(1.0, -0.0), complex(0.0, 1.0), complex(-0.0, 1.0),
+    complex(-1.0, 0.0), complex(-1.0, -0.0), complex(0.0, -1.0), complex(-0.0, -1.0),
+    complex(0.6, 0.8), complex(2.0**-40, -0.5), complex(-0.25, 2.0**-1074),
+]
+
+
+@pytest.mark.parametrize("amplitude", _EDGE_AMPLITUDES, ids=repr)
+def test_every_quarter_turn_of_a_state_takes_one_canonical_form(amplitude):
+    state = SparseState(_BASE.layout, {3: amplitude, 7: 0.3 - 0.2j, 12: -0.5j}, True)
+    canonical = harness._canonical(state)
+    lowest = canonical.entries[3]
+    assert lowest.real > 0.0 and lowest.imag >= 0.0
+    # the form is one quarter turn of the state, part by part
+    assert any(canonical.entries == _turned(state, k).entries for k in _TURNS)
+    memo = _memo(harness._MEMO_CAP)
+    edges = {}
+    node = memo.node(edges, "state", lambda: state, (0, None))
+    for k in _TURNS:
+        turned = _turned(state, k)
+        assert harness._canonical(turned).entries == canonical.entries, k
+        assert memo.node(edges, k, lambda: turned, (0, None)) is node, k
+    # a zero part's sign chooses no other turn
+    flipped = complex(amplitude.real or -amplitude.real, amplitude.imag or -amplitude.imag)
+    resigned = SparseState(state.layout, {**state.entries, 3: flipped}, True)
+    assert harness._canonical(resigned).entries == canonical.entries
+    assert harness._canonical(canonical) is canonical  # no copy when k = 1
 
 
 def test_a_fresh_corrected_call_makes_few_nodes():
     # One 256-shot call at corrected p = 0.01, seed 0, as a run makes it:
-    # 299 nodes while nodes merged only states in the same entry order.
+    # 299 nodes while nodes merged only states in the same entry order, 150
+    # while they merged only equal states.
     memo = _memo(_NO_START_OVER)
     _outcomes(memo, (0.01,), 256)
-    assert len(memo) < 200
+    assert len(memo) < 145
+
+
+def test_a_fresh_reference_call_makes_few_nodes():
+    # The same call with reference errors made 307 nodes while nodes merged
+    # only equal states, each keyed on the last outcome.
+    memo = _memo(_NO_START_OVER, include_reference_errors=True)
+    _outcomes(memo, (0.01,), 256)
+    assert len(memo) < 250
 
 
 def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
@@ -523,6 +600,30 @@ def _warm_nodes(case):
     return memo.plan(0.05), by_step
 
 
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_a_node_keys_on_the_last_outcome_only_where_a_correction_reads_it(case):
+    plan, by_step = _warm_nodes(case)
+    corrections = [
+        any(g.__qualname__.startswith("_correct.") for g in step.gates)
+        for step in plan.steps
+    ]
+    assert [step.reads_last for step in plan.steps] == corrections
+    assert any(corrections) == MEMO_CASES[case].get("correction_enabled", True)
+    for index, nodes in by_step.items():
+        lasts = {last for last, _ in nodes}
+        assert lasts <= {-1, 1} if corrections[index] else lasts == {None}, index
+
+
+def _some_outcomes(odds, modes, rnd):
+    """Outcomes an event with these odds can end in: for an error layer
+    (odds ``None``) three random flip patterns of ``modes``."""
+    if odds is None:
+        return [tuple(m for m in modes if rnd.random() < 0.2) for _ in range(3)]
+    if isinstance(odds, dict):  # the bank count
+        return list(odds)
+    return [o for o, q in ((1, odds), (-1, 1 - odds)) if q > 0]  # a readout
+
+
 @given(case=st.sampled_from(sorted(MEMO_CASES)), seed=st.integers(0, 2**32))
 def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
     # Why nodes merge by content: a memo state and a copy with its entries
@@ -540,18 +641,37 @@ def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
             SparseState(state.layout, dict(entries), state.compressed)
         )
         assert permuted_odds == odds, index
-        if odds is None:  # an error layer: any flips
-            outcomes = [tuple(m for m in modes if rnd.random() < 0.2) for _ in range(3)]
-        elif isinstance(odds, dict):  # the bank count
-            outcomes = list(odds)
-        else:  # a readout: the signs it can give
-            outcomes = [o for o, q in ((1, odds), (-1, 1 - odds)) if q > 0]
-        for outcome in outcomes:
+        for outcome in _some_outcomes(odds, modes, rnd):
             after = [
                 harness._settle(b(outcome), step.gates, (last, outcome)).entries
                 for b in (branch, permuted_branch)
             ]
             assert after[0] == after[1], (index, outcome)
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32))
+def test_a_quarter_turn_changes_no_odds_and_turns_every_later_state(case, seed):
+    # Why nodes merge up to a quarter-turn phase k: k * state gives the
+    # same odds at every step and, after every outcome and the gates that
+    # follow, k times the state it gives, part by part.
+    plan, by_step = _warm_nodes(case)
+    rnd = random.Random(seed)
+    modes = noise_modes(_CODE.layout, MEMO_CASES[case].get("include_reference_errors", False))
+    for index, step in enumerate(plan.steps):
+        last, state = rnd.choice(by_step[index])
+        odds, branch = step.split(state)
+        outcomes = _some_outcomes(odds, modes, rnd)
+        for k in (-1, 1j, -1j):
+            turned_odds, turned_branch = step.split(_turned(state, k))
+            assert turned_odds == odds, (index, k)
+            for outcome in outcomes:
+                want, got = (
+                    harness._settle(b(outcome), step.gates, (last, outcome))
+                    for b in (branch, turned_branch)
+                )
+                assert got.entries == _turned(want, k).entries, (index, k, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +742,22 @@ def test_a_double_at_or_above_the_last_sum_selects_the_largest_count(probs):
     got = _per_row(harness._pick_counts(probs, np.array(doubles)[:, None]), len(doubles))
     assert got == [select_count(probs, u) for u in doubles]
     assert all(c == max(probs) for c, u in zip(got, doubles) if u >= sums[-1])
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
+    lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=2)
+    read = _memo(0).plan(0.05).steps[-1].measure
+    for seed in range(6):
+        state = spread_h_state(lay, seed)
+        state = compress(state) if compressed else state
+        p0, _ = split_qubit(state, 0)
+        doubles = [p0, float(np.nextafter(p0, 0.0)), float(np.nextafter(p0, 1.0))]
+        doubles += [0.0, _TOP, *np.random.default_rng(seed).random(4).tolist()]
+        for u in doubles:
+            want, _ = measure_qubit(state, 0, harness._StepDraws([u]))
+            assert read(state, harness._StepDraws([u])) == (want, None), u
+        assert read(state, harness._StepDraws([p0]))[0] == -1  # u == p0 reads -1
 
 
 @pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
