@@ -20,13 +20,15 @@ images compose the label images that the gates themselves hand to
 :func:`fermiqec.states.apply_map` (the dressed ladders' and the mode
 fswaps'), so deriving one builds no state.
 
-The code space is tabulated the same way.  A code builds its logical basis
-states once per representation, as a tree from one vacuum, and with them a
-table from each label to the words that hold it and their conjugated
-amplitudes.  :func:`project_codespace` reads each amplitude of a state
-once against that table and sums each overlap with ``math.fsum``; the
-products and the exact sums are those of one :meth:`SparseState.inner`
-per word, so the projection is the same bit for bit.
+The code space is the stabilizers' +1 eigenspace: the logical vacuum is
+the empty register under every stabilizer's projection ``(1 + s)/2``.  A
+code raises its other logical basis states from it with the logical C^dag,
+once per representation and as a tree, and builds with them a table from
+each label to the words that hold it and their conjugated amplitudes.
+:func:`project_codespace` reads each amplitude of a state once against
+that table and sums each overlap with ``math.fsum``; the products and the
+exact sums are those of one :meth:`SparseState.inner` per word, so the
+projection is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -260,15 +262,12 @@ def stabilizer_majoranas(
     raise ValueError(f"unknown stabilizer {which!r}")
 
 
-def _majorana_pair(state: SparseState, hi: int, lo: int, kind: str) -> SparseState:
-    return scale_state(apply_majorana(apply_majorana(state, hi, kind), lo, kind), 1j)
-
-
 def apply_stabilizer(
     state: SparseState, code: RepetitionCode, block: int, which: str
 ) -> SparseState:
     """One block stabilizer: ``s12`` is i x1 x2, ``s23`` is i y2 y3."""
-    return _majorana_pair(state, *stabilizer_majoranas(code, block, which))
+    hi, lo, kind = stabilizer_majoranas(code, block, which)
+    return scale_state(apply_majorana(apply_majorana(state, hi, kind), lo, kind), 1j)
 
 
 def stabilizer_expectation(
@@ -284,45 +283,21 @@ def stabilizer_expectation(
 # ---------------------------------------------------------------------------
 
 
-def _block_vacuum_step(
-    state: SparseState, modes: tuple[int, int, int]
-) -> SparseState:
-    """Entangle one block's empty word onto the current state:
-    (1 + i c1+ c2+ - i c2+ c3+ + c1+ c3+) / 2."""
-    m1, m2, m3 = modes
-    pair_12 = apply_c_dagger(apply_c_dagger(state, m2), m1)
-    pair_23 = apply_c_dagger(apply_c_dagger(state, m3), m2)
-    pair_13 = apply_c_dagger(apply_c_dagger(state, m3), m1)
-    out = add_states(state, pair_12, 0.5, 0.5j)
-    out = add_states(out, pair_23, 1.0, -0.5j)
-    out = add_states(out, pair_13, 1.0, 0.5)
-    return out
-
-
 def prepare_logical_vacuum(code: RepetitionCode, compressed: bool = False) -> SparseState:
-    """All blocks in the logical empty word.
-
-    Needs two bank atoms per block; the anchor component with every system
-    mode empty fixes normalization and global phase.
-    """
+    """All blocks in the logical empty word: the empty register under each
+    block's ``(1 + s12)/2`` then ``(1 + s23)/2``, normalized, so the empty
+    register keeps a real positive amplitude.  Needs two bank atoms per
+    block."""
     lay = code.layout
     if lay.total_atoms < 2 * code.num_blocks:
         raise ValueError(
             f"{lay.total_atoms} atoms cannot fill {code.num_blocks} blocks "
             "with two atoms each"
         )
-    if compressed:
-        state = basis_state(lay, 0, compressed=True)
-        anchor = 0
-    else:
-        state = h_basis_state(lay, 0)
-        anchor = next(iter(state.entries))
+    state = basis_state(lay, 0, compressed=True) if compressed else h_basis_state(lay, 0)
     for b in range(code.num_blocks):
-        state = _block_vacuum_step(state, code.block_modes(b))
-    amp = state.entries.get(anchor, 0.0)
-    if abs(amp) < 1e-9:
-        raise AssertionError("logical vacuum lost its anchor component")
-    state = scale_state(state, abs(amp) / amp)
+        for which in ("s12", "s23"):
+            state = add_states(state, apply_stabilizer(state, code, b, which), 0.5, 0.5)
     return state.normalized()
 
 
@@ -564,24 +539,14 @@ def kl_check(
     code basis; each error is a callable acting on a state."""
     n_k = len(errors)
     n_w = len(codewords)
-    mapped = [[op(w) for w in codewords] for op in errors]
-    gram = np.zeros((n_k, n_w, n_k, n_w), dtype=np.complex128)
-    for a in range(n_k):
-        for i in range(n_w):
-            for b in range(n_k):
-                for j in range(n_w):
-                    gram[a, i, b, j] = mapped[a][i].inner(mapped[b][j])
-    off = 0.0
-    dep = 0.0
-    for a in range(n_k):
-        for b in range(n_k):
-            for i in range(n_w):
-                for j in range(n_w):
-                    if i != j:
-                        off = max(off, abs(gram[a, i, b, j]))
-            first = gram[a, 0, b, 0]
-            for i in range(1, n_w):
-                dep = max(dep, abs(gram[a, i, b, i] - first))
+    mapped = [op(w) for op in errors for w in codewords]  # K_a w_i at a * n_w + i
+    gram = np.array(
+        [[x.inner(y) for y in mapped] for x in mapped], dtype=np.complex128
+    ).reshape(n_k, n_w, n_k, n_w)
+    pairs = gram.transpose(0, 2, 1, 3)  # [a, b, i, j]
+    off = float(np.abs(pairs[..., ~np.eye(n_w, dtype=bool)]).max(initial=0.0))
+    diagonal = np.einsum("aibi->abi", gram)
+    dep = float(np.abs(diagonal - diagonal[..., :1]).max(initial=0.0))
     return KLReport(gram, off, dep, off <= KL_ATOL and dep <= KL_ATOL)
 
 

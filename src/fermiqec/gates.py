@@ -186,15 +186,9 @@ def _measurable(total: float) -> float:
 
 
 def number_expectation(state: SparseState, mode: int) -> float:
-    """<n_mode> on a (not necessarily normalized) state."""
-    lay = state.layout
-    _check_fermion_mode(lay, mode)
-    total = measurable_norm_sq(state)
-    bit = 1 << mode
-    occupied = [
-        a for l, a in state.entries.items() if lay.occupation(l, bit, state.compressed)
-    ]
-    return weight_sum(occupied) / total
+    """<n_mode> on a (not necessarily normalized) state: the probability
+    that a readout of ``mode`` counts one atom."""
+    return split_mode_number(state, (mode,))[0].get(1, 0.0)
 
 
 def _check_literal_pair(state: SparseState, a: int, b: int, what: str) -> None:

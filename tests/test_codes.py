@@ -22,6 +22,7 @@ from fermiqec.codes import (
     apply_stabilizer,
     kl_check,
     logical_basis_state,
+    prepare_logical_vacuum,
     project_codespace,
     random_codespace_state,
     stabilizer_expectation,
@@ -39,6 +40,10 @@ from fermiqec.states import (
 SQUARE = RegisterLayout(3, 3, 3)
 
 
+def _register_id(sizes):
+    return "+".join(map(str, sizes))
+
+
 def test_block_size_must_divide_system():
     with pytest.raises(ValueError):
         RepetitionCode(RegisterLayout(7, 7, 7))
@@ -46,16 +51,40 @@ def test_block_size_must_divide_system():
     assert code.num_blocks == 3
 
 
+#: (1 + i c1†c2† - i c2†c3† + c1†c3†)/2 on the empty block.
+EMPTY_WORD = {0b000: 0.5, 0b011: 0.5j, 0b110: -0.5j, 0b101: 0.5}
+
+
 def test_empty_word_expansion():
     word = logical_basis_state(RepetitionCode(SQUARE), (0,), compressed=True)
     amps = word.entries
     assert sorted(amps) == [0b000, 0b011, 0b101, 0b110]
-    anchor = amps[0b000]
-    assert abs(anchor) == pytest.approx(0.5)
-    # (1 + i c1†c2† - i c2†c3† + c1†c3†)/2 on the empty block
-    assert amps[0b011] == pytest.approx(anchor * 1j)
-    assert amps[0b110] == pytest.approx(anchor * -1j)
-    assert amps[0b101] == pytest.approx(anchor * 1.0)
+    assert amps[0b000] == 0.5
+    assert amps[0b011] == 0.5j
+    assert amps[0b110] == -0.5j
+    assert amps[0b101] == 0.5
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 3, 3), (6, 6, 6, 1), (9, 9, 9, 2), (6, 5, 5)], ids=_register_id
+)
+def test_logical_vacuum_is_the_empty_word_on_every_block(sizes):
+    lay = RegisterLayout(*sizes[:3], num_ancilla_qubits=sum(sizes[3:]))
+    code = RepetitionCode(lay)
+    want = {0: 1.0}
+    for block in range(code.num_blocks):
+        want = {
+            l | word << 3 * block: a * b
+            for l, a in want.items()
+            for word, b in EMPTY_WORD.items()
+        }
+    assert prepare_logical_vacuum(code, compressed=True).entries == want
+    assert compress(prepare_logical_vacuum(code)).entries == want
+
+
+def test_logical_vacuum_needs_two_atoms_per_block():
+    with pytest.raises(ValueError, match="two atoms each"):
+        prepare_logical_vacuum(RepetitionCode(RegisterLayout(6, 6, 3)))
 
 
 def test_occupied_word_expansion():
@@ -235,10 +264,6 @@ def _projection_inputs(lay, seed):
             probs, branch = split_mode_number(rep, lay.reference_modes())
             for count in probs:
                 yield branch(count)
-
-
-def _register_id(sizes):
-    return "+".join(map(str, sizes))
 
 
 @pytest.mark.parametrize("ancillas", [0, 1, 2])

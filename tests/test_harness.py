@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
+from fermiqec.codes import logical_basis_state
 from fermiqec.gates import draw_sign, measure_qubit, select_count, split_qubit
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
@@ -380,8 +381,9 @@ def test_memo_holds_no_more_than_its_cap():
     capped, tiny, uncapped = _memo(harness._MEMO_CAP), _memo(2), _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
         _outcomes(memo, (0.15,), 300)
+    assert len(uncapped) > harness._MEMO_CAP, "the load no longer overflows the cap"
     assert len(tiny) <= 2
-    assert len(capped) <= harness._MEMO_CAP < len(uncapped)
+    assert len(capped) <= harness._MEMO_CAP
     # a full memo that needs one more node starts over with that node alone
     full = _memo(3)
     for step in range(4):
@@ -392,6 +394,22 @@ def test_memo_holds_no_more_than_its_cap():
         _memo(-1)
     with pytest.raises(TypeError):
         _memo(None)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
+def test_a_physical_base_draws_the_outcomes_of_the_compressed_base(case):
+    # On a physical base the stabilizer readouts run the hardware gadget
+    # and the reference recovery projects the physical state: a check of
+    # the physical vacuum and of both against the compressed shortcuts.
+    fields = MEMO_CASES[case]
+    physical = logical_basis_state(_CODE, (1, 1, 0), compressed=False)
+    memo = harness._HistoryMemo(
+        ExperimentConfig((0.05,), **fields), _CODE, physical, harness._MEMO_CAP
+    )
+    want = _outcomes(_memo(harness._MEMO_CAP, **fields), (0.05,), 256, seed=7)
+    assert -1 in want
+    assert _outcomes(memo, (0.05,), 256, seed=7) == want
 
 
 def test_histories_that_reach_one_state_share_its_node():
