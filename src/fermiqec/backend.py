@@ -60,7 +60,7 @@ def compress(state: SparseState) -> SparseState:
     lay = state.layout
     shift = lay.num_system_modes + lay.num_reference_modes
     out = {
-        lay.system_part(l) | (l >> shift) << lay.num_system_modes: a
+        (l & lay.system_mask) | (l >> shift) << lay.num_system_modes: a
         for l, a in state.entries.items()
     }
     return SparseState(lay, out, compressed=True)
@@ -72,7 +72,7 @@ def decompress(state: SparseState) -> SparseState:
         return state
     lay = state.layout
     out = {
-        h_label(lay, lay.system_part(l), l >> lay.num_system_modes): a
+        h_label(lay, l & lay.system_mask, l >> lay.num_system_modes): a
         for l, a in state.entries.items()
     }
     return SparseState(lay, out, compressed=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -165,6 +166,17 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         seed=args.seed,
         confidence=args.confidence,
     )
+    # a path that cannot be written fails here, before any shot runs; append
+    # mode truncates nothing, and a file the probe made is removed again
+    for path in filter(None, (args.out, args.json_out)):
+        made = not os.path.exists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+        if made:
+            os.remove(path)
     result = run_experiment(config, threads=args.threads)
     pct = 100.0 * config.confidence
     for pt in result.points:

@@ -22,8 +22,7 @@ it caches probabilities without a copy of their arithmetic.
 On compressed states the reference occupations are implied by the system
 count (the occupation rule of :mod:`fermiqec.registers`).  Diagonal gates
 and number measurements stay well defined on reference modes: they count
-atoms through :meth:`~fermiqec.registers.RegisterLayout.occupation` or its
-table, :meth:`~fermiqec.registers.RegisterLayout.counter`.  Gates
+atoms through :meth:`~fermiqec.registers.RegisterLayout.counter`.  Gates
 that move atoms between literal and implied modes do not; those raise.
 """
 
@@ -171,13 +170,7 @@ def _check_fermion_mode(lay: RegisterLayout, mode: int) -> None:
         raise ValueError(f"mode {mode} outside fermionic register")
 
 
-def measurable_norm_sq(state: SparseState) -> float:
-    """Squared norm of a state about to be measured; raises on a
-    (numerically) zero state."""
-    return _measurable(state.norm_sq())
-
-
-def _measurable(total: float) -> float:
+def measurable_norm_sq(total: float) -> float:
     """``total``, the squared norm of a state about to be measured; raises
     when it is (numerically) zero."""
     if total < 1e-12:
@@ -209,19 +202,14 @@ def _check_literal_pair(state: SparseState, a: int, b: int, what: str) -> None:
 
 
 def _phase_where_occupied(
-    state: SparseState, modes: tuple[int, ...], ph: complex
+    state: SparseState, mask: int, ph: complex
 ) -> Callable[[int], tuple[tuple[int, complex]]]:
-    """Diagonal image: ``ph`` on labels where every one of ``modes`` is
+    """Diagonal image: ``ph`` on labels where every mode under ``mask`` is
     occupied (implied reference occupations included), 1 elsewhere."""
-    lay = state.layout
-    mask = 0
-    for m in modes:
-        _check_fermion_mode(lay, m)
-        mask |= 1 << m
-    if not state.compressed or not mask & lay.reference_mask:
+    if not state.compressed or not mask & state.layout.reference_mask:
         return lambda l: ((l, ph if l & mask == mask else 1.0),)
-    full = mask.bit_count()
-    return lambda l: ((l, ph if lay.occupation(l, mask, True) == full else 1.0),)
+    count, full = state.layout.counter(mask, True), mask.bit_count()
+    return lambda l: ((l, ph if count(l) == full else 1.0),)
 
 
 def apply_local_phase(state: SparseState, mode: int, theta: float) -> SparseState:
@@ -229,7 +217,7 @@ def apply_local_phase(state: SparseState, mode: int, theta: float) -> SparseStat
     ph = phase_factor(theta)
     if ph == 1.0:
         return state
-    return apply_map(state, _phase_where_occupied(state, (mode,), ph))
+    return apply_map(state, _phase_where_occupied(state, 1 << mode, ph))
 
 
 def apply_density_phase(
@@ -240,7 +228,8 @@ def apply_density_phase(
     if mode_a == mode_b:
         raise ValueError("density-density phase needs two distinct modes")
     ph = phase_factor(theta)
-    return apply_map(state, _phase_where_occupied(state, (mode_a, mode_b), ph))
+    mask = 1 << mode_a | 1 << mode_b
+    return apply_map(state, _phase_where_occupied(state, mask, ph))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +425,7 @@ def split_qubit(
     raises on a zero-probability outcome."""
     bit = ancilla_mask(state, qubit)
     p0 = weight_sum([a for l, a in state.entries.items() if not l & bit])
-    total = measurable_norm_sq(state)
+    total = measurable_norm_sq(state.norm_sq())
     prob0 = p0 / total
 
     def branch(outcome: int) -> SparseState:
@@ -487,7 +476,7 @@ def split_mode_number(
         mask |= 1 << m
     entries = state.entries
     weights = amplitude_weights(entries.values())
-    total = _measurable(math.fsum(weights.tolist()))
+    total = measurable_norm_sq(math.fsum(weights.tolist()))
     count = lay.counter(mask, state.compressed)
     counts = np.fromiter(map(count, entries), np.int64, len(entries))
     probs = {

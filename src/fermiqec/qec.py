@@ -154,7 +154,7 @@ def split_stabilizer(
         p0, read = split_qubit(work, ancilla)
         return p0, lambda outcome: _reset_ancilla(read(outcome), ancilla)
 
-    total = measurable_norm_sq(state)
+    total = measurable_norm_sq(state.norm_sq())
     plus = apply_map(state, _plus_projector(code, block, which))
     p_plus = plus.norm_sq() / total
 

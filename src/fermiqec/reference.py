@@ -10,7 +10,11 @@ prefix; its adjoint grows the prefix by one.  Dressed system operators are
 
 and they behave like genuine fermionic ladder operators on the subspace where
 each basis label's reference occupation is exactly the prefix of length
-``N - n_sys`` (``is_in_H``).
+``N - n_sys`` (``is_in_H``).  That prefix is
+:meth:`~fermiqec.registers.RegisterLayout.bank_bits`, and the reference
+phase and the exact rotation count bank atoms through
+:meth:`~fermiqec.registers.RegisterLayout.counter`, so the occupation rule
+lives in :mod:`fermiqec.registers` alone.
 
 Majorana rotations exp(i theta x_i) with x_i = c_i + c_i^dag (and the y
 counterpart) come in an exact form and a hardware decomposition into
@@ -42,7 +46,6 @@ from .states import SparseState, add_states, apply_map, phase_factor
 __all__ = [
     "ReferencePhase",
     "MajoranaRotation",
-    "reference_basis_bits",
     "h_label",
     "h_basis_state",
     "random_h_state",
@@ -82,22 +85,10 @@ class MajoranaRotation:
 # ---------------------------------------------------------------------------
 
 
-def reference_basis_bits(layout: RegisterLayout, n_system: int) -> int:
-    """Reference bits matching a system occupation of ``n_system`` atoms:
-    a contiguous prefix holding the remaining ``N - n_system``."""
-    missing = layout.total_atoms - n_system
-    if not layout.holds(n_system):
-        raise ValueError(
-            f"no reference prefix holds {missing} atoms "
-            f"(register has {layout.num_reference_modes} reference modes)"
-        )
-    return ((1 << missing) - 1) << layout.num_system_modes
-
-
 def h_label(layout: RegisterLayout, system_label: int, ancilla_label: int = 0) -> int:
     """Physical label of a system label with its implied reference prefix."""
     shift = layout.num_system_modes + layout.num_reference_modes
-    bank = reference_basis_bits(layout, system_label.bit_count())
+    bank = layout.bank_bits(system_label.bit_count())
     return system_label | bank | ancilla_label << shift
 
 
@@ -130,7 +121,7 @@ def is_in_H(state: SparseState) -> bool:
     lay = state.layout
     # the prefix each system count implies; -1 matches no masked label
     prefix = [
-        reference_basis_bits(lay, n) if lay.holds(n) else -1
+        lay.bank_bits(n) if lay.holds(n) else -1
         for n in range(lay.num_system_modes + 1)
     ]
     sys_mask, ref_mask = lay.system_mask, lay.reference_mask
@@ -210,13 +201,13 @@ def compressed_ladder_image(
     that leaves a constant (-1)**(N-1) relative to the bare site operator.
     """
     sign_ref = -1 if (layout.total_atoms - 1) & 1 else 1
-    bit = 1 << mode
+    bit, system = 1 << mode, layout.system_mask
 
     def image(l: int) -> tuple[tuple[int, int], ...]:
         if bool(l & bit) == create:
             return ()
         # the bank must lend the created atom or take back the removed one
-        if not layout.holds(layout.system_part(l).bit_count() + (1 if create else -1)):
+        if not layout.holds((l & system).bit_count() + (1 if create else -1)):
             return ()
         return ((l ^ bit, sign_ref * jw_sign(l, mode)),)
 
@@ -258,11 +249,8 @@ def apply_majorana(state: SparseState, mode: int, kind: str = "x") -> SparseStat
 def apply_global_reference_phase(state: SparseState, theta: float) -> SparseState:
     """exp(i theta N_ref); diagonal, so well defined on both representations."""
     ph = phase_factor(theta)
-    lay = state.layout
-    bank, compressed = lay.reference_mask, state.compressed
-    return apply_map(
-        state, lambda l: ((l, ph ** lay.occupation(l, bank, compressed)),)
-    )
+    count = state.layout.counter(state.layout.reference_mask, state.compressed)
+    return apply_map(state, lambda l: ((l, ph ** count(l)),))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +277,9 @@ def apply_D_exact(
     if lay.total_atoms >= lay.num_system_modes:
         return out
     bit = 1 << mode
+    bank_atoms = lay.counter(lay.reference_mask, state.compressed)
     idle = {
-        l: a
-        for l, a in state.entries.items()
-        if not l & bit and not lay.occupation(l, lay.reference_mask, state.compressed)
+        l: a for l, a in state.entries.items() if not l & bit and not bank_atoms(l)
     }
     return out.with_entries({**out.entries, **idle}) if idle else out
 

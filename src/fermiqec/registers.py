@@ -20,10 +20,11 @@ ordinary dicts.
 The occupation rule: a consistent label with ``n_sys`` system atoms holds
 the other ``N - n_sys`` on a contiguous reference prefix, so reference mode
 ``j`` is occupied exactly when ``j < N - n_sys``.  That is why compressed
-labels can drop the reference bits.  :meth:`RegisterLayout.holds` and
-:meth:`RegisterLayout.occupation` apply the rule for every other module;
-:meth:`RegisterLayout.counter` tabulates ``occupation`` for the gates that
-count one mask on many labels.
+labels can drop the reference bits.  :meth:`RegisterLayout.holds` says
+which system counts the bank can balance and
+:meth:`RegisterLayout.bank_bits` forms the prefix, the only place it is
+formed; :meth:`RegisterLayout.counter` counts the atoms under one mask,
+implied bank atoms included, for every module that counts them.
 """
 
 from __future__ import annotations
@@ -102,34 +103,33 @@ class RegisterLayout:
         ``0 <= N - n_system <= M_r``."""
         return 0 <= self.total_atoms - n_system <= self.num_reference_modes
 
-    def occupation(self, label: int, mask: int, compressed: bool = False) -> int:
-        """Number of atoms on the fermionic modes under ``mask`` (physical bit
-        positions).  On compressed labels reference mode ``j`` counts when
-        ``j < N - n_sys``, so more than ``N`` system atoms leave it empty."""
-        if not compressed:
-            return (label & mask).bit_count()
-        system = label & self.system_mask
-        if not mask & self.reference_mask:
-            return (system & mask).bit_count()
-        bank = max(self.total_atoms - system.bit_count(), 0)
-        prefix = ((1 << bank) - 1) << self.num_system_modes
-        return ((system | prefix) & mask).bit_count()
+    def bank_bits(self, n_system: int) -> int:
+        """Reference bits matching a system occupation of ``n_system`` atoms:
+        a contiguous prefix holding the remaining ``N - n_system``."""
+        missing = self.total_atoms - n_system
+        if not self.holds(n_system):
+            raise ValueError(
+                f"no reference prefix holds {missing} atoms "
+                f"(register has {self.num_reference_modes} reference modes)"
+            )
+        return ((1 << missing) - 1) << self.num_system_modes
 
     def counter(self, mask: int, compressed: bool) -> Callable[[int], int]:
-        """``label -> occupation(label, mask, compressed)`` for one mask.
+        """A function from a label of the chosen representation to the
+        number of atoms on the fermionic modes under ``mask`` (physical bit
+        positions).
 
-        A compressed count is the system atoms under ``mask`` plus a
-        reference part that depends on the system-atom count alone; the
-        function reads that part from a table indexed by the count.  The
-        table holds :meth:`occupation` of one label per count, so the
-        occupation rule stays in that method."""
+        A compressed count is the system atoms under ``mask`` plus the
+        :meth:`bank_bits` under it, which depend on the system-atom count
+        alone; the function reads that part from a table indexed by the
+        count.  More than ``N`` system atoms leave the bank empty."""
         if not compressed:
             return lambda label: (label & mask).bit_count()
         every, system = self.system_mask, mask & self.system_mask
         if not mask & self.reference_mask:
             return lambda label: (label & system).bit_count()
         bank = [
-            self.occupation((1 << n) - 1, mask & self.reference_mask, True)
+            (self.bank_bits(n) & mask).bit_count() if self.holds(n) else 0
             for n in range(self.num_system_modes + 1)
         ]
 
@@ -137,11 +137,6 @@ class RegisterLayout:
             return (label & system).bit_count() + bank[(label & every).bit_count()]
 
         return count
-
-    # -- label dissection ------------------------------------------------
-
-    def system_part(self, label: int) -> int:
-        return label & self.system_mask
 
 
 def jw_sign(label: int, i: int) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fermiqec import __version__, harness
+from fermiqec import __version__, cli, harness
 from fermiqec.cli import main
 
 
@@ -156,3 +156,35 @@ def test_bad_confidence_fails_before_any_shot(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "confidence" in err
+
+
+def test_an_unwritable_output_path_fails_before_any_shot(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    missing = tmp_path / "nodir" / "x"
+    for flag in ("--out", "--json"):
+        argv = ["exchange", "--p", "0.01", "--shots", "300", flag, str(missing)]
+        assert main(argv) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: "), flag
+    assert not missing.parent.exists()
+
+
+def test_a_run_refused_after_the_path_check_leaves_no_file(tmp_path, capsys):
+    fresh = tmp_path / "fresh.csv"
+    argv = ["exchange", "--p", "0.01", "--threads", "0", "--out", str(fresh)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: threads must be positive\n"
+    assert not fresh.exists()
+
+
+def test_an_existing_output_file_is_replaced_not_appended(tmp_path, capsys):
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("old contents\n" * 40)
+    argv = ["exchange", "--p", "0", "--shots", "2", "--out", str(csv_path)]
+    assert main(argv) == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "p,shots,layers,corrected,estimate,ci_lo,ci_hi,seed"
+    assert len(lines) == 2

@@ -6,7 +6,8 @@ or ``bench/``: an option that only tests set has no caller.  Calls match a
 def by name, so no name in ``src/`` is both a method and a function, and
 only ``x.name(...)`` calls count for a method.  Every function the
 benchmark tracer wraps by name still resolves, and an exchange run still
-calls what it wraps."""
+calls what it wraps.  No module in ``src/`` takes a private name from
+another."""
 
 import ast
 import importlib
@@ -209,6 +210,56 @@ def test_every_field_default_is_passed_in_src_or_bench():
                     if f.value is not None and f.target.id not in passed
                 ]
     assert not unpassed
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(source: str) -> list[str]:
+    """The private names one source file takes from a ``fermiqec`` module:
+    ``from .m import _x``, ``from ._m import x``, and ``m._x`` where ``m``
+    is a module the file imported from the package."""
+    tree, found, modules = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level and path[0] != "fermiqec":
+                continue
+            found += [part for part in path if _private(part)]
+            found += [a.name for a in node.names if _private(a.name)]
+            if node.module in (None, "fermiqec"):
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path = alias.name.split(".")
+                if path[0] == "fermiqec":
+                    found += [part for part in path if _private(part)]
+                    modules.add(alias.asname or path[0])
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_takes_a_private_name_from_another():
+    # the occupation rule and each module's helpers stay behind their module
+    probe = (
+        "from . import __version__, harness\n"
+        "from .gates import _check_fermion_mode, ancilla_mask\n"
+        "from fermiqec._kernel import run\n"
+        "harness._walk_block, harness.run_experiment\n"
+    )
+    assert _private_imports(probe) == [
+        "_check_fermion_mode", "_kernel", "harness._walk_block"
+    ]
+    found = {path.name: _private_imports(path.read_text()) for path in SOURCES}
+    assert not {name: names for name, names in found.items() if names}
 
 
 def _load_spans():

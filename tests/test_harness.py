@@ -18,10 +18,18 @@ from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
-from fermiqec.codes import logical_basis_state
-from fermiqec.gates import draw_sign, measure_qubit, select_count, split_qubit
+from fermiqec.codes import RepetitionCode, logical_basis_state
+from fermiqec.gates import (
+    apply_qubit_gate,
+    draw_sign,
+    measure_mode_number,
+    measure_qubit,
+    select_count,
+    split_qubit,
+)
 from fermiqec.harness import (
     EXCHANGE_PAIRS,
+    EXCHANGE_REGISTER,
     _exchange_start,
     ExperimentConfig,
     noise_modes,
@@ -29,6 +37,8 @@ from fermiqec.harness import (
     run_experiment,
     sample_phase_error_layer,
 )
+from fermiqec.logical import controlled_tunneling_logical
+from fermiqec.qec import correct_block, measure_stabilizer, recover_codespace
 from fermiqec.reference import random_h_state
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import SparseState, difference_norm
@@ -291,6 +301,53 @@ def test_first_shots_are_pinned(case, correct, reference):
     (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, memo.plan(0.05).width)
     signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, 0.05, block)]
     assert "".join(signs) == PINNED_OUTCOMES[case]
+
+
+def _plain_shot(code, base, p, correct, reference, shot):
+    """One exchange shot at seed 0, point 0, as a plain loop over public
+    functions drawing from the shot's own generator in order; of three
+    error layers, layer ``i`` goes in slot ``i % 4``, slots 0..2 before the
+    three tunnelings and slot 3 before the readout."""
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0, shot]))
+    modes = noise_modes(code.layout, reference)
+    state = apply_qubit_gate(base, "h", 0)
+    for slot in range(4):
+        for _ in range(slot, 3, 4):
+            state, _ = sample_phase_error_layer(state, p, modes, rng)
+            if not correct:
+                continue
+            if reference:
+                _, state = measure_mode_number(state, code.layout.reference_modes(), rng)
+                state = recover_codespace(state, code)
+            for block in range(code.num_blocks):
+                s12, state = measure_stabilizer(state, code, block, "s12", rng, 1)
+                s23, state = measure_stabilizer(state, code, block, "s23", rng, 1)
+                state = correct_block(state, code, block, (s12, s23))
+        if slot < 3:
+            state = controlled_tunneling_logical(
+                state, 0, code, *EXCHANGE_PAIRS[slot], math.pi / 2
+            )
+    outcome, _ = measure_qubit(state, 0, rng, "y")
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "case, correct, reference",
+    [
+        ("corrected", True, False),
+        ("uncorrected", False, False),
+        ("reference", True, True),
+    ],
+)
+def test_plain_shots_draw_the_pinned_outcomes(case, correct, reference):
+    # an oracle for the walk that uses none of its machinery
+    code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
+    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    outcomes = [
+        "+" if _plain_shot(code, base, 0.05, correct, reference, shot) > 0 else "-"
+        for shot in range(200)
+    ]
+    assert "".join(outcomes) == PINNED_OUTCOMES[case]
 
 
 #: ``count_minus`` at p = 0.002 and 0.01 of 600 shots at seed 0, three seed

@@ -26,7 +26,6 @@ from fermiqec.reference import (
     is_in_H,
     majorana_rotation_gates,
     random_h_state,
-    reference_basis_bits,
 )
 from fermiqec.registers import RegisterLayout
 from fermiqec.states import SparseState, add_states, basis_state, difference_norm
@@ -178,20 +177,20 @@ def test_number_conserving_gates_stay_on_H():
 
 
 def test_reference_basis_bits_bounds():
-    assert reference_basis_bits(LAY, 3) == 0
-    assert reference_basis_bits(LAY, 0) == 0b111 << 3
-    with pytest.raises(ValueError):
-        reference_basis_bits(LAY, 4)
+    assert LAY.bank_bits(3) == 0
+    assert LAY.bank_bits(0) == 0b111 << 3
+    with pytest.raises(ValueError, match="no reference prefix holds -1 atoms"):
+        LAY.bank_bits(4)
 
 
 def _in_H_per_label(state):
     """The consistent-subspace rule read off label by label."""
     lay = state.layout
     for l in state.entries:
-        n_sys = lay.system_part(l).bit_count()
+        n_sys = (l & lay.system_mask).bit_count()
         if not lay.holds(n_sys):
             return False
-        if l & lay.reference_mask != reference_basis_bits(lay, n_sys):
+        if l & lay.reference_mask != lay.bank_bits(n_sys):
             return False
     return True
 

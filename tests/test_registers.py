@@ -3,6 +3,7 @@ import pytest
 from conftest import spread_h_state
 
 from fermiqec.backend import compress
+from fermiqec.reference import h_label
 from fermiqec.registers import RegisterLayout, jw_sign
 
 
@@ -36,7 +37,7 @@ def test_bit_positions():
 def test_label_parts():
     lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=1)
     label = 0b1_0110_101
-    assert lay.system_part(label) == 0b101
+    assert label & lay.system_mask == 0b101
     assert (label & lay.reference_mask) >> lay.num_system_modes == 0b0110
     assert label >> lay.num_fermion_modes == 1
 
@@ -60,12 +61,13 @@ def test_occupation_matches_the_decompressed_label():
     masks += [int(m) & fermions for m in rng.integers(1 << 18, size=20)]
     assert any(m & lay.system_mask and m & lay.reference_mask for m in masks[-20:])
     assert len(physical.entries) == len(compressed.entries) > 2000
+    counters = [(lay.counter(m, False), lay.counter(m, True), m) for m in masks]
     for full, short in zip(physical.entries, compressed.entries):
         assert full >> lay.num_fermion_modes == short >> lay.num_system_modes
-        for mask in masks:
+        for on_full, on_short, mask in counters:
             want = (full & mask).bit_count()
-            assert lay.occupation(full, mask) == want
-            assert lay.occupation(short, mask, compressed=True) == want
+            assert on_full(full) == want
+            assert on_short(short) == want
 
 
 def test_occupation_outside_the_bank_range_does_not_raise():
@@ -73,9 +75,11 @@ def test_occupation_outside_the_bank_range_does_not_raise():
     every = (1 << lay.num_fermion_modes) - 1
     # three system atoms but only two in the register: an empty bank
     assert not lay.holds(3)
-    assert lay.occupation(0b1_111, lay.reference_mask, compressed=True) == 0
-    assert lay.occupation(0b1_111, every, compressed=True) == 3
-    assert lay.occupation(0b1_1111_111, every) == 7
+    assert lay.counter(lay.reference_mask, True)(0b1_111) == 0
+    assert lay.counter(every, True)(0b1_111) == 3
+    assert lay.counter(every, False)(0b1_1111_111) == 7
+    with pytest.raises(ValueError, match="no reference prefix holds -1 atoms"):
+        lay.bank_bits(3)
 
 
 def test_holds_boundaries():
@@ -98,6 +102,23 @@ def _masks(lay, rng):
     return masks
 
 
+def _decompressed_count(lay, label, mask):
+    """The oracle for a compressed count: the atoms under ``mask`` on the
+    physical label that ``label`` decompresses to (:func:`h_label`).  A
+    system with more than ``N`` atoms leaves the bank empty."""
+    system = label & lay.system_mask
+    if not lay.holds(system.bit_count()):
+        return (system & mask).bit_count()
+    return (h_label(lay, system, label >> lay.num_system_modes) & mask).bit_count()
+
+
+def _want(lay, labels, mask, compressed):
+    """Each label's count under ``mask`` by the oracle of its representation."""
+    if compressed:
+        return [_decompressed_count(lay, l, mask) for l in labels]
+    return [(l & mask).bit_count() for l in labels]
+
+
 @pytest.mark.parametrize(
     "sizes", [(3, 4, 2, 1), (6, 5, 5, 1)], ids=lambda s: "+".join(map(str, s))
 )
@@ -111,8 +132,7 @@ def test_counter_is_occupation_on_every_label(sizes):
     for mask in _masks(lay, rng):
         for compressed, labels in every_label.items():
             count = lay.counter(mask, compressed)
-            want = [lay.occupation(l, mask, compressed) for l in labels]
-            assert [count(l) for l in labels] == want
+            assert [count(l) for l in labels] == _want(lay, labels, mask, compressed)
 
 
 def test_counter_is_occupation_on_exchange_labels():
@@ -126,6 +146,4 @@ def test_counter_is_occupation_on_exchange_labels():
     for mask in _masks(lay, rng):
         for compressed, labels in samples.items():
             count = lay.counter(mask, compressed)
-            assert [count(l) for l in labels] == [
-                lay.occupation(l, mask, compressed) for l in labels
-            ]
+            assert [count(l) for l in labels] == _want(lay, labels, mask, compressed)
