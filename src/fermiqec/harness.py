@@ -59,11 +59,32 @@ nearest is symmetric under both, so each later amplitude, built by sums,
 products and quotients by constants, is ``k`` times the unturned one and
 each weight ``re * re + im * im`` is the same.  So every later
 probability, branch and draw is the same, up to the sign of a zero part,
-which no probability sees.  The memo holds at most ``_MEMO_CAP`` nodes;
-one that is full and needs another drops them all and starts over, and
-the groups walk on from the nodes they hold.  At cap 0 it holds nothing
-and every node is new; a one-shot block then runs the plain measurement
-at every event, which is plain Monte-Carlo.
+which no probability sees.
+
+A shot carries its phase flips as a Pauli frame (Knill, Nature 434, 39
+(2005); Gidney, Quantum 5, 497 (2021)): a pi flip on a system mode
+multiplies each amplitude by exactly +1 or -1, by that mode's bit, so it
+commutes with every step that keeps the bit, such as another block's
+readout, a correction, the bank count or the y rotation.  An error layer
+applies at once its reference flips (a compressed label's sign there
+depends on the system atom count, which readouts change) and the flips on
+the modes that its own gates or the next step change; it leaves the others
+pending, a bitmask the shot's group carries, until a step that changes
+their mode (:attr:`_Step.touches`) applies them in one pass.  The final
+readout drops those still pending.  Shots that differ only in pending
+flips share every node in between, so corrected calls build far fewer
+nodes (see ``_MEMO_CAP``).  No bit changes: a step that keeps a mode's
+bit maps each label only to labels of the same sign under its flip, so
+every later product, sum, quotient and magnitude is that sign times the
+one built with the flip applied (rounding to nearest is symmetric under
+negation), each weight is the same, and two flips of one mode cancel
+exactly.
+
+The memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs
+another drops them all and starts over, and the groups walk on from the
+nodes they hold.  At cap 0 it holds nothing and every node is new; a
+one-shot block then runs the plain measurement at every event, on states
+whose pending flips wait as at any cap, which is plain Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -133,12 +154,17 @@ def _draw_flips(modes: tuple[int, ...], p: float, rng: np.random.Generator) -> t
     return tuple(m for m, u in zip(modes, rng.random(len(modes))) if u < p)
 
 
-def _apply_flips(state: SparseState, flipped: tuple[int, ...]) -> SparseState:
-    """A pi phase on each flipped mode, in one diagonal pass; the state
-    itself when nothing flipped."""
-    if not flipped:
+def _mask(modes: Iterable[int]) -> int:
+    """The bitmask of ``modes``: bit ``m`` for mode ``m``."""
+    return sum(1 << m for m in modes)
+
+
+def _apply_flips(state: SparseState, flips: int) -> SparseState:
+    """A pi phase on each mode of the bitmask ``flips``, in one diagonal
+    pass; the state itself when ``flips`` is 0."""
+    if not flips:
         return state
-    count = state.layout.counter(sum(1 << m for m in flipped), state.compressed)
+    count = state.layout.counter(flips, state.compressed)
     return apply_map(state, lambda l: ((l, -1.0 if count(l) & 1 else 1.0),))
 
 
@@ -153,7 +179,7 @@ def sample_phase_error_layer(
     noise settings.  Returns ``state`` itself when nothing flipped.
     """
     flipped = _draw_flips(modes, p, rng)
-    return _apply_flips(state, flipped), flipped
+    return _apply_flips(state, _mask(flipped)), flipped
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +245,12 @@ def _integer(value, what: str) -> int:
 
 #: Most nodes a memo holds before it starts over.  A node's state on the
 #: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange call
-#: makes at most 247 nodes (reference errors at p = 0.01; 46-144 corrected
-#: at p = 0.002 and 0.01; seeds 0-19), so it never starts over; the peak
-#: RSS of ``bench/run.py`` was 60.0 MB (exchange_corrected) and 61.5 MB
-#: (exchange_reference), medians of ten runs on a 2-vCPU host.
+#: makes at most 247 nodes (reference errors at p = 0.01; 36-86 corrected
+#: and 14-60 uncorrected at p = 0.002 and 0.01, against 46-144 and 14-67
+#: when every flip was applied at its layer; seeds 0-19), so it never
+#: starts over; the peak RSS of ``bench/run.py`` was 60.0 MB
+#: (exchange_corrected) and 61.5 MB (exchange_reference), medians of ten
+#: runs on a 2-vCPU host.
 _MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -258,6 +286,17 @@ class _Step(NamedTuple):
     which ``pick`` carries, so its ``split`` gives ``None`` for them.
     ``reads_last`` is set where the gates read the outcome before this
     event's (a block's s12 readout, for the correction after its s23).
+
+    ``touches`` is the bitmask of the system modes whose occupation bit the
+    event or its gates may change: a stabilizer readout its block, a
+    controlled tunneling its two blocks, ``recover_codespace`` every system
+    mode; the other events and gates (the corrections, the bank count, the y
+    rotation, the final readout) are diagonal on the modes or act on an
+    ancilla alone.  A pi flip on any other system mode commutes with the
+    step, so the walk leaves it pending until a step touches its mode.
+    ``defers`` is the bitmask of the modes whose flips an error layer leaves
+    pending: its system modes that neither its own gates nor the next step
+    touch, and 0 at every other event.
     """
 
     measure: Callable[[SparseState, _StepDraws], tuple]
@@ -266,6 +305,8 @@ class _Step(NamedTuple):
     columns: slice
     reads_last: bool
     gates: tuple[_Gate, ...]
+    touches: int
+    defers: int
 
 
 def _pick_flips(
@@ -307,7 +348,7 @@ def _error_layer(p: float, modes: tuple[int, ...]) -> tuple:
     """``(measure, split, pick)`` of an error layer."""
     return (
         lambda s, draws: sample_phase_error_layer(s, p, modes, draws)[::-1],
-        lambda s: (None, functools.partial(_apply_flips, s)),
+        lambda s: (None, lambda flipped: _apply_flips(s, _mask(flipped))),
         lambda _, u: _pick_flips(modes, p, u),
     )
 
@@ -367,34 +408,55 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
     error layer ``i`` goes in slot ``i % 4``."""
     reference = config.include_reference_errors
     modes = noise_modes(code.layout, reference)
+    every = code.layout.system_mask
     head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
-    steps: list[tuple] = []
+    steps: list[dict] = []
     gates = head
     width = 0
 
-    def event(measure, split, pick, draws: int = 1, reads_last: bool = False) -> None:
+    def event(
+        measure, split, pick, draws: int = 1, reads_last: bool = False,
+        touches: int = 0, defers: int = 0,
+    ) -> None:
         nonlocal gates, width
         gates = []
-        steps.append((measure, split, pick, slice(width, width + draws), reads_last, gates))
+        columns = slice(width, width + draws)
+        steps.append(dict(
+            measure=measure, split=split, pick=pick, columns=columns,
+            reads_last=reads_last, gates=gates, touches=touches, defers=defers,
+        ))
         width += draws
+
+    def gate(apply: _Gate, touches: int = 0) -> None:
+        gates.append(apply)
+        if steps:  # no flip is pending before the first event
+            steps[-1]["touches"] |= touches
 
     layer = _error_layer(p, modes)
     for slot in range(4):
         for _ in range(slot, config.num_error_layers, 4):
-            event(*layer, len(modes))
+            event(*layer, len(modes), defers=every)
             if config.correction_enabled:
                 if reference:
                     event(*_BANK_COUNT)
-                    gates.append(lambda s, _: recover_codespace(s, code))
+                    gate(lambda s, _: recover_codespace(s, code), every)
                 for block in range(code.num_blocks):
-                    event(*_stabilizer(code, block, "s12"))
-                    event(*_stabilizer(code, block, "s23"), reads_last=True)
-                    gates.append(_correct(code, block))
+                    touches = code.block_mask(block)
+                    event(*_stabilizer(code, block, "s12"), touches=touches)
+                    event(*_stabilizer(code, block, "s23"), reads_last=True, touches=touches)
+                    gate(_correct(code, block))
         if slot < 3:
-            gates.append(_tunnel(code, *EXCHANGE_PAIRS[slot]))
-    gates.append(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
+            pair = EXCHANGE_PAIRS[slot]
+            gate(_tunnel(code, *pair), code.block_mask(pair[0]) | code.block_mask(pair[1]))
+    gate(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
     event(*_FINAL_READOUT)
-    steps = tuple(_Step(*e, tuple(g)) for *e, g in steps)
+    # a layer applies at once the flips that it or the next step touches:
+    # deferring those would only file one more state on the way
+    nexts = [e["touches"] for e in steps[1:]] + [0]
+    steps = tuple(
+        _Step(**{**e, "gates": tuple(e["gates"]), "defers": e["defers"] & ~e["touches"] & ~after})
+        for e, after in zip(steps, nexts)
+    )
     return _Plan(tuple(head), steps, width)
 
 
@@ -443,7 +505,9 @@ class _HistoryMemo:
     from ``base`` on ``code``, and the shot plan of each error rate.
 
     ``roots`` leads to the first node, and a node's ``children`` from an
-    outcome to the next node.  A history seen for the first time builds its
+    outcome to the next node, or from ``("flips", due)`` to the node of its
+    state with the pending flips ``due`` applied, at the same step (see
+    :func:`_flip_due`).  A history seen for the first time builds its
     state, takes its :func:`_canonical` form and looks that up in the state
     index, keyed on ``(step index, last outcome, hash of the entries as a
     set)``, where the last outcome is ``None`` unless the step's gates read
@@ -545,12 +609,22 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
     the exact-correctability conditions).
 
     The shots walk the plan's steps together, breadth first: at each step
-    the shots standing at one node move as one group, and groups that
-    reach one node merge.  At a node not visited before, the group's
-    lowest row runs the plain measurement on its doubles, and the other
-    rows pick from the node's split; at a visited node every row picks.
-    Each row takes the outcome the plain measurement would give it, so the
-    outcomes do not depend on the block's size or on what ``memo`` holds.
+    the shots standing at one node with the same pending flips move as one
+    group, and groups that reach one node with the same pending flips
+    merge.  A group's ``pending`` is the bitmask of the system modes whose
+    pi flip it has drawn but not applied: an error layer applies at once
+    its reference flips and the flips on modes its own gates or the next
+    step touch, and leaves the others pending (:attr:`_Step.defers`);
+    before each step a
+    group applies the pending flips the step touches (:attr:`_Step.touches`)
+    in one pass, filed as an edge of its node like any other state.  The
+    flips still pending at the final readout are dropped, as the y rotation
+    acts on the ancilla alone and the readout reads weights.  Groups move
+    lowest row first.  At a node not visited before, the group's lowest row
+    runs the plain measurement on its doubles, and the other rows pick from
+    the node's split; at a visited node every row picks.  Each row takes
+    the outcome the plain measurement would give it, so the outcomes do not
+    depend on the block's size or on what ``memo`` holds.
     """
     head, steps, width = memo.plan(p)
     if block.ndim != 2 or block.shape[1] != width:
@@ -561,17 +635,20 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
     root = memo.node(
         memo.roots, None, functools.partial(_settle, memo.base, head, ()), (0, None)
     )
-    groups = [(root, None, np.arange(len(block)))]
+    arrivals = {(root, 0): (root, None, 0, [np.arange(len(block))])}
     final = len(steps) - 1
     for index, step in enumerate(steps):
-        arrivals: dict[_Node, tuple] = {}  # by identity
-        for node, last, rows in groups:
+        groups = _flip_due(memo, index, step, arrivals.values())
+        arrivals = {}  # by node identity and pending flips
+        for node, last, pending, rows in groups:
             picks, made, branch = [], {}, None
             if not node.seen:
                 node.seen = True
                 draws = _StepDraws(block[rows[0], step.columns].tolist())
                 outcome, post = step.measure(node.state, draws)
                 picks.append((outcome, rows[:1]))
+                # a layer's post state holds every flip: the child only
+                # when the layer defers none of them
                 made[outcome] = functools.partial(
                     _settle, post, step.gates, (last, outcome)
                 )
@@ -587,17 +664,50 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
                 if index == final:
                     outcomes[taken] = outcome
                     continue
+                later = 0  # the flips of this outcome left pending
+                if step.defers:
+                    later = _mask(m for m in outcome if step.defers >> m & 1)
+                    outcome = tuple(m for m in outcome if not later >> m & 1)
                 make = made.get(outcome) or functools.partial(
                     _branch, step, node, branch, outcome, (last, outcome)
                 )
                 place = (index + 1, outcome if steps[index + 1].reads_last else None)
                 child = memo.node(node.children, outcome, make, place)
-                arrivals.setdefault(child, (child, outcome, []))[2].append(taken)
-        groups = [
-            (child, last, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
-            for child, last, parts in arrivals.values()
-        ]
+                held = pending ^ later
+                arrivals.setdefault((child, held), (child, outcome, held, []))[3].append(taken)
     return outcomes
+
+
+def _flip_due(
+    memo: _HistoryMemo, index: int, step: _Step, arrivals: Iterable[tuple]
+) -> list[tuple]:
+    """The groups ``(node, last outcome, pending, rows)`` at step ``index``
+    from the arrivals there, each with the rows in ascending order: an
+    arrival with pending flips on modes ``step`` touches moves, by the edge
+    ``("flips", due)``, to the node of its state with those flips applied,
+    and keeps the rest pending.  (That key is no outcome: outcomes are ints
+    and tuples of modes.)  Arrivals at one node with the same pending flips
+    merge, and the groups come lowest row first, so the lowest row at a
+    node is the one that visits it first."""
+    merged: dict[tuple, tuple] = {}
+    for node, last, pending, parts in arrivals:
+        due = pending & step.touches
+        if due:
+            node = memo.node(
+                node.children,
+                ("flips", due),
+                functools.partial(_apply_flips, node.state, due),
+                (index, last if step.reads_last else None),
+            )
+            pending ^= due
+        key = (node, pending)
+        merged.setdefault(key, (node, last, pending, []))[3].extend(parts)
+    groups = [
+        (node, last, pending, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
+        for node, last, pending, parts in merged.values()
+    ]
+    groups.sort(key=lambda group: group[3][0])
+    return groups
 
 
 def run_exchange_shot(memo: _HistoryMemo, p: float, block: np.ndarray) -> int:
@@ -605,7 +715,9 @@ def run_exchange_shot(memo: _HistoryMemo, p: float, block: np.ndarray) -> int:
     ``memo``'s config at error rate ``p``, whose doubles are the one row of
     ``block``: :func:`_walk_block` on a one-shot block.  At cap 0 the memo
     caches nothing, every node is a first visit, and this is plain
-    Monte-Carlo."""
+    Monte-Carlo, with each flip still pending until a step changes its
+    mode; ``tests/test_harness.py::_plain_shot`` is the loop that applies
+    every flip at its layer."""
     (outcome,) = _walk_block(memo, p, block).tolist()
     return outcome
 

@@ -303,16 +303,17 @@ def test_first_shots_are_pinned(case, correct, reference):
     assert "".join(signs) == PINNED_OUTCOMES[case]
 
 
-def _plain_shot(code, base, p, correct, reference, shot):
-    """One exchange shot at seed 0, point 0, as a plain loop over public
-    functions drawing from the shot's own generator in order; of three
-    error layers, layer ``i`` goes in slot ``i % 4``, slots 0..2 before the
-    three tunnelings and slot 3 before the readout."""
-    rng = np.random.default_rng(np.random.SeedSequence([0, 0, shot]))
+def _plain_shot(code, base, layers, p, correct, reference, seed, point, shot):
+    """One exchange shot of ``layers`` error layers at rate ``p``, as a
+    plain loop over public functions drawing from the shot's own generator
+    ``SeedSequence([seed, point, shot])`` in order.  Layer ``i`` goes in
+    slot ``i % 4``, slots 0..2 before the three tunnelings and slot 3
+    before the readout, and applies every flip it draws at once."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
     modes = noise_modes(code.layout, reference)
     state = apply_qubit_gate(base, "h", 0)
     for slot in range(4):
-        for _ in range(slot, 3, 4):
+        for _ in range(slot, layers, 4):
             state, _ = sample_phase_error_layer(state, p, modes, rng)
             if not correct:
                 continue
@@ -344,7 +345,7 @@ def test_plain_shots_draw_the_pinned_outcomes(case, correct, reference):
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
     outcomes = [
-        "+" if _plain_shot(code, base, 0.05, correct, reference, shot) > 0 else "-"
+        "+" if _plain_shot(code, base, 3, 0.05, correct, reference, 0, 0, shot) > 0 else "-"
         for shot in range(200)
     ]
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
@@ -395,9 +396,10 @@ def _outcomes(memo, p_values, shots, seed=0):
 
 
 def _plain_outcomes(p_values, shots, seed=0, **fields):
-    """The oracle of :func:`_outcomes`: the same shots, each walked alone
-    as a one-shot block over a memo of cap 0, so every visit is a first one
-    and runs the plain measurement."""
+    """The outcomes of :func:`_outcomes` from the same shots, each walked
+    alone as a one-shot block over a memo of cap 0, so every visit is a
+    first one and runs the plain measurement (its flips still wait as in
+    any walk; :func:`_oracle_outcomes` applies each at its layer)."""
     memo = _memo(0, **fields)
     out = []
     for point, p in enumerate(p_values):
@@ -405,6 +407,20 @@ def _plain_outcomes(p_values, shots, seed=0, **fields):
             block = _one_shot_draws(seed, point, shot, memo, p)
             out.append(run_exchange_shot(memo, p, block))
     return out
+
+
+def _oracle_outcomes(p_values, shots, seed=0, **fields):
+    """The outcomes of :func:`_outcomes` from :func:`_plain_shot`, which
+    shares none of the walk's machinery and defers no flip."""
+    config = ExperimentConfig(p_values, **fields)
+    return [
+        _plain_shot(
+            _CODE, _BASE, config.num_error_layers, p, config.correction_enabled,
+            config.include_reference_errors, seed, point, shot,
+        )
+        for point, p in enumerate(p_values)
+        for shot in range(shots)
+    ]
 
 
 #: Config fields: 5 cases x 2 points x 200 shots.  ``reference_p0.1_5layers``
@@ -427,17 +443,21 @@ def test_memo_leaves_every_outcome_unchanged(case):
         cap: _outcomes(_memo(cap, **MEMO_CASES[case]), (0.01, 0.05), 200)
         for cap in (_NO_START_OVER, 0, 2)
     }
-    plain = _plain_outcomes((0.01, 0.05), 200, **MEMO_CASES[case])
+    plain = _oracle_outcomes((0.01, 0.05), 200, **MEMO_CASES[case])
     assert set(plain) <= {-1, 1}
     assert runs[_NO_START_OVER] == runs[0] == runs[2] == plain
 
 
 def test_memo_holds_no_more_than_its_cap():
-    # At p = 0.15 300 shots make more nodes than the cap holds (588
-    # uncapped at seed 0).
-    capped, tiny, uncapped = _memo(harness._MEMO_CAP), _memo(2), _memo(_NO_START_OVER)
+    # With reference errors at p = 0.05, 300 shots make more nodes than the
+    # cap holds (595 uncapped at seed 0).  Without them, corrected runs of
+    # 300 shots no longer do: 124-126 nodes at p = 0.15-0.5, where p = 0.15
+    # made 588 before flips waited for the step that touches their mode.
+    fields = {"include_reference_errors": True}
+    capped, tiny = _memo(harness._MEMO_CAP, **fields), _memo(2, **fields)
+    uncapped = _memo(_NO_START_OVER, **fields)
     for memo in (capped, tiny, uncapped):
-        _outcomes(memo, (0.15,), 300)
+        _outcomes(memo, (0.05,), 300)
     assert len(uncapped) > harness._MEMO_CAP, "the load no longer overflows the cap"
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP
@@ -588,6 +608,51 @@ def test_a_fresh_reference_call_makes_few_nodes():
     assert len(memo) < 250
 
 
+@pytest.mark.parametrize("p, nodes", [(0.002, 38), (0.01, 70)])
+def test_a_corrected_call_defers_its_flips(p, nodes):
+    # One fresh 256-shot corrected call at seed 3, as a run makes it: 60
+    # and 126 nodes while every flip was applied at its error layer.  A
+    # flip waits for its block's readout, so the histories that differ
+    # only there share the nodes of the readouts before it.
+    config = ExperimentConfig((p,), shots=256, seed=3)
+    memo = harness._HistoryMemo(config, *_exchange_start(), harness._MEMO_CAP)
+    (block,) = harness._shot_draws(3, 0, 0, 256, memo.plan(p).width)
+    harness._walk_block(memo, p, block)
+    assert len(memo) == nodes
+
+
+@pytest.mark.parametrize(
+    "case, compressed", [(case, True) for case in sorted(MEMO_CASES)] + [("reference", False)]
+)
+def test_no_step_changes_a_mode_bit_outside_what_it_touches(case, compressed):
+    # Why a flip may wait: each step maps a label only to labels with the
+    # same bits on the system modes outside ``step.touches``, so a pi flip
+    # on one of them gives an amplitude the same sign before and after the
+    # step.  Each label of a few states the walk reaches at each step goes
+    # through the step's split branches and gates alone; on a physical base
+    # the readouts run the stabilizer gadget.
+    plan, by_step = _warm_nodes(case, compressed)
+    layout = _CODE.layout
+    modes = noise_modes(layout, MEMO_CASES[case].get("include_reference_errors", False))
+    rnd = random.Random(5)
+    checked = 0
+    for index, step in enumerate(plan.steps):
+        kept = layout.system_mask & ~step.touches
+        assert not step.defers & ~kept, index  # a layer defers only kept modes
+        if not kept:
+            continue
+        for last, state in rnd.sample(by_step[index], min(3, len(by_step[index]))):
+            for label in state.entries:
+                one = SparseState(layout, {label: 1.0 + 0j}, compressed)
+                odds, branch = step.split(one)
+                for outcome in _some_outcomes(odds, modes, rnd):
+                    after = harness._settle(branch(outcome), step.gates, (last, outcome))
+                    moved = {l ^ label for l in after.entries}
+                    assert all(not bits & kept for bits in moved), (index, label, outcome)
+                    checked += 1
+    assert checked
+
+
 def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
     calls = []
     readout = harness.measure_stabilizer
@@ -663,11 +728,13 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values
 
 
 @functools.cache
-def _warm_nodes(case):
+def _warm_nodes(case, compressed=True):
     """The plan of ``MEMO_CASES[case]`` and, by step index, the ``(last
     outcome, state)`` of every node a memo holds after 30 shots at each of
-    p = 0.05 and 0.2."""
-    memo = _memo(_NO_START_OVER, **MEMO_CASES[case])
+    p = 0.05 and 0.2, from the compressed base or a physical one."""
+    base = _BASE if compressed else logical_basis_state(_CODE, (1, 1, 0), compressed=False)
+    config = ExperimentConfig((0.05,), **MEMO_CASES[case])
+    memo = harness._HistoryMemo(config, _CODE, base, _NO_START_OVER)
     _outcomes(memo, (0.05, 0.2), 30)
     by_step = {}
     for (index, last, _), node in memo._states.items():
@@ -849,8 +916,13 @@ def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case)
     want = [run_exchange_shot(plain, 0.5, row[None]) for row in block]
     for _ in range(2):  # first visits, then a replay on the warm memo
         assert harness._walk_block(memo, 0.5, block).tolist() == want
+    # every shot its own history: the root has an edge for each flip the
+    # layer applies at once, and the rows whose flip it leaves pending (on
+    # blocks 1 and 2 in the corrected plan) share the no-flip edge, each
+    # with its own pending flip
+    defers = plan.steps[0].defers
     (root,) = memo.roots.values()
-    assert len(root.children) == len(block)  # every shot its own branch
+    assert set(root.children) == {(), *((m,) for m in range(width) if not defers >> m & 1)}
     assert set(want) == {-1, 1}
 
 
