@@ -10,7 +10,9 @@ the repetition-code rounds enabled.  Every run uses one register,
 :data:`EXCHANGE_REGISTER`, and cycles its error layers through the four
 slots before each tunneling and before the readout.  Its
 :class:`ExperimentConfig` is the one description of a run: the shots of a
-worker share one memo built from it, with one shot plan per error rate.
+run (a worker's share of them, under fan-out) share one memo built from it,
+with one shot plan per error rate, on the code and base state that the
+process builds once (:func:`_exchange_start`).
 
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
@@ -248,9 +250,9 @@ def _integer(value, what: str) -> int:
 #: makes at most 247 nodes (reference errors at p = 0.01; 36-86 corrected
 #: and 14-60 uncorrected at p = 0.002 and 0.01, against 46-144 and 14-67
 #: when every flip was applied at its layer; seeds 0-19), so it never
-#: starts over; the peak RSS of ``bench/run.py`` was 60.0 MB
+#: starts over; the peak RSS of ``bench/run.py`` was 59.8 MB
 #: (exchange_corrected) and 61.5 MB (exchange_reference), medians of ten
-#: runs on a 2-vCPU host.
+#: runs on a 2-vCPU host, the process's one code included.
 _MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -854,17 +856,24 @@ def _draw_rows(
     return rows
 
 
+@functools.cache
 def _exchange_start() -> tuple[RepetitionCode, SparseState]:
     """The code and the compressed |1,1,0> base state that every exchange
-    shot starts from."""
+    shot starts from, built once per process: both depend on
+    :data:`EXCHANGE_REGISTER` alone, so every later run reuses the code's
+    label maps, codewords and codespace table.  Sharing them is safe:
+    the code only ever gains entries that are pure functions of their key
+    (a map asked for another variant is rebuilt, see
+    :meth:`~fermiqec.codes.RepetitionCode.label_map`), so no run sees an
+    image other than the one a fresh code derives."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     return code, logical_basis_state(code, (1, 1, 0), compressed=True)
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
-    picklable work unit; the code, its label-map memos and one history
-    memo serve them all)."""
+    picklable work unit): one history memo of its own serves them all, on
+    the process's one code and its label maps."""
     code, base = _exchange_start()
     memo = _HistoryMemo(config, code, base, _MEMO_CAP)
     counts = []
@@ -890,9 +899,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ``config.confidence``.
 
     The shots of a worker share one history memo, built from ``config``,
-    with one shot plan per error rate.  ``threads`` only sets how many
-    processes share the shots, each taking a contiguous shot range of
-    every point with a history memo of its own;
+    with one shot plan per error rate, on the code that the process builds
+    once and every run reuses (:func:`_exchange_start`).  ``threads`` only
+    sets how many processes share the shots, each taking a contiguous shot
+    range of every point with a history memo of its own;
     the per-shot seeding makes the counts — and therefore every number in
     the result — identical for any worker count.  No more workers start
     than there are shots or CPUs this process may use.  Fan-out does not

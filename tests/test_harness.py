@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fermiqec import harness
 from fermiqec.backend import compress
-from fermiqec.codes import RepetitionCode, logical_basis_state
+from fermiqec.codes import LabelMap, RepetitionCode, logical_basis_state
 from fermiqec.gates import (
     apply_qubit_gate,
     draw_sign,
@@ -372,8 +372,12 @@ def test_counts_across_seed_blocks_are_pinned(case):
 # the history memo
 # ---------------------------------------------------------------------------
 
-#: The 9+9+9+2 exchange register's code with its |1,1,0> start.
-_CODE, _BASE = _exchange_start()
+#: The 9+9+9+2 exchange register's code with its |1,1,0> start, built here
+#: as in :func:`test_plain_shots_draw_the_pinned_outcomes` and not taken from
+#: ``_exchange_start()``: the oracle :func:`_plain_shot` and the walks below
+#: then share no label map with the code a run builds once per process.
+_CODE = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
+_BASE = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
 
 #: A cap no run in these tests reaches: the memo never starts over.
 _NO_START_OVER = 10**9
@@ -1033,7 +1037,6 @@ def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
         assert block.shape == (len(block), memo.plan(p).width)
         return np.ones(len(block), np.int64)
 
-    monkeypatch.setattr(harness, "_exchange_start", lambda: (_CODE, _BASE))
     monkeypatch.setattr(harness, "_walk_block", take_all)
 
     def peak(shots):
@@ -1045,5 +1048,68 @@ def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    peak(256)  # leaves out what a first call caches
+    peak(256)  # leaves out what a first call caches, the process's code too
     assert peak(2048) <= peak(256) + 16 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the exchange start, built once per process
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Counts, from now on, of the codes constructed and of the label
+    images derived; ``monkeypatch`` puts both methods back afterwards."""
+    counts = {"codes": 0, "images": 0}
+    init, missing = RepetitionCode.__init__, LabelMap.__missing__
+
+    def counted_init(self, *args):
+        counts["codes"] += 1
+        init(self, *args)
+
+    def counted_missing(self, label):
+        counts["images"] += 1
+        return missing(self, label)
+
+    monkeypatch.setattr(RepetitionCode, "__init__", counted_init)
+    monkeypatch.setattr(LabelMap, "__missing__", counted_missing)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
+def test_a_reused_code_changes_no_result(monkeypatch, case):
+    config = ExperimentConfig((0.002, 0.01), shots=512, **MEMO_CASES[case])
+    harness._exchange_start.cache_clear()
+    counts = _count_builds(monkeypatch)
+    fresh = run_experiment(config).points
+    assert counts["codes"] == 1 and counts["images"] > 0
+    counts.update(codes=0, images=0)
+    assert run_experiment(config).points == fresh
+    # the second run derived nothing: it read the first run's code
+    assert counts == {"codes": 0, "images": 0}
+
+
+def test_a_long_lived_process_stops_deriving_label_images():
+    # After one run of each shape, the five-layer p = 0.1 reference run (the
+    # one on which the memo hits least) included, a second pass at new seeds
+    # reads only images the process's code holds: it does not grow with the
+    # runs a process makes.
+    configs = [
+        ExperimentConfig((0.002, 0.01), shots=256, **MEMO_CASES[case])
+        for case in ("corrected", "uncorrected", "reference")
+    ]
+    configs.append(ExperimentConfig((0.1,), shots=256, **MEMO_CASES["reference_p0.1_5layers"]))
+    harness._exchange_start.cache_clear()
+    code, _ = harness._exchange_start()
+
+    def held():
+        maps = {key: len(lmap) for key, (_, lmap) in code._maps.items()}
+        return maps, set(code._words), set(code._tables)
+
+    for config in configs:
+        run_experiment(config)
+    first = held()
+    assert sum(first[0].values()) > 0
+    for config in configs:
+        run_experiment(dataclasses.replace(config, seed=7))
+    assert held() == first
+    assert harness._exchange_start()[0] is code
