@@ -183,8 +183,11 @@ def random_h_circuit(
     Mixes diagonal gates (any fermionic mode), system-system tunnelings and
     swaps, qubit gates on ancilla 1, Majorana rotations, reference phases,
     sparse measurements, and exactly one full QEC round, which reads
-    through ancilla 0 and so finds it in |0>.
+    through ancilla 0 and so finds it in |0>, so ``length`` must be at
+    least one.
     """
+    if length < 1:
+        raise ValueError(f"a circuit holds its QEC round, so length >= 1, got {length}")
     m_s = layout.num_system_modes
     m_f = layout.num_fermion_modes
     ops: list = []

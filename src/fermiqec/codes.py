@@ -18,13 +18,15 @@ tunnelings built on it) are :class:`LabelMap` memos owned by the code: each
 label's image is derived once and then looked up.  The stabilizer and swap
 images compose the label images that the gates themselves hand to
 :func:`fermiqec.states.apply_map` (the dressed ladders' and the mode
-fswaps'), so deriving one builds no state.
+fswaps'), so deriving one builds no state.  A code holds everything it
+derives in one cache, :meth:`RepetitionCode.cached`, under a key that
+names all the entry depends on, so no entry is ever replaced.
 
 The code space is the stabilizers' +1 eigenspace: the logical vacuum is
 the empty register under every stabilizer's projection ``(1 + s)/2``.  A
-code raises its other logical basis states from it with the logical C^dag,
-once per representation and as a tree, and builds with them a table from
-each label to the words that hold it and their conjugated amplitudes.
+code caches, once per representation, the :func:`logical_basis_state` of
+each pattern the register can hold, and a table from each label to the
+words that hold it and their conjugated amplitudes.
 :func:`project_codespace` reads each amplitude of a state once against
 that table and sums each overlap with ``math.fsum``; the products and the
 exact sums are those of one :meth:`SparseState.inner` per word, so the
@@ -34,9 +36,10 @@ projection is the same bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,6 +74,8 @@ __all__ = [
     "kl_check",
     "steane_projector_check",
 ]
+
+_T = TypeVar("_T")
 
 
 class LabelMap(dict):
@@ -116,9 +121,7 @@ class RepetitionCode:
             raise ValueError("system register must tile into three-mode blocks")
         self.layout = layout
         self.num_blocks = layout.num_system_modes // 3
-        self._maps: dict[Hashable, tuple[Hashable, LabelMap]] = {}
-        self._words: dict[bool, list[SparseState]] = {}
-        self._tables: dict[bool, dict[int, tuple[tuple[int, complex], ...]]] = {}
+        self._cache: dict[Hashable, object] = {}
 
     def block_modes(self, block: int) -> tuple[int, int, int]:
         if not 0 <= block < self.num_blocks:
@@ -129,20 +132,14 @@ class RepetitionCode:
     def block_mask(self, block: int) -> int:
         return 0b111 << self.block_modes(block)[0]
 
-    def label_map(
-        self, key: Hashable, variant: Hashable, build: Callable[[], LabelMap]
-    ) -> LabelMap:
-        """The :class:`LabelMap` stored under ``key``; ``build()`` makes it
-        only when the code holds none for this ``variant``.  The code keeps
-        one map per key: asking for another ``variant`` (a new tunneling
-        angle, say) replaces it, so maps for one-off parameters do not pile
-        up."""
-        held = self._maps.get(key)
-        if held is not None and held[0] == variant:
-            return held[1]
-        lmap = build()
-        self._maps[key] = (variant, lmap)
-        return lmap
+    def cached(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The entry stored under ``key``; ``build()`` makes it on the first
+        request.  A key names everything its entry depends on, so every
+        entry is a pure function of its key and is never replaced."""
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = build()
+        return entry
 
     def compiled_stabilizer(self, which: str, block: int) -> LabelMap:
         """A stabilizer as a label map on compressed labels.
@@ -182,7 +179,7 @@ class RepetitionCode:
 
             return LabelMap(lay.system_mask, derive)
 
-        return self.label_map(("stabilizer", which, block), None, build)
+        return self.cached(("stabilizer", which, block), build)
 
     def compiled_fswap(self, block_a: int, block_b: int) -> LabelMap:
         """The transversal block fswap as a label map on system bits.
@@ -208,31 +205,22 @@ class RepetitionCode:
 
             return LabelMap(self.layout.system_mask, derive)
 
-        return self.label_map(("fswap", block_a, block_b), None, build)
+        return self.cached(("fswap", block_a, block_b), build)
 
     def codespace_states(self, compressed: bool = False) -> list[SparseState]:
-        """Orthonormal logical basis states the register can hold: each
-        :func:`logical_basis_state` of a pattern that fits, patterns in
-        ``itertools.product`` order.
+        """Orthonormal logical basis states the register can hold: the
+        :func:`logical_basis_state` of each pattern that fits, patterns in
+        ``itertools.product`` order."""
 
-        They grow as a tree from one vacuum: a pattern's state is its
-        prefix's state, raised on the next block when its bit is set, the
-        ladders :func:`logical_basis_state` runs, in its order."""
-        if compressed not in self._words:
+        def build() -> list[SparseState]:
             spare = self.layout.total_atoms - 2 * self.num_blocks
-            level = []  # (blocks raised, state) per prefix that fits
-            if spare >= 0:
-                level.append((0, prepare_logical_vacuum(self, compressed)))
-            for block in range(self.num_blocks):
-                grown = []
-                for raised, state in level:
-                    grown.append((raised, state))
-                    if raised < spare:
-                        raised_state = apply_logical_C_dagger(state, self, block)
-                        grown.append((raised + 1, raised_state))
-                level = grown
-            self._words[compressed] = [state for _, state in level]
-        return list(self._words[compressed])
+            return [
+                logical_basis_state(self, bits, compressed)
+                for bits in itertools.product((0, 1), repeat=self.num_blocks)
+                if sum(bits) <= spare
+            ]
+
+        return list(self.cached(("words", compressed), build))
 
     def codespace_table(
         self, compressed: bool
@@ -240,13 +228,15 @@ class RepetitionCode:
         """Label -> ``(index, conj(amplitude))`` of each codeword of
         :meth:`codespace_states` holding it, in word order: the terms of
         every overlap ``<w|psi>`` that one amplitude of ``psi`` enters."""
-        if compressed not in self._tables:
+
+        def build() -> dict[int, tuple[tuple[int, complex], ...]]:
             table: dict[int, tuple[tuple[int, complex], ...]] = {}
             for i, word in enumerate(self.codespace_states(compressed)):
                 for l, a in word.entries.items():
                     table[l] = (*table.get(l, ()), (i, a.conjugate()))
-            self._tables[compressed] = table
-        return self._tables[compressed]
+            return table
+
+        return self.cached(("table", compressed), build)
 
 
 def stabilizer_majoranas(

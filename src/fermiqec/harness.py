@@ -862,10 +862,9 @@ def _exchange_start() -> tuple[RepetitionCode, SparseState]:
     shot starts from, built once per process: both depend on
     :data:`EXCHANGE_REGISTER` alone, so every later run reuses the code's
     label maps, codewords and codespace table.  Sharing them is safe:
-    the code only ever gains entries that are pure functions of their key
-    (a map asked for another variant is rebuilt, see
-    :meth:`~fermiqec.codes.RepetitionCode.label_map`), so no run sees an
-    image other than the one a fresh code derives."""
+    every entry of the code's one cache is a pure function of its key and
+    is never replaced (see :meth:`~fermiqec.codes.RepetitionCode.cached`),
+    so no run sees an image other than the one a fresh code derives."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     return code, logical_basis_state(code, (1, 1, 0), compressed=True)
 

@@ -5,8 +5,9 @@ are diagonal and can be teleported onto an ancilla with parity-controlled
 sign flips; the logical tunneling at pi/2 reduces to a transversal fermionic
 swap plus two logical S gates.  Exact diagonal oracles live alongside the
 gadget constructions so the two can be checked against each other.  The
-swap and the exact tunnelings are label maps memoized by the code (see
-:meth:`fermiqec.codes.RepetitionCode.label_map`).  Callers apply these
+swap and the exact tunnelings are label maps held in the code's one cache,
+keyed by their blocks, control and angle (see
+:meth:`fermiqec.codes.RepetitionCode.cached`).  Callers apply these
 functions directly; they have no instruction records in
 :func:`fermiqec.backend.run_circuit`.
 """
@@ -151,7 +152,7 @@ def _tunneling_map(
 
         return LabelMap(swap.mask | control, derive)
 
-    return code.label_map(("tunneling", block_a, block_b, control), theta, build)
+    return code.cached(("tunneling", block_a, block_b, control, theta), build)
 
 
 def tunneling_logical(

@@ -111,7 +111,7 @@ def _plus_projector(code: RepetitionCode, block: int, which: str) -> LabelMap:
             lambda sys: ((sys, 0.5), *((t, 0.5 * c) for t, c in stab.part(sys))),
         )
 
-    return code.label_map(("plus", which, block), None, build)
+    return code.cached(("plus", which, block), build)
 
 
 def _reset_ancilla(state: SparseState, qubit: int) -> SparseState:

@@ -54,6 +54,13 @@ def test_random_circuit_shape():
     assert sum(isinstance(op, QecRound) for op in ops) == 1
 
 
+@pytest.mark.parametrize("length", [0, -1, -50])
+def test_random_circuit_needs_room_for_its_qec_round(length):
+    with pytest.raises(ValueError, match="length"):
+        random_h_circuit(LAY, np.random.default_rng(63), length=length)
+    assert random_h_circuit(LAY, np.random.default_rng(63), length=1) == [QecRound()]
+
+
 def test_dual_run_agrees_and_reports_outcomes():
     lay = RegisterLayout(3, 5, 4, num_ancilla_qubits=2)
     code = RepetitionCode(lay)

@@ -1094,8 +1094,7 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
     code = harness._exchange_start()[0]
 
     def held():
-        maps = {key: len(lmap) for key, (_, lmap) in code._maps.items()}
-        return maps, set(code._words), set(code._tables)
+        return {key: len(entry) for key, entry in code._cache.items()}
 
     first = held()
     counts.update(codes=0, images=0)

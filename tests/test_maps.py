@@ -15,6 +15,7 @@ from conftest import spread_h_state
 from fermiqec import codes
 from fermiqec.backend import compress
 from fermiqec.codes import (
+    LabelMap,
     RepetitionCode,
     SteaneCode,
     apply_loss_kraus,
@@ -248,20 +249,32 @@ def test_code_maps_are_memoized_per_label():
     )
 
 
-def test_tunneling_maps_keep_one_angle_per_block_pair():
+def test_tunneling_maps_at_alternating_angles_are_all_held(monkeypatch):
     code = RepetitionCode(LAY)
-    first = _tunneling_map(code, 0, 1, math.pi / 2)
-    assert _tunneling_map(code, 0, 1, math.pi / 2) is first
-    held = len(code._maps)
-    for theta in (0.1, 0.2, 0.3):
-        assert _tunneling_map(code, 0, 1, theta) is not first
-    # a new angle replaces the stored map instead of adding one
-    assert len(code._maps) == held
+    psi = compress(spread_h_state(LAY, 3))
+    held = {}
+    for theta in (math.pi / 2, THETA):
+        held[theta] = _tunneling_map(code, 0, 1, theta)
+        apply_map(psi, held[theta])
+    derived = []
+    missing = LabelMap.__missing__
+
+    def counting(self, label):
+        derived.append(label)
+        return missing(self, label)
+
+    monkeypatch.setattr(LabelMap, "__missing__", counting)
+    # the angle is part of the key: going back to one derives nothing
+    for theta in (math.pi / 2, THETA) * 2:
+        lmap = _tunneling_map(code, 0, 1, theta)
+        assert lmap is held[theta], theta
+        apply_map(psi, lmap)
+    assert not derived
 
 
 def test_a_held_map_is_returned_without_building(monkeypatch):
     built = []
-    for name in ("fswap_image", "compressed_ladder_image"):
+    for name in ("fswap_image", "compressed_ladder_image", "logical_basis_state"):
 
         def counting(*args, name=name, image=getattr(codes, name)):
             built.append(name)
@@ -284,6 +297,15 @@ def test_a_held_map_is_returned_without_building(monkeypatch):
         built.clear()
         assert request() is first, name
         assert not built, name
+    # the codewords and the code-space table, in each representation
+    for compressed in (False, True):
+        words = code.codespace_states(compressed)
+        table = code.codespace_table(compressed)
+        assert "logical_basis_state" in built, compressed
+        built.clear()
+        assert list(map(id, code.codespace_states(compressed))) == list(map(id, words))
+        assert code.codespace_table(compressed) is table
+        assert not built, compressed
 
 
 def _one_label_stabilizer(code, which, block, sys):
