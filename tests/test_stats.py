@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fermiqec
+from fermiqec import stats
 from fermiqec.stats import clopper_pearson
 
 
@@ -55,7 +56,19 @@ def _oracle(k: int, n: int, confidence: float) -> tuple[float, float]:
 
 
 @pytest.mark.parametrize(
-    "k,n", [(0, 10), (10, 10), (1, 10), (9, 10), (3, 17), (40, 200), (117, 200)]
+    "k,n",
+    [
+        (0, 10),
+        (10, 10),
+        (1, 10),
+        (9, 10),
+        (3, 17),
+        (40, 200),
+        (117, 200),
+        (10, 256),
+        (49, 256),
+        (200, 256),
+    ],
 )
 @pytest.mark.parametrize("confidence", [0.9, 0.99])
 def test_bounds_match_the_tail_equations(k, n, confidence):
@@ -95,10 +108,51 @@ def test_argument_validation():
         clopper_pearson(5, 10, confidence=1.0)
 
 
-def test_scipy_waits_for_the_first_interval():
+#: (k, n) at 0.99 confidence whose bounds from scipy's ``betainc`` differ from
+#: the tail sum's: at one midpoint the two round I_x to opposite sides of the
+#: target, and one bound moves by one bisection step.
+_MOVED_FROM_SCIPY = [(715, 2000), (587, 4096), (3509, 4096)]
+
+
+def _ours_and_scipys(monkeypatch, cases):
+    """Each case's bounds, then the same bisection's on ``betainc``."""
+    special = pytest.importorskip("scipy.special")
+    ours = [clopper_pearson(k, n) for k, n in cases]
+    monkeypatch.setattr(
+        stats,
+        "_binomial_tail",
+        lambda a, m, x, log_at, log_below: special.betainc(a, m - a + 1, x),
+    )
+    return ours, [clopper_pearson(k, n) for k, n in cases]
+
+
+def test_benchmark_bounds_equal_scipys(monkeypatch):
+    cases = [(k, 256) for k in range(257)]
+    ours, scipys = _ours_and_scipys(monkeypatch, cases)
+    assert ours == scipys
+
+
+def test_wider_bounds_move_at_most_one_step_from_scipys(monkeypatch):
+    cases = [(k, n) for n in (16, 100) for k in range(n + 1)]
+    cases += [(k, n) for n in (1000, 2000, 4096) for k in range(0, n + 1, n // 50)]
+    cases += _MOVED_FROM_SCIPY
+    ours, scipys = _ours_and_scipys(monkeypatch, cases)
+    step = 2.0**-34  # the width of the last bisection interval, below 1e-10
+    moved = []
+    for case, mine, theirs in zip(cases, ours, scipys):
+        if mine != theirs:
+            moved.append(case)
+            for x, y in zip(mine, theirs):
+                assert x == y or abs(x - y) == pytest.approx(step, rel=1e-6)
+    assert moved == _MOVED_FROM_SCIPY
+
+
+def test_no_run_loads_scipy():
     script = textwrap.dedent(
         """
+        import contextlib
         import importlib
+        import io
         import pkgutil
         import sys
 
@@ -108,6 +162,7 @@ def test_scipy_waits_for_the_first_interval():
 
         for info in pkgutil.iter_modules(fermiqec.__path__):
             importlib.import_module(f"fermiqec.{info.name}")
+        from fermiqec import cli
         from fermiqec.backend import random_h_circuit, run_dual
         from fermiqec.codes import RepetitionCode
         from fermiqec.reference import random_h_state
@@ -118,9 +173,13 @@ def test_scipy_waits_for_the_first_interval():
         ops = random_h_circuit(lay, np.random.default_rng(1), length=20)
         code = RepetitionCode(lay)
         run_dual(random_h_state(lay, np.random.default_rng(2)), ops, 3, code)
-        assert "scipy" not in sys.modules, "scipy loaded before any interval"
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(
+                ["exchange", "--p", "0.01", "--shots", "256", "--no-correct"]
+            )
+        assert status == 0
         clopper_pearson(3, 10)
-        assert "scipy" in sys.modules
+        assert "scipy" not in sys.modules, "scipy loaded"
         """
     )
     src = str(Path(fermiqec.__file__).resolve().parents[1])
