@@ -438,7 +438,6 @@ class SteaneCode:
         if layout.num_system_modes != 7:
             raise ValueError("this code needs exactly seven system modes")
         self.layout = layout
-        self._codewords: list[SparseState] | None = None
 
     def apply_z_stabilizer(self, state: SparseState, group: int) -> SparseState:
         mask = 0
@@ -465,18 +464,16 @@ class SteaneCode:
     def codewords(self) -> list[SparseState]:
         """Orthonormal code basis via Gram-Schmidt over projected labels;
         asserts the code space has rank exactly two."""
-        if self._codewords is None:
-            words: list[SparseState] = []
-            for sys in range(1 << self.layout.num_system_modes):
-                v = self.project(h_basis_state(self.layout, sys))
-                for w in words:
-                    v = add_states(v, w, 1.0, -w.inner(v))
-                if v.norm() > 1e-9:
-                    words.append(v.normalized())
-            if len(words) != 2:
-                raise AssertionError(f"code space rank {len(words)}, expected 2")
-            self._codewords = words
-        return self._codewords
+        words: list[SparseState] = []
+        for sys in range(1 << self.layout.num_system_modes):
+            v = self.project(h_basis_state(self.layout, sys))
+            for w in words:
+                v = add_states(v, w, 1.0, -w.inner(v))
+            if v.norm() > 1e-9:
+                words.append(v.normalized())
+        if len(words) != 2:
+            raise AssertionError(f"code space rank {len(words)}, expected 2")
+        return words
 
 
 def apply_loss_kraus(state: SparseState, index: int, p: float) -> SparseState:

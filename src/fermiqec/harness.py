@@ -68,20 +68,20 @@ A shot carries its phase flips as a Pauli frame (Knill, Nature 434, 39
 (2005); Gidney, Quantum 5, 497 (2021)): a pi flip on a system mode
 multiplies each amplitude by exactly +1 or -1, by that mode's bit, so it
 commutes with every step that keeps the bit, such as another block's
-readout, a correction, the bank count or the y rotation.  An error layer
-applies at once its reference flips (a compressed label's sign there
-depends on the system atom count, which readouts change) and the flips on
-the modes that its own gates or the next step change; it leaves the others
-pending, a bitmask the shot's group carries, until a step that changes
-their mode (:attr:`_Step.touches`) applies them in one pass.  The final
-readout drops those still pending.  Shots that differ only in pending
-flips share every node in between, so corrected calls build far fewer
-nodes (see ``_MEMO_CAP``).  No bit changes: a step that keeps a mode's
-bit maps each label only to labels of the same sign under its flip, so
-every later product, sum, quotient and magnitude is that sign times the
-one built with the flip applied (rounding to nearest is symmetric under
-negation), each weight is the same, and two flips of one mode cancel
-exactly.
+readout, a correction, the bank count or the y rotation.  A layer applies
+its reference flips and the flips its own gates touch, and a group applies
+due flips on arrival.  The reference flips go at once, as a compressed
+label's sign there depends on the system atom count, which readouts
+change; the others wait, a bitmask the shot's group carries, and a group
+arriving at a step that changes one of their modes (:attr:`_Step.touches`)
+applies those in one pass.  The final readout drops those still pending.
+Shots that differ only in pending flips share every node in between, so
+corrected calls build far fewer nodes (see ``_MEMO_CAP``).  No bit
+changes: a step that keeps a mode's bit maps each label only to labels of
+the same sign under its flip, so every later product, sum, quotient and
+magnitude is that sign times the one built with the flip applied (rounding
+to nearest is symmetric under negation), each weight is the same, and two
+flips of one mode cancel exactly.
 
 The memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs
 another drops them all and starts over, and the groups walk on from the
@@ -135,11 +135,11 @@ __all__ = [
 #: Block pairs of the three controlled tunnelings, in time order.
 EXCHANGE_PAIRS = ((0, 2), (0, 1), (1, 2))
 #: ``(M_s, M_r, N)`` of every exchange run: three three-mode blocks, with
-#: two ancillas (interferometer and gadget) beside them.
+#: two ancillas beside them, the stabilizer readout's (0) and the
+#: interferometer (1).
 EXCHANGE_REGISTER = (9, 9, 9)
 
-_INTERFEROMETER = 0  # ancilla carrying the exchange phase
-_GADGET = 1  # ancilla reserved for in-shot correction machinery
+_INTERFEROMETER = 1  # ancilla carrying the exchange phase
 
 
 def noise_modes(layout: RegisterLayout, include_reference: bool) -> tuple[int, ...]:
@@ -251,8 +251,8 @@ def _integer(value, what: str) -> int:
 #: makes at most 247 nodes (reference errors at p = 0.01; 36-86 corrected
 #: and 14-60 uncorrected at p = 0.002 and 0.01, against 46-144 and 14-67
 #: when every flip was applied at its layer; seeds 0-19), so it never
-#: starts over; the peak RSS of ``bench/run.py`` was 59.8 MB
-#: (exchange_corrected) and 61.5 MB (exchange_reference), medians of ten
+#: starts over; the peak RSS of ``bench/run.py`` was 42.0 MB
+#: (exchange_corrected) and 43.7 MB (exchange_reference), medians of ten
 #: runs on a 2-vCPU host, the process's one code included.
 _MEMO_CAP = 512
 
@@ -298,8 +298,9 @@ class _Step(NamedTuple):
     ancilla alone.  A pi flip on any other system mode commutes with the
     step, so the walk leaves it pending until a step touches its mode.
     ``defers`` is the bitmask of the modes whose flips an error layer leaves
-    pending: its system modes that neither its own gates nor the next step
-    touch, and 0 at every other event.
+    pending: its system modes that its own gates do not touch, and 0 at
+    every other event.  A layer applies its reference flips and the flips
+    its own gates touch, and a group applies due flips on arrival.
     """
 
     measure: Callable[[SparseState, _StepDraws], tuple]
@@ -359,8 +360,8 @@ def _error_layer(p: float, modes: tuple[int, ...]) -> tuple:
 def _stabilizer(code: RepetitionCode, block: int, which: str) -> tuple:
     """``(measure, split, pick)`` of one block stabilizer readout."""
     return (
-        lambda s, draws: measure_stabilizer(s, code, block, which, draws, _GADGET),
-        lambda s: split_stabilizer(s, code, block, which, _GADGET),
+        lambda s, draws: measure_stabilizer(s, code, block, which, draws),
+        lambda s: split_stabilizer(s, code, block, which),
         _pick_signs,
     )
 
@@ -453,12 +454,9 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
             gate(_tunnel(code, *pair), code.block_mask(pair[0]) | code.block_mask(pair[1]))
     gate(lambda s, _: to_measurement_basis(s, _INTERFEROMETER, "y"))
     event(*_FINAL_READOUT)
-    # a layer applies at once the flips that it or the next step touches:
-    # deferring those would only file one more state on the way
-    nexts = [e["touches"] for e in steps[1:]] + [0]
     steps = tuple(
-        _Step(**{**e, "gates": tuple(e["gates"]), "defers": e["defers"] & ~e["touches"] & ~after})
-        for e, after in zip(steps, nexts)
+        _Step(**{**e, "gates": tuple(e["gates"]), "defers": e["defers"] & ~e["touches"]})
+        for e in steps
     )
     return _Plan(tuple(head), steps, width)
 
@@ -510,7 +508,7 @@ class _HistoryMemo:
     ``roots`` leads to the first node, and a node's ``children`` from an
     outcome to the next node, or from ``("flips", due)`` to the node of its
     state with the pending flips ``due`` applied, at the same step (see
-    :func:`_flip_due`).  A history seen for the first time builds its
+    :func:`_walk_block`).  A history seen for the first time builds its
     state, takes its :func:`_canonical` form and looks that up in the state
     index, keyed on ``(step index, last outcome, hash of the entries as a
     set)``, where the last outcome is ``None`` unless the step's gates read
@@ -617,14 +615,15 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
     the shots standing at one node with the same pending flips move as one
     group, and groups that reach one node with the same pending flips
     merge.  A group's ``pending`` is the bitmask of the system modes whose
-    pi flip it has drawn but not applied: an error layer applies at once
-    its reference flips and the flips on modes its own gates or the next
-    step touch, and leaves the others pending (:attr:`_Step.defers`);
-    before each step a
-    group applies the pending flips the step touches (:attr:`_Step.touches`)
-    in one pass, filed as an edge of its node like any other state.  The
-    flips still pending at the final readout are dropped, as the y rotation
-    acts on the ancilla alone and the readout reads weights.  Groups move
+    pi flip it has drawn but not applied.  A layer applies its reference
+    flips and the flips its own gates touch, and leaves the others pending
+    (:attr:`_Step.defers`); a group applies due flips on arrival: where an
+    outcome leads to the next step, the pending flips that step touches
+    (:attr:`_Step.touches`) are applied in one pass, by the edge
+    ``("flips", due)`` of the node reached, filed like any other state,
+    and the group arrives at the node that edge leads to.  The flips still
+    pending at the final readout are dropped, as the y rotation acts on the
+    ancilla alone and the readout reads weights.  Groups move
     lowest row first.  At a node not visited before, the group's lowest row
     runs the plain measurement on its doubles, and the other rows pick from
     the node's split; at a visited node every row picks.  Each row takes
@@ -643,7 +642,11 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
     arrivals = {(root, 0): (root, None, 0, [np.arange(len(block))])}
     final = len(steps) - 1
     for index, step in enumerate(steps):
-        groups = _flip_due(memo, index, step, arrivals.values())
+        groups = [
+            (node, last, pending, np.sort(np.concatenate(rows)) if len(rows) > 1 else rows[0])
+            for node, last, pending, rows in arrivals.values()
+        ]
+        groups.sort(key=lambda group: group[3][0])  # the lowest row visits a node first
         arrivals = {}  # by node identity and pending flips
         for node, last, pending, rows in groups:
             picks, made, branch = [], {}, None
@@ -679,40 +682,15 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
                 place = (index + 1, outcome if steps[index + 1].reads_last else None)
                 child = memo.node(node.children, outcome, make, place)
                 held = pending ^ later
+                due = held & steps[index + 1].touches
+                if due:  # ("flips", due) is no outcome: those are ints and tuples
+                    child = memo.node(
+                        child.children, ("flips", due),
+                        functools.partial(_apply_flips, child.state, due), place,
+                    )
+                    held ^= due
                 arrivals.setdefault((child, held), (child, outcome, held, []))[3].append(taken)
     return outcomes
-
-
-def _flip_due(
-    memo: _HistoryMemo, index: int, step: _Step, arrivals: Iterable[tuple]
-) -> list[tuple]:
-    """The groups ``(node, last outcome, pending, rows)`` at step ``index``
-    from the arrivals there, each with the rows in ascending order: an
-    arrival with pending flips on modes ``step`` touches moves, by the edge
-    ``("flips", due)``, to the node of its state with those flips applied,
-    and keeps the rest pending.  (That key is no outcome: outcomes are ints
-    and tuples of modes.)  Arrivals at one node with the same pending flips
-    merge, and the groups come lowest row first, so the lowest row at a
-    node is the one that visits it first."""
-    merged: dict[tuple, tuple] = {}
-    for node, last, pending, parts in arrivals:
-        due = pending & step.touches
-        if due:
-            node = memo.node(
-                node.children,
-                ("flips", due),
-                functools.partial(_apply_flips, node.state, due),
-                (index, last if step.reads_last else None),
-            )
-            pending ^= due
-        key = (node, pending)
-        merged.setdefault(key, (node, last, pending, []))[3].extend(parts)
-    groups = [
-        (node, last, pending, parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts)))
-        for node, last, pending, parts in merged.values()
-    ]
-    groups.sort(key=lambda group: group[3][0])
-    return groups
 
 
 def run_exchange_shot(memo: _HistoryMemo, p: float, block: np.ndarray) -> int:

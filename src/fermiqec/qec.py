@@ -6,9 +6,10 @@ rotations split by S-dagger, then a computational-basis measurement);
 compressed states project directly with ``(1 + S)/2``, a label map memoized
 by the code.  Both consume exactly one random draw per stabilizer with the
 same outcome orientation, so the two representations agree draw for draw.
-The gadget needs its readout ancilla in |0>.  :func:`split_stabilizer` holds
-the readout of both as outcome probabilities plus a branch to the post
-state; :func:`measure_stabilizer` draws between them.
+The gadget reads through ancilla 0, which must be in |0>.
+:func:`split_stabilizer` holds the readout of both as outcome probabilities
+plus a branch to the post state; :func:`measure_stabilizer` draws between
+them.
 """
 
 from __future__ import annotations
@@ -125,19 +126,18 @@ def split_stabilizer(
     code: RepetitionCode,
     block: int,
     which: str,
-    ancilla: int = 0,
 ) -> tuple[float, Callable[[int], SparseState]]:
     """Probabilities and branch of one block stabilizer readout:
     ``(p_plus, branch)`` with ``p_plus`` the probability of outcome +1, the
     (1 + S)/2 branch, and ``branch(outcome)`` the renormalized post state.
     The branch raises on a zero-probability outcome.
 
-    A physical state runs the gadget: it entangles ``ancilla`` via two
+    A physical state runs the gadget: it entangles ancilla 0 via two
     controlled pi/2 Majorana rotations (higher mode first, split by
     S-dagger so the branch phases cancel) and reads it, and the branch
-    resets it.  ``ancilla`` must start in |0>, or the outcome means
+    resets it.  Ancilla 0 must start in |0>, or the outcome means
     nothing.  A compressed state is split into the two eigencomponents
-    directly and ``ancilla`` is ignored.  Needs ``N >= M_s``: with every
+    directly and its ancillas are left alone.  Needs ``N >= M_s``: with every
     atom on the system and the target mode empty, c^dag there has nothing
     to borrow and the stabilizer does not square to one.
     """
@@ -146,13 +146,13 @@ def split_stabilizer(
     if lay.total_atoms < lay.num_system_modes:
         raise ValueError(f"stabilizer readout needs N >= M_s, got {lay}")
     if not state.compressed:
-        work = apply_qubit_gate(state, "h", ancilla)
-        work = controlled_D(work, ancilla, hi, math.pi / 2, kind)
-        work = apply_qubit_gate(work, "sdg", ancilla)
-        work = controlled_D(work, ancilla, lo, math.pi / 2, kind)
-        work = apply_qubit_gate(work, "h", ancilla)
-        p0, read = split_qubit(work, ancilla)
-        return p0, lambda outcome: _reset_ancilla(read(outcome), ancilla)
+        work = apply_qubit_gate(state, "h", 0)
+        work = controlled_D(work, 0, hi, math.pi / 2, kind)
+        work = apply_qubit_gate(work, "sdg", 0)
+        work = controlled_D(work, 0, lo, math.pi / 2, kind)
+        work = apply_qubit_gate(work, "h", 0)
+        p0, read = split_qubit(work, 0)
+        return p0, lambda outcome: _reset_ancilla(read(outcome), 0)
 
     total = measurable_norm_sq(state.norm_sq())
     plus = apply_map(state, _plus_projector(code, block, which))
@@ -177,12 +177,11 @@ def measure_stabilizer(
     block: int,
     which: str,
     rng: np.random.Generator,
-    ancilla: int = 0,
 ) -> tuple[int, SparseState]:
     """Measure one block stabilizer; exactly one rng draw, outcome +1 for
     the (1 + S)/2 branch in both representations (see
     :func:`split_stabilizer`)."""
-    p_plus, branch = split_stabilizer(state, code, block, which, ancilla)
+    p_plus, branch = split_stabilizer(state, code, block, which)
     outcome = draw_sign(p_plus, rng)
     return outcome, branch(outcome)
 
@@ -232,9 +231,11 @@ def measure_reference_and_recover(
     weights those sectors identically, the code-space projection restores
     the logical state exactly (up to a global phase).  Exactness needs the
     input to be a code state (of one logical number) up to reference
-    phases; a coexisting system-mode error aliases into the code space
-    under the sector projection and is only approximately removed.  Raises
-    if the projection is numerically zero.
+    phases.  A coexisting system-mode flip is not removed: the bank count
+    and the projection turn it into a logical error that the stabilizer
+    round after them cannot see, so with reference errors the exchange
+    deviation is linear in p (see :mod:`fermiqec.harness`).
+    Raises if the projection is numerically zero.
     """
     _, state = measure_mode_number(state, state.layout.reference_modes(), rng)
     return recover_codespace(state, code)

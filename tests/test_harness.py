@@ -311,7 +311,7 @@ def _plain_shot(code, base, layers, p, correct, reference, seed, point, shot):
     before the readout, and applies every flip it draws at once."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
     modes = noise_modes(code.layout, reference)
-    state = apply_qubit_gate(base, "h", 0)
+    state = apply_qubit_gate(base, "h", 1)
     for slot in range(4):
         for _ in range(slot, layers, 4):
             state, _ = sample_phase_error_layer(state, p, modes, rng)
@@ -321,14 +321,14 @@ def _plain_shot(code, base, layers, p, correct, reference, seed, point, shot):
                 _, state = measure_mode_number(state, code.layout.reference_modes(), rng)
                 state = recover_codespace(state, code)
             for block in range(code.num_blocks):
-                s12, state = measure_stabilizer(state, code, block, "s12", rng, 1)
-                s23, state = measure_stabilizer(state, code, block, "s23", rng, 1)
+                s12, state = measure_stabilizer(state, code, block, "s12", rng)
+                s23, state = measure_stabilizer(state, code, block, "s23", rng)
                 state = correct_block(state, code, block, (s12, s23))
         if slot < 3:
             state = controlled_tunneling_logical(
-                state, 0, code, *EXCHANGE_PAIRS[slot], math.pi / 2
+                state, 1, code, *EXCHANGE_PAIRS[slot], math.pi / 2
             )
-    outcome, _ = measure_qubit(state, 0, rng, "y")
+    outcome, _ = measure_qubit(state, 1, rng, "y")
     return outcome
 
 
@@ -642,7 +642,10 @@ def test_no_step_changes_a_mode_bit_outside_what_it_touches(case, compressed):
     checked = 0
     for index, step in enumerate(plan.steps):
         kept = layout.system_mask & ~step.touches
-        assert not step.defers & ~kept, index  # a layer defers only kept modes
+        # an error layer defers every system flip its own gates keep, no
+        # other step any
+        layer = step.columns.stop - step.columns.start == len(modes)
+        assert step.defers == (kept if layer else 0), index
         if not kept:
             continue
         for last, state in rnd.sample(by_step[index], min(3, len(by_step[index]))):
@@ -897,11 +900,11 @@ def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
     for seed in range(6):
         state = spread_h_state(lay, seed)
         state = compress(state) if compressed else state
-        p0, _ = split_qubit(state, 0)
+        p0, _ = split_qubit(state, 1)
         doubles = [p0, float(np.nextafter(p0, 0.0)), float(np.nextafter(p0, 1.0))]
         doubles += [0.0, _TOP, *np.random.default_rng(seed).random(4).tolist()]
         for u in doubles:
-            want, _ = measure_qubit(state, 0, harness._StepDraws([u]))
+            want, _ = measure_qubit(state, 1, harness._StepDraws([u]))
             assert read(state, harness._StepDraws([u])) == (want, None), u
         assert read(state, harness._StepDraws([p0]))[0] == -1  # u == p0 reads -1
 
@@ -922,8 +925,8 @@ def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case)
         assert harness._walk_block(memo, 0.5, block).tolist() == want
     # every shot its own history: the root has an edge for each flip the
     # layer applies at once, and the rows whose flip it leaves pending (on
-    # blocks 1 and 2 in the corrected plan) share the no-flip edge, each
-    # with its own pending flip
+    # every block in the corrected plan) share the no-flip edge, each with
+    # its own pending flip
     defers = plan.steps[0].defers
     (root,) = memo.roots.values()
     assert set(root.children) == {(), *((m,) for m in range(width) if not defers >> m & 1)}

@@ -160,12 +160,12 @@ def _measured(fn, seed=11):
     return lambda s: fn(s, np.random.default_rng(seed))[1]
 
 
-def _readout(fn, ancilla):
-    """``fn`` on the part of a state whose readout ancilla is |0>: the
+def _readout(fn):
+    """``fn`` on the part of a state whose readout ancilla 0 is |0>: the
     physical gadget needs it there, the compressed projection ignores it."""
 
     def gate(s):
-        bit = ancilla_mask(s, ancilla)
+        bit = ancilla_mask(s, 0)
         return fn(apply_map(s, lambda l: () if l & bit else ((l, 1.0),)))
 
     return gate
@@ -178,14 +178,12 @@ NONUNITARY = {
     "creation": lambda s: apply_c_dagger(s, 8),
     "loss_projector": lambda s: apply_loss_kraus(s, 9 + 1 + 6, 0.01),
     "projection_readout": _readout(
-        _measured(lambda s, rng: measure_stabilizer(s, CODE, 1, "s23", rng, 0)), 0
+        _measured(lambda s, rng: measure_stabilizer(s, CODE, 1, "s23", rng))
     ),
     "gadget_readout": _readout(
-        _measured(lambda s, rng: measure_stabilizer(s, CODE, 2, "s12", rng, 1)), 1
+        _measured(lambda s, rng: measure_stabilizer(s, CODE, 2, "s12", rng))
     ),
-    "qec_round": _readout(
-        lambda s: qec_round(s, CODE, np.random.default_rng(11))[0], 0
-    ),
+    "qec_round": _readout(lambda s: qec_round(s, CODE, np.random.default_rng(11))[0]),
     "measure_qubit": _measured(lambda s, rng: measure_qubit(s, 1, rng, "y")),
     "measure_number": _measured(
         lambda s, rng: measure_mode_number(s, (0, 4, REF(2), REF(7)), rng)

@@ -190,11 +190,11 @@ def test_a_count_branch_of_zero_probability_fails_cleanly(compressed):
 
 @pytest.mark.parametrize("flip", [None, *range(9)])
 def test_gadget_and_projection_agree_draw_for_draw(flip):
-    # the exchange register mid-shot: interferometer ancilla 0 in |+>,
-    # readout on ancilla 1; a pi flip fixes every outcome, a 1.0 rad phase
+    # the exchange register mid-shot: interferometer ancilla 1 in |+>,
+    # readout on ancilla 0; a pi flip fixes every outcome, a 1.0 rad phase
     # leaves the flipped block's outcomes to the draws
     code = RepetitionCode(RegisterLayout(9, 9, 9, num_ancilla_qubits=2))
-    start = apply_qubit_gate(logical_basis_state(code, (1, 1, 0)), "h", 0)
+    start = apply_qubit_gate(logical_basis_state(code, (1, 1, 0)), "h", 1)
     for theta in (0.0,) if flip is None else (math.pi, 1.0):
         phys = start if flip is None else apply_local_phase(start, flip, theta)
         comp = compress(phys)
@@ -202,8 +202,8 @@ def test_gadget_and_projection_agree_draw_for_draw(flip):
         outcomes = []
         for block in range(3):
             for which in ("s12", "s23"):
-                o_p, phys = measure_stabilizer(phys, code, block, which, rng_p, 1)
-                o_c, comp = measure_stabilizer(comp, code, block, which, rng_c, 1)
+                o_p, phys = measure_stabilizer(phys, code, block, which, rng_p)
+                o_c, comp = measure_stabilizer(comp, code, block, which, rng_c)
                 assert o_p == o_c
                 assert difference_norm(compress(phys), comp) < 1e-12
                 outcomes.append(o_p)
