@@ -10,10 +10,16 @@ the repetition-code rounds enabled, unless the reference modes dephase too
 (then it stays linear; see :func:`_walk_block`).  Every run uses one register,
 :data:`EXCHANGE_REGISTER`, and cycles its error layers through the four
 slots before each tunneling and before the readout.  Its
-:class:`ExperimentConfig` is the one description of a run: the shots of a
-run (a worker's share of them, under fan-out) share one memo built from it,
-with one shot plan per error rate, on the code and base state that the
-process builds once (:func:`_exchange_start`).
+:class:`ExperimentConfig` is the one description of a run.  A process
+builds the code, the base state and one history memo once
+(:func:`_exchange_start`), and every run walks that memo, with one shot
+plan per plan shape (:class:`_PlanShape`: the layers, the correction and
+the reference errors) and error rate.  A node's state depends on neither
+p, seed nor shot, so a run walks the nodes that earlier runs of its shape
+built, and a worker forked from a warm process inherits them.  A process
+that makes several runs of one shape gains (a benchmark, the test suite,
+a sweep over seeds or shot counts); one ``fermiqec exchange`` call, whose
+points already share the memo, does not.
 
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
@@ -83,11 +89,12 @@ magnitude is that sign times the one built with the flip applied (rounding
 to nearest is symmetric under negation), each weight is the same, and two
 flips of one mode cancel exactly.
 
-The memo holds at most ``_MEMO_CAP`` nodes; one that is full and needs
-another drops them all and starts over, and the groups walk on from the
-nodes they hold.  At cap 0 it holds nothing and every node is new; a
-one-shot block then runs the plain measurement at every event, on states
-whose pending flips wait as at any cap, which is plain Monte-Carlo.
+The memo holds at most ``_MEMO_CAP`` nodes, over every shape and run of
+the process; one that is full and needs another drops them all and starts
+over, and the groups walk on from the nodes they hold.  At cap 0 it holds
+nothing and every node is new; a one-shot block then runs the plain
+measurement at every event, on states whose pending flips wait as at any
+cap, which is plain Monte-Carlo.
 """
 
 from __future__ import annotations
@@ -246,15 +253,24 @@ def _integer(value, what: str) -> int:
 # one shot: a walk over steps, memoized by state
 # ---------------------------------------------------------------------------
 
-#: Most nodes a memo holds before it starts over.  A node's state on the
-#: 9+9+9+2 register holds about 123 amplitudes.  A 256-shot exchange call
-#: makes at most 247 nodes (reference errors at p = 0.01; 36-86 corrected
-#: and 14-60 uncorrected at p = 0.002 and 0.01, against 46-144 and 14-67
-#: when every flip was applied at its layer; seeds 0-19), so it never
-#: starts over; the peak RSS of ``bench/run.py`` was 42.0 MB
-#: (exchange_corrected) and 43.7 MB (exchange_reference), medians of ten
-#: runs on a 2-vCPU host, the process's one code included.
+#: Most nodes a memo holds before it starts over, over every shape and run
+#: that walks it (a process's runs walk one).  A node's state on the 9+9+9+2 register holds about 123
+#: amplitudes, kept in about 3.0 KB a node (see :class:`_Node`).  A fresh
+#: 256-shot exchange call makes at most 247 nodes (reference errors at p =
+#: 0.01; 36-86 corrected and 14-60 uncorrected at p = 0.002 and 0.01;
+#: seeds 0-19).  Over the 256-shot calls of a 20-s ``bench/run.py`` run
+#: the process's memo grows to 122 nodes corrected and 433 uncorrected
+#: without starting over, and starts over about every 14 calls with
+#: reference errors (33 times in 453 calls); the peak RSS of
+#: ``bench/run.py`` was 42.3 MB (exchange_corrected), 42.0 MB
+#: (exchange_uncorrected) and 44.1 MB (exchange_reference), medians of
+#: five runs on a 2-vCPU host, the process's one code included.
 _MEMO_CAP = 512
+
+#: Most shot plans a memo holds before it drops them all: a plan holds
+#: closures worth 19-33 KB (three and five layers), so a process that
+#: sweeps many error rates holds at most about 1 MB of them.
+_PLAN_CAP = 32
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
 #: ``syndrome`` holds the last two outcomes (a block's readouts, for its
@@ -395,6 +411,23 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
     return lambda s, syndrome: correct_block(s, code, block, syndrome)
 
 
+class _PlanShape(NamedTuple):
+    """What a shot plan follows besides its error rate: the fields of an
+    :class:`ExperimentConfig` that set its steps.  Runs of one shape walk
+    the same nodes of the process's memo."""
+
+    num_error_layers: int
+    correction_enabled: bool
+    include_reference_errors: bool
+
+
+def _plan_shape(config: ExperimentConfig) -> _PlanShape:
+    """The :class:`_PlanShape` of ``config``'s shots."""
+    return _PlanShape(
+        config.num_error_layers, config.correction_enabled, config.include_reference_errors
+    )
+
+
 class _Plan(NamedTuple):
     """One shot: ``head``, the gates before the first event, then
     ``steps``, each event with the gates after it.  ``width`` is the number
@@ -406,11 +439,11 @@ class _Plan(NamedTuple):
     width: int
 
 
-def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Plan:
-    """The :class:`_Plan` of one shot of ``config`` at error rate ``p``.
+def _shot_plan(code: RepetitionCode, shape: _PlanShape, p: float) -> _Plan:
+    """The :class:`_Plan` of one shot of ``shape`` at error rate ``p``.
     Slots 0..2 precede the three tunnelings and slot 3 the final readout;
     error layer ``i`` goes in slot ``i % 4``."""
-    reference = config.include_reference_errors
+    reference = shape.include_reference_errors
     modes = noise_modes(code.layout, reference)
     every = code.layout.system_mask
     head: list[_Gate] = [lambda s, _: apply_qubit_gate(s, "h", _INTERFEROMETER)]
@@ -438,9 +471,9 @@ def _shot_plan(code: RepetitionCode, config: ExperimentConfig, p: float) -> _Pla
 
     layer = _error_layer(p, modes)
     for slot in range(4):
-        for _ in range(slot, config.num_error_layers, 4):
+        for _ in range(slot, shape.num_error_layers, 4):
             event(*layer, len(modes), defers=every)
-            if config.correction_enabled:
+            if shape.correction_enabled:
                 if reference:
                     event(*_BANK_COUNT)
                     gate(lambda s, _: recover_codespace(s, code), every)
@@ -467,15 +500,33 @@ class _Node:
     :func:`_canonical` form; whether a shot has been here before, the
     event's outcome probabilities once a shot other than the first one
     needed them (``None`` until then), and the node each outcome leads
-    to."""
+    to.
 
-    __slots__ = ("state", "seen", "odds", "children")
+    The state is kept compactly, as an array of its labels and one of its
+    amplitudes in entry order, and :attr:`state` rebuilds it, equal entry
+    for entry and in the same order, where a step needs it: a first visit,
+    a split, a new edge, or the compare on an index hit.  A walk over known
+    edges rebuilds none.  A node of the five-layer p = 0.1 reference run
+    holds 3.0 KB this way, its state, edges, odds and index key included
+    (``tracemalloc`` over a memo filled to near its cap)."""
+
+    __slots__ = ("layout", "compressed", "labels", "amplitudes", "seen", "odds", "children")
 
     def __init__(self, state: SparseState):
-        self.state = state
+        entries = state.entries
+        labels = list(entries)
+        self.layout = state.layout
+        self.compressed = state.compressed
+        self.labels = np.array(labels, np.min_scalar_type(max(labels)))
+        self.amplitudes = np.fromiter(entries.values(), complex, len(entries))
         self.seen = False
         self.odds = None
         self.children: dict[object, _Node] = {}
+
+    @property
+    def state(self) -> SparseState:
+        entries = dict(zip(self.labels.tolist(), self.amplitudes.tolist()))
+        return SparseState(self.layout, entries, self.compressed)
 
 
 def _canonical(state: SparseState) -> SparseState:
@@ -502,17 +553,18 @@ def _canonical(state: SparseState) -> SparseState:
 
 
 class _HistoryMemo:
-    """The nodes of one run's shots, which all follow ``config`` and start
-    from ``base`` on ``code``, and the shot plan of each error rate.
+    """The nodes of a process's shots, which all start from ``base`` on
+    ``code``, and the shot plan of each shape and error rate.
 
-    ``roots`` leads to the first node, and a node's ``children`` from an
-    outcome to the next node, or from ``("flips", due)`` to the node of its
-    state with the pending flips ``due`` applied, at the same step (see
-    :func:`_walk_block`).  A history seen for the first time builds its
-    state, takes its :func:`_canonical` form and looks that up in the state
-    index, keyed on ``(step index, last outcome, hash of the entries as a
-    set)``, where the last outcome is ``None`` unless the step's gates read
-    it (:attr:`_Step.reads_last`): a node there whose entries equal the
+    ``roots`` leads from a :class:`_PlanShape` to its first node, and a
+    node's ``children`` from an outcome to the next node, or from
+    ``("flips", due)`` to the node of its state with the pending flips
+    ``due`` applied, at the same step (see :func:`_walk_block`).  A history
+    seen for the first time builds its state, takes its :func:`_canonical`
+    form and looks that up in the state index, keyed on ``(shape, step
+    index, last outcome, hash of the entries as a set)``, where the last
+    outcome is ``None`` unless the step's gates read it
+    (:attr:`_Step.reads_last`): a node there whose entries equal the
     canonical state's as dicts (the same labels and amplitudes, in any
     order; see the module docstring for why order and a quarter-turn phase
     do not matter) becomes the end of the new edge, else a new node holding
@@ -520,42 +572,46 @@ class _HistoryMemo:
     and compares them on a hit.  That compare takes 0.0 and -0.0 as equal;
     the sign of a zero part never changes the size of a sum or product, so
     it changes no probability.  The index holds every node, at most
-    ``cap``: a full memo that needs a new node clears it and ``roots`` and
-    starts over, while the block in progress walks on from the nodes it
-    holds.  Node states do not depend on p, so the plans of every error
-    rate walk the same nodes.  ``cap=0`` keeps no node and takes no
+    ``cap`` over every shape and run: a full memo that needs a new node
+    clears it and ``roots`` and starts over, while the block in progress
+    walks on from the nodes it holds.  The plans are kept apart, at most
+    ``_PLAN_CAP`` of them, and dropped together when one more is needed.
+    Node states do not depend on p, seed or shot, so the plans of every
+    error rate walk the same nodes, and a run walks those that earlier
+    runs of its shape built.  ``cap=0`` keeps no node and takes no
     canonical form.
     """
 
-    def __init__(
-        self, config: ExperimentConfig, code: RepetitionCode, base: SparseState, cap: int
-    ):
+    def __init__(self, code: RepetitionCode, base: SparseState, cap: int):
         if cap < 0:
             raise ValueError("memo cap must be non-negative")
-        self.config = config
         self.code = code
         self.base = base
         self.cap = cap
-        self.roots: dict[None, _Node] = {}
+        self.roots: dict[_PlanShape, _Node] = {}
         self._states: dict[tuple, _Node] = {}
-        self._plans: dict[float, _Plan] = {}
+        self._plans: dict[tuple[_PlanShape, float], _Plan] = {}
 
     def __len__(self) -> int:
         return len(self._states)
 
-    def plan(self, p: float) -> _Plan:
-        """The :func:`_shot_plan` at error rate ``p``, built once."""
-        if p not in self._plans:
-            self._plans[p] = _shot_plan(self.code, self.config, p)
-        return self._plans[p]
+    def plan(self, shape: _PlanShape, p: float) -> _Plan:
+        """The :func:`_shot_plan` of ``shape`` at error rate ``p``, built
+        once."""
+        key = (shape, p)
+        if key not in self._plans:
+            if len(self._plans) >= _PLAN_CAP:
+                self._plans.clear()
+            self._plans[key] = _shot_plan(self.code, shape, p)
+        return self._plans[key]
 
     def node(
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
     ) -> _Node:
         """The node ``children[key]`` leads to.  On a miss, ``make()``
         builds the state, and ``key`` is made to lead to the node already
-        holding its canonical form at ``place`` (step index, and the last
-        outcome or ``None``), or to a new one if there is none."""
+        holding its canonical form at ``place`` (shape, step index, and the
+        last outcome or ``None``), or to a new one if there is none."""
         node = children.get(key)
         if node is not None:
             return node
@@ -584,6 +640,11 @@ def _settle(
     return state
 
 
+def _flipped(node: _Node, flips: int) -> SparseState:
+    """``node``'s state with the pi flips of the bitmask ``flips``."""
+    return _apply_flips(node.state, flips)
+
+
 def _branch(
     step: _Step, node: _Node, branch: Callable | None, outcome, syndrome: tuple
 ) -> SparseState:
@@ -595,10 +656,12 @@ def _branch(
     return _settle(branch(outcome), step.gates, syndrome)
 
 
-def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
+def _walk_block(
+    memo: _HistoryMemo, shape: _PlanShape, p: float, block: np.ndarray
+) -> np.ndarray:
     """The y-basis outcome (+1 or -1) of each shot of ``block`` at error
-    rate ``p``, one shot per row of doubles, all following ``memo``'s
-    config.
+    rate ``p``, one shot per row of doubles, all following the plan of
+    ``shape``.
 
     Each shot starts from ``memo.base``, the prepared |1,1,0> logical state
     without ancilla activity.  Error layers cycle through their slots; with
@@ -628,16 +691,19 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
     runs the plain measurement on its doubles, and the other rows pick from
     the node's split; at a visited node every row picks.  Each row takes
     the outcome the plain measurement would give it, so the outcomes do not
-    depend on the block's size or on what ``memo`` holds.
+    depend on the block's size or on what ``memo`` holds, such as the
+    nodes that earlier runs built.  A walk over known edges builds no
+    state: a node's state is rebuilt from its compact form only for a
+    first visit, a split or a new edge (see :class:`_Node`).
     """
-    head, steps, width = memo.plan(p)
+    head, steps, width = memo.plan(shape, p)
     if block.ndim != 2 or block.shape[1] != width:
         raise ValueError(
             f"a shot of this plan reads {width} doubles, got a block of shape {block.shape}"
         )
     outcomes = np.empty(len(block), np.int64)
     root = memo.node(
-        memo.roots, None, functools.partial(_settle, memo.base, head, ()), (0, None)
+        memo.roots, shape, functools.partial(_settle, memo.base, head, ()), (shape, 0, None)
     )
     arrivals = {(root, 0): (root, None, 0, [np.arange(len(block))])}
     final = len(steps) - 1
@@ -679,29 +745,31 @@ def _walk_block(memo: _HistoryMemo, p: float, block: np.ndarray) -> np.ndarray:
                 make = made.get(outcome) or functools.partial(
                     _branch, step, node, branch, outcome, (last, outcome)
                 )
-                place = (index + 1, outcome if steps[index + 1].reads_last else None)
+                place = (shape, index + 1, outcome if steps[index + 1].reads_last else None)
                 child = memo.node(node.children, outcome, make, place)
                 held = pending ^ later
                 due = held & steps[index + 1].touches
                 if due:  # ("flips", due) is no outcome: those are ints and tuples
                     child = memo.node(
                         child.children, ("flips", due),
-                        functools.partial(_apply_flips, child.state, due), place,
+                        functools.partial(_flipped, child, due), place,
                     )
                     held ^= due
                 arrivals.setdefault((child, held), (child, outcome, held, []))[3].append(taken)
     return outcomes
 
 
-def run_exchange_shot(memo: _HistoryMemo, p: float, block: np.ndarray) -> int:
+def run_exchange_shot(
+    memo: _HistoryMemo, shape: _PlanShape, p: float, block: np.ndarray
+) -> int:
     """The y-basis outcome (+1 or -1) of one interferometry shot of
-    ``memo``'s config at error rate ``p``, whose doubles are the one row of
+    ``shape`` at error rate ``p``, whose doubles are the one row of
     ``block``: :func:`_walk_block` on a one-shot block.  At cap 0 the memo
     caches nothing, every node is a first visit, and this is plain
     Monte-Carlo, with each flip still pending until a step changes its
     mode; ``tests/test_harness.py::_plain_shot`` is the loop that applies
     every flip at its layer."""
-    (outcome,) = _walk_block(memo, p, block).tolist()
+    (outcome,) = _walk_block(memo, shape, p, block).tolist()
     return outcome
 
 
@@ -838,30 +906,34 @@ def _draw_rows(
 
 
 @functools.cache
-def _exchange_start() -> tuple[RepetitionCode, SparseState]:
+def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
     """The code and the compressed |1,1,0> base state that every exchange
-    shot starts from, built once per process: both depend on
-    :data:`EXCHANGE_REGISTER` alone, so every later run reuses the code's
-    label maps, codewords and codespace table.  Sharing them is safe:
-    every entry of the code's one cache is a pure function of its key and
-    is never replaced (see :meth:`~fermiqec.codes.RepetitionCode.cached`),
-    so no run sees an image other than the one a fresh code derives."""
+    shot starts from, and the history memo over them, built once per
+    process: all three depend on :data:`EXCHANGE_REGISTER` alone, so every
+    later run reuses the code's label maps, codewords and codespace table
+    and walks the nodes earlier runs built.  Sharing them is safe: every
+    entry of the code's one cache is a pure function of its key and is
+    never replaced (see :meth:`~fermiqec.codes.RepetitionCode.cached`), so
+    no run sees an image other than the one a fresh code derives, and no
+    outcome depends on what the memo holds (see :func:`_walk_block`).
+    ``_exchange_start.cache_clear()`` drops all three."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
-    return code, logical_basis_state(code, (1, 1, 0), compressed=True)
+    base = logical_basis_state(code, (1, 1, 0), compressed=True)
+    return code, base, _HistoryMemo(code, base, _MEMO_CAP)
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
-    picklable work unit): one history memo of its own serves them all, on
-    the process's one code and its label maps."""
-    code, base = _exchange_start()
-    memo = _HistoryMemo(config, code, base, _MEMO_CAP)
+    picklable work unit), walked over the process's one history memo, on
+    its one code and label maps."""
+    memo = _exchange_start()[2]
+    shape = _plan_shape(config)
     counts = []
     for point_index, p in enumerate(config.p_values):
-        width = memo.plan(p).width
+        width = memo.plan(shape, p).width
         minus = 0
         for block in _shot_draws(config.seed, point_index, start, stop, width):
-            minus += int(np.count_nonzero(_walk_block(memo, p, block) < 0))
+            minus += int(np.count_nonzero(_walk_block(memo, shape, p, block) < 0))
             del block  # before the next block is drawn
         counts.append(minus)
     return counts
@@ -878,19 +950,21 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run every noise point; estimate = -<Y> with an exact binomial CI at
     ``config.confidence``.
 
-    The shots of a worker share one history memo, built from ``config``,
-    with one shot plan per error rate, on the code that the process builds
-    once and every run reuses (:func:`_exchange_start`).  ``threads`` only
-    sets how many processes share the shots, each taking a contiguous shot
-    range of every point with a history memo of its own;
-    the per-shot seeding makes the counts — and therefore every number in
-    the result — identical for any worker count.  No more workers start
-    than there are shots or CPUs this process may use.  Fan-out does not
-    pay at a few hundred shots per worker: at 256 corrected shots per
-    worker (p = 0.01, two workers on a 2-vCPU host),
+    The shots of a worker walk its process's one history memo, with one
+    shot plan per plan shape and error rate, on the code that the process
+    builds once (:func:`_exchange_start`), so a run walks the nodes that
+    earlier runs in the process built.  ``threads`` only sets how many
+    processes share the shots, each taking a contiguous shot range of
+    every point; a worker forked from this process inherits its memo.  The
+    per-shot seeding makes the counts — and therefore every number in the
+    result — identical for any worker count and whatever a memo holds.  No
+    more workers start than there are shots or CPUs this process may use.
+    Fan-out does not pay at a few hundred shots per worker: at 256
+    corrected shots per worker (p = 0.01, two workers on a 2-vCPU host),
     ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` is 0.42-0.82 (seeds 0-4), as starting
-    the pool costs more than the shots.
+    exchange_corrected --trace 1`` reads 0.23-0.28 (seeds 0-4), as starting
+    the pool costs more than the shots, and the serial call walks a warm
+    memo.
     """
     threads = _integer(threads, "threads")
     if threads < 1:

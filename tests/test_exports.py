@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import fermiqec
+from fermiqec import harness
 from fermiqec.harness import ExperimentConfig, run_experiment
 
 MODULES = [f"fermiqec.{info.name}" for info in pkgutil.iter_modules(fermiqec.__path__)]
@@ -285,6 +286,8 @@ def test_every_trace_target_resolves():
 
 
 def test_a_traced_exchange_run_calls_the_wrapped_readouts():
+    # A warm process memo rightly runs no readout: start from a cold one.
+    harness._exchange_start.cache_clear()
     spans = _load_spans()
     tracer = spans.Tracer()
     tracer.install()

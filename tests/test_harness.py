@@ -183,11 +183,17 @@ def test_any_field_value_builds_and_runs_or_raises_value_error(name, value):
             run_experiment(config)
 
 
-def _one_shot_draws(seed, point, shot, memo, p):
-    """The doubles of one shot as a one-shot block, a one-shot range of the
-    run's own."""
-    (block,) = harness._shot_draws(seed, point, shot, shot + 1, memo.plan(p).width)
+def _one_shot_draws(seed, point, shot, width):
+    """The ``width`` doubles of one shot as a one-shot block, a one-shot
+    range of the run's own."""
+    (block,) = harness._shot_draws(seed, point, shot, shot + 1, width)
     return block
+
+
+def _shape(**fields):
+    """The plan shape of a config with these fields (the rest at their
+    defaults)."""
+    return harness._plan_shape(ExperimentConfig((0.05,), **fields))
 
 
 def test_noiseless_estimate_is_exactly_minus_one():
@@ -201,15 +207,15 @@ def test_noiseless_estimate_is_exactly_minus_one():
 def test_pure_reference_noise_is_removed_exactly():
     # Both layers flip bank modes 9 and 11 alone; the bank count, the six
     # readouts after each layer and the final readout draw at random.
-    config = ExperimentConfig((0.5,), num_error_layers=2, include_reference_errors=True)
-    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
-    assert memo.plan(0.5).width == 51
+    shape = _shape(num_error_layers=2, include_reference_errors=True)
+    memo = harness._HistoryMemo(*_exchange_start()[:2], 0)
+    assert memo.plan(shape, 0.5).width == 51
     layer = _flipping((9, 11), 18)
     rng = np.random.default_rng(5)
     for _ in range(40):
         rest = rng.random(15).tolist()
         block = np.array([layer + rest[:7] + layer + rest[7:]])
-        assert run_exchange_shot(memo, 0.5, block) == +1
+        assert run_exchange_shot(memo, shape, 0.5, block) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -289,17 +295,19 @@ def test_first_shots_are_pinned(case, correct, reference):
         correction_enabled=correct,
         include_reference_errors=reference,
     )
-    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
+    shape = harness._plan_shape(config)
+    memo = harness._HistoryMemo(*_exchange_start()[:2], 0)
+    width = memo.plan(shape, 0.05).width
     outcomes = []
     for shot in range(config.shots):
-        draws = _one_shot_draws(config.seed, 0, shot, memo, 0.05)
-        outcome = run_exchange_shot(memo, 0.05, draws)
+        draws = _one_shot_draws(config.seed, 0, shot, width)
+        outcome = run_exchange_shot(memo, shape, 0.05, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
     # the same shots walked as one block over a memo
-    memo = harness._HistoryMemo(config, *_exchange_start(), harness._MEMO_CAP)
-    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, memo.plan(0.05).width)
-    signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, 0.05, block)]
+    memo = harness._HistoryMemo(*_exchange_start()[:2], harness._MEMO_CAP)
+    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, width)
+    signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, shape, 0.05, block)]
     assert "".join(signs) == PINNED_OUTCOMES[case]
 
 
@@ -383,19 +391,19 @@ _BASE = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
 _NO_START_OVER = 10**9
 
 
-def _memo(cap, **fields):
+def _memo(cap):
     """A history memo for the standard start, holding at most ``cap``
-    nodes, of a config with these fields (the rest at their defaults)."""
-    return harness._HistoryMemo(ExperimentConfig((0.05,), **fields), _CODE, _BASE, cap)
+    nodes."""
+    return harness._HistoryMemo(_CODE, _BASE, cap)
 
 
-def _outcomes(memo, p_values, shots, seed=0):
-    """Outcomes of ``shots`` shots at each p, seeded and walked in blocks as
-    a run does it, sharing ``memo`` across the points."""
+def _outcomes(memo, shape, p_values, shots, seed=0):
+    """Outcomes of ``shots`` shots of ``shape`` at each p, seeded and walked
+    in blocks as a run does it, sharing ``memo`` across the points."""
     out = []
     for point, p in enumerate(p_values):
-        for block in harness._shot_draws(seed, point, 0, shots, memo.plan(p).width):
-            out += harness._walk_block(memo, p, block).tolist()
+        for block in harness._shot_draws(seed, point, 0, shots, memo.plan(shape, p).width):
+            out += harness._walk_block(memo, shape, p, block).tolist()
     return out
 
 
@@ -404,12 +412,13 @@ def _plain_outcomes(p_values, shots, seed=0, **fields):
     alone as a one-shot block over a memo of cap 0, so every visit is a
     first one and runs the plain measurement (its flips still wait as in
     any walk; :func:`_oracle_outcomes` applies each at its layer)."""
-    memo = _memo(0, **fields)
+    memo, shape = _memo(0), _shape(**fields)
     out = []
     for point, p in enumerate(p_values):
+        width = memo.plan(shape, p).width
         for shot in range(shots):
-            block = _one_shot_draws(seed, point, shot, memo, p)
-            out.append(run_exchange_shot(memo, p, block))
+            block = _one_shot_draws(seed, point, shot, width)
+            out.append(run_exchange_shot(memo, shape, p, block))
     return out
 
 
@@ -443,8 +452,9 @@ MEMO_CASES = {
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_memo_leaves_every_outcome_unchanged(case):
     # cap 2 starts over in the middle of the block
+    shape = _shape(**MEMO_CASES[case])
     runs = {
-        cap: _outcomes(_memo(cap, **MEMO_CASES[case]), (0.01, 0.05), 200)
+        cap: _outcomes(_memo(cap), shape, (0.01, 0.05), 200)
         for cap in (_NO_START_OVER, 0, 2)
     }
     plain = _oracle_outcomes((0.01, 0.05), 200, **MEMO_CASES[case])
@@ -457,11 +467,11 @@ def test_memo_holds_no_more_than_its_cap():
     # cap holds (595 uncapped at seed 0).  Without them, corrected runs of
     # 300 shots no longer do: 124-126 nodes at p = 0.15-0.5, where p = 0.15
     # made 588 before flips waited for the step that touches their mode.
-    fields = {"include_reference_errors": True}
-    capped, tiny = _memo(harness._MEMO_CAP, **fields), _memo(2, **fields)
-    uncapped = _memo(_NO_START_OVER, **fields)
+    shape = _shape(include_reference_errors=True)
+    capped, tiny = _memo(harness._MEMO_CAP), _memo(2)
+    uncapped = _memo(_NO_START_OVER)
     for memo in (capped, tiny, uncapped):
-        _outcomes(memo, (0.05,), 300)
+        _outcomes(memo, shape, (0.05,), 300)
     assert len(uncapped) > harness._MEMO_CAP, "the load no longer overflows the cap"
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP
@@ -471,6 +481,10 @@ def test_memo_holds_no_more_than_its_cap():
         node = full.node(full.roots, step, lambda: _BASE, (step, None))
     assert len(full) == 1 and full.roots == {3: node}
     assert len(_memo(0)) == 0
+    # a process that sweeps error rates holds a bounded number of plans
+    for k in range(2 * harness._PLAN_CAP):
+        assert full.plan(shape, k / 1000).width > 0
+        assert 0 < len(full._plans) <= harness._PLAN_CAP
     with pytest.raises(ValueError, match="cap"):
         _memo(-1)
     with pytest.raises(TypeError):
@@ -483,20 +497,20 @@ def test_a_physical_base_draws_the_outcomes_of_the_compressed_base(case):
     # On a physical base the stabilizer readouts run the hardware gadget
     # and the reference recovery projects the physical state: a check of
     # the physical vacuum and of both against the compressed shortcuts.
-    fields = MEMO_CASES[case]
+    shape = _shape(**MEMO_CASES[case])
     physical = logical_basis_state(_CODE, (1, 1, 0), compressed=False)
-    memo = harness._HistoryMemo(
-        ExperimentConfig((0.05,), **fields), _CODE, physical, harness._MEMO_CAP
-    )
-    want = _outcomes(_memo(harness._MEMO_CAP, **fields), (0.05,), 256, seed=7)
+    memo = harness._HistoryMemo(_CODE, physical, harness._MEMO_CAP)
+    want = _outcomes(_memo(harness._MEMO_CAP), shape, (0.05,), 256, seed=7)
     assert -1 in want
-    assert _outcomes(memo, (0.05,), 256, seed=7) == want
+    assert _outcomes(memo, shape, (0.05,), 256, seed=7) == want
 
 
 def test_histories_that_reach_one_state_share_its_node():
     fields = {"include_reference_errors": True}
-    memo = _memo(_NO_START_OVER, **fields)
-    assert _outcomes(memo, (0.01,), 256) == _plain_outcomes((0.01,), 256, **fields)
+    memo = _memo(_NO_START_OVER)
+    assert _outcomes(memo, _shape(**fields), (0.01,), 256) == _plain_outcomes(
+        (0.01,), 256, **fields
+    )
     nodes = {id(node) for node in memo._states.values()}
     edges = [*memo.roots.values()]
     for node in memo._states.values():
@@ -600,15 +614,15 @@ def test_a_fresh_corrected_call_makes_few_nodes():
     # 299 nodes while nodes merged only states in the same entry order, 150
     # while they merged only equal states.
     memo = _memo(_NO_START_OVER)
-    _outcomes(memo, (0.01,), 256)
+    _outcomes(memo, _shape(), (0.01,), 256)
     assert len(memo) < 145
 
 
 def test_a_fresh_reference_call_makes_few_nodes():
     # The same call with reference errors made 307 nodes while nodes merged
     # only equal states, each keyed on the last outcome.
-    memo = _memo(_NO_START_OVER, include_reference_errors=True)
-    _outcomes(memo, (0.01,), 256)
+    memo = _memo(_NO_START_OVER)
+    _outcomes(memo, _shape(include_reference_errors=True), (0.01,), 256)
     assert len(memo) < 250
 
 
@@ -618,10 +632,10 @@ def test_a_corrected_call_defers_its_flips(p, nodes):
     # and 126 nodes while every flip was applied at its error layer.  A
     # flip waits for its block's readout, so the histories that differ
     # only there share the nodes of the readouts before it.
-    config = ExperimentConfig((p,), shots=256, seed=3)
-    memo = harness._HistoryMemo(config, *_exchange_start(), harness._MEMO_CAP)
-    (block,) = harness._shot_draws(3, 0, 0, 256, memo.plan(p).width)
-    harness._walk_block(memo, p, block)
+    shape = _shape()
+    memo = harness._HistoryMemo(*_exchange_start()[:2], harness._MEMO_CAP)
+    (block,) = harness._shot_draws(3, 0, 0, 256, memo.plan(shape, p).width)
+    harness._walk_block(memo, shape, p, block)
     assert len(memo) == nodes
 
 
@@ -672,19 +686,20 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
     plain = _plain_outcomes((0.01,), 40)
     assert len(calls) == 40 * 3 * 6  # every readout of every shot
     calls.clear()
-    memo = _memo(harness._MEMO_CAP)
-    warm = _outcomes(memo, (0.01,), 40)
+    memo, shape = _memo(harness._MEMO_CAP), _shape()
+    warm = _outcomes(memo, shape, (0.01,), 40)
     first_visits = sorted(args[4].doubles for args in calls)  # each reader's doubles
     calls.clear()
-    replay = _outcomes(memo, (0.01,), 40)
+    replay = _outcomes(memo, shape, (0.01,), 40)
     assert plain == warm == replay
     assert 0 < len(first_visits) < 40 * 3 * 6
     assert calls == []  # the replay only revisits nodes
     # a node's plain readout is run by the shot that reaches it first when
     # the shots walk one at a time: the lowest shot of the group there
     memo = _memo(harness._MEMO_CAP)
+    width = memo.plan(shape, 0.01).width
     for shot in range(40):
-        run_exchange_shot(memo, 0.01, _one_shot_draws(0, 0, shot, memo, 0.01))
+        run_exchange_shot(memo, shape, 0.01, _one_shot_draws(0, 0, shot, width))
     assert sorted(args[4].doubles for args in calls) == first_visits
 
 
@@ -700,15 +715,15 @@ _PLAN_FIELDS = st.fixed_dictionaries(
 
 @given(p=st.floats(0.0, 1.0), fields=_PLAN_FIELDS)
 def test_no_noise_setting_crashes_a_shot(p, fields):
-    memo, plain = _memo(harness._MEMO_CAP, **fields), _memo(0, **fields)
-    width = plain.plan(p).width
+    memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**fields)
+    width = plain.plan(shape, p).width
     block = np.concatenate(
         [np.random.default_rng(shot).random((1, width)) for shot in range(3)]
     )
-    want = [run_exchange_shot(plain, p, row[None]) for row in block]
+    want = [run_exchange_shot(plain, shape, p, row[None]) for row in block]
     assert set(want) <= {-1, 1}
     for _ in range(2):  # the second pass replays the first from the memo
-        assert harness._walk_block(memo, p, block).tolist() == want
+        assert harness._walk_block(memo, shape, p, block).tolist() == want
 
 
 @given(
@@ -720,18 +735,19 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values
     # Caps this small start over in the middle of nearly every block; seeds
     # repeat, so shots also revisit nodes that survived a start-over.  Each
     # point's shots walk as one block, against one-shot blocks at cap 0.
-    memos = [_memo(cap, **fields) for cap in (0, 1, 2, 3, 5)]
-    plain = _memo(0, **fields)
+    memos = [_memo(cap) for cap in (0, 1, 2, 3, 5)]
+    plain, shape = _memo(0), _shape(**fields)
     seeds = {}
     for point, seed in shots:
         seeds.setdefault(point % len(p_values), []).append(seed)
     for point, listed in seeds.items():
         p = p_values[point]
-        width = plain.plan(p).width
+        width = plain.plan(shape, p).width
         rows = [np.random.default_rng(seed).random((1, width)) for seed in listed]
-        want = [run_exchange_shot(plain, p, row) for row in rows]
+        want = [run_exchange_shot(plain, shape, p, row) for row in rows]
         for m in memos:
-            assert harness._walk_block(m, p, np.concatenate(rows)).tolist() == want, point
+            got = harness._walk_block(m, shape, p, np.concatenate(rows)).tolist()
+            assert got == want, point
 
 
 @functools.cache
@@ -740,13 +756,13 @@ def _warm_nodes(case, compressed=True):
     outcome, state)`` of every node a memo holds after 30 shots at each of
     p = 0.05 and 0.2, from the compressed base or a physical one."""
     base = _BASE if compressed else logical_basis_state(_CODE, (1, 1, 0), compressed=False)
-    config = ExperimentConfig((0.05,), **MEMO_CASES[case])
-    memo = harness._HistoryMemo(config, _CODE, base, _NO_START_OVER)
-    _outcomes(memo, (0.05, 0.2), 30)
+    shape = _shape(**MEMO_CASES[case])
+    memo = harness._HistoryMemo(_CODE, base, _NO_START_OVER)
+    _outcomes(memo, shape, (0.05, 0.2), 30)
     by_step = {}
-    for (index, last, _), node in memo._states.items():
+    for (_, index, last, _), node in memo._states.items():
         by_step.setdefault(index, []).append((last, node.state))
-    return memo.plan(0.05), by_step
+    return memo.plan(shape, 0.05), by_step
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
@@ -896,7 +912,7 @@ def test_a_double_at_or_above_the_last_sum_selects_the_largest_count(probs):
 @pytest.mark.parametrize("compressed", [False, True])
 def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
     lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=2)
-    read = _memo(0).plan(0.05).steps[-1].measure
+    read = _memo(0).plan(_shape(), 0.05).steps[-1].measure
     for seed in range(6):
         state = spread_h_state(lay, seed)
         state = compress(state) if compressed else state
@@ -911,18 +927,18 @@ def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
 
 @pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
 def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case):
-    fields = MEMO_CASES[case]
-    memo, plain = _memo(_NO_START_OVER, **fields), _memo(0, **fields)
-    plan = plain.plan(0.5)
+    shape = _shape(**MEMO_CASES[case])
+    memo, plain = _memo(_NO_START_OVER), _memo(0)
+    plan = plain.plan(shape, 0.5)
     first = plan.steps[0].columns
     width = first.stop - first.start
     # row 0 flips nothing in the first layer and row i + 1 flips mode i
     # alone; at p = 0.5 the later events part the rows further
     block = np.random.default_rng(3).random((width + 1, plan.width))
     block[:, first] = np.vstack([np.full(width, _TOP), np.where(np.eye(width), 0.0, _TOP)])
-    want = [run_exchange_shot(plain, 0.5, row[None]) for row in block]
+    want = [run_exchange_shot(plain, shape, 0.5, row[None]) for row in block]
     for _ in range(2):  # first visits, then a replay on the warm memo
-        assert harness._walk_block(memo, 0.5, block).tolist() == want
+        assert harness._walk_block(memo, shape, 0.5, block).tolist() == want
     # every shot its own history: the root has an edge for each flip the
     # layer applies at once, and the rows whose flip it leaves pending (on
     # every block in the corrected plan) share the no-flip edge, each with
@@ -976,8 +992,8 @@ def test_any_shot_draws_what_numpy_draws(seed, point, start):
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_plan_width_is_what_a_shot_draws(case):
-    memo, plain = _memo(harness._MEMO_CAP, **MEMO_CASES[case]), _memo(0, **MEMO_CASES[case])
-    plan = memo.plan(0.2)
+    memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**MEMO_CASES[case])
+    plan = memo.plan(shape, 0.2)
     # the events read the columns of a row in order, each its own, and
     # nothing past the width
     columns = [step.columns for step in plan.steps]
@@ -988,15 +1004,15 @@ def test_plan_width_is_what_a_shot_draws(case):
         for m in (plain, memo, memo):
             # a plain measurement draws exactly its event's columns
             # (``_StepDraws`` raises otherwise)
-            assert run_exchange_shot(m, 0.2, block) in (-1, 1)
+            assert run_exchange_shot(m, shape, 0.2, block) in (-1, 1)
 
 
 def test_a_shot_cannot_draw_past_its_width():
-    memo = _memo(0)
-    width = memo.plan(0.05).width
-    for shape in ((1, width - 1), (1, width + 1), (width,), (1, 1, width)):
+    memo, shape = _memo(0), _shape()
+    width = memo.plan(shape, 0.05).width
+    for size in ((1, width - 1), (1, width + 1), (width,), (1, 1, width)):
         with pytest.raises(ValueError, match=f"reads {width} doubles"):
-            run_exchange_shot(memo, 0.05, np.zeros(shape))
+            run_exchange_shot(memo, shape, 0.05, np.zeros(size))
     # an event's plain measurement draws its own doubles and no others
     for doubles, ask in (([0.5], 2), ([0.5, 0.25], None), ([0.5, 0.25], 3)):
         with pytest.raises(ValueError, match="asked for"):
@@ -1016,13 +1032,13 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
         include_reference_errors=reference,
         seed=9,
     )
-    memo = harness._HistoryMemo(config, *_exchange_start(), 0)
+    memo, shape = harness._HistoryMemo(*_exchange_start()[:2], 0), harness._plan_shape(config)
     plain = []
     for point, p in enumerate(config.p_values):
-        width = memo.plan(p).width
+        width = memo.plan(shape, p).width
         outcomes = [
             run_exchange_shot(
-                memo, p,
+                memo, shape, p,
                 np.random.default_rng(
                     np.random.SeedSequence([config.seed, point, shot])
                 ).random((1, width)),
@@ -1036,8 +1052,8 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
 def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
     # Shots seed and walk in blocks: the memory a range holds for its draws
     # is one block's, however many shots it runs.
-    def take_all(memo, p, block):
-        assert block.shape == (len(block), memo.plan(p).width)
+    def take_all(memo, shape, p, block):
+        assert block.shape == (len(block), memo.plan(shape, p).width)
         return np.ones(len(block), np.int64)
 
     monkeypatch.setattr(harness, "_walk_block", take_all)
@@ -1106,3 +1122,57 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
     assert counts == {"codes": 0, "images": 0}
     assert held() == first
     assert harness._exchange_start()[0] is code
+
+
+def test_a_warm_process_memo_changes_no_result():
+    # Each shape's counts on a cold process memo equal its counts on the
+    # memo that runs of every other shape and of seed 7 have warmed; the
+    # memo stays within its cap, and clearing the start drops it.
+    configs = {
+        case: ExperimentConfig((0.01, 0.05), shots=64, **fields)
+        for case, fields in MEMO_CASES.items()
+    }
+    cold = {}
+    for case, config in configs.items():
+        harness._exchange_start.cache_clear()
+        cold[case] = [p.count_minus for p in run_experiment(config).points]
+    harness._exchange_start.cache_clear()
+    memo = harness._exchange_start()[2]
+    for config in configs.values():
+        run_experiment(dataclasses.replace(config, seed=7))
+    for case, config in configs.items():
+        assert len(memo) > 0
+        assert [p.count_minus for p in run_experiment(config).points] == cold[case], case
+    assert 0 < len(memo) <= harness._MEMO_CAP
+    harness._exchange_start.cache_clear()
+    fresh = harness._exchange_start()[2]
+    assert fresh is not memo
+    assert len(fresh) == 0 and fresh.roots == {}
+
+
+def test_a_node_holds_its_state_in_under_4_kb():
+    # A memo filled to near its cap on the shape where it hits least: 3.0
+    # KB a node, against 9.6 KB while a node kept a dict of Python complexes.
+    shape, p, cap = _shape(**MEMO_CASES["reference_p0.1_5layers"]), 0.1, harness._MEMO_CAP
+    # the blocks that fill an uncapped memo to between 90% of the cap and
+    # the cap, walked there first so the code's label maps grow outside
+    # the count
+    warm, blocks = _memo(_NO_START_OVER), []
+    width = warm.plan(shape, p).width
+    for shot in range(4096):
+        block = _one_shot_draws(0, 0, shot, width)
+        harness._walk_block(warm, shape, p, block)
+        if len(warm) > cap:
+            break
+        blocks.append(block)
+    memo = _memo(cap)
+    memo.plan(shape, p)
+    tracemalloc.start()
+    try:
+        for block in blocks:
+            harness._walk_block(memo, shape, p, block)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * cap <= len(memo) <= cap
+    assert held / len(memo) < 4096
