@@ -12,14 +12,16 @@ the repetition-code rounds enabled, unless the reference modes dephase too
 slots before each tunneling and before the readout.  Its
 :class:`ExperimentConfig` is the one description of a run.  A process
 builds the code, the base state and one history memo once
-(:func:`_exchange_start`), and every run walks that memo, with one shot
-plan per plan shape (:class:`_PlanShape`: the layers, the correction and
-the reference errors) and error rate.  A node's state depends on neither
-p, seed nor shot, so a run walks the nodes that earlier runs of its shape
-built, and a worker forked from a warm process inherits them.  A process
-that makes several runs of one shape gains (a benchmark, the test suite,
-a sweep over seeds or shot counts); one ``fermiqec exchange`` call, whose
-points already share the memo, does not.
+(:func:`_exchange_start`), and every run walks that memo, with a shot
+plan it builds for each point (its :class:`_PlanShape`, the layers, the
+correction and the reference errors, and its error rate).  A node's state
+depends on neither p, seed nor shot, so a run walks the nodes that earlier
+runs of its shape built, and a worker forked from a warm process inherits
+them.  Only a process that makes several runs gains, such as
+``bench/run.py``, which calls the CLI hundreds of times in one process, or
+a Python session calling :func:`run_experiment` in a loop.  No command of
+the package does: one ``fermiqec exchange`` call makes one run, whose
+points already shared one memo, and the test suite does not get faster.
 
 Every shot's randomness is a fixed number of doubles (its plan's ``width``),
 the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
@@ -254,23 +256,19 @@ def _integer(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 #: Most nodes a memo holds before it starts over, over every shape and run
-#: that walks it (a process's runs walk one).  A node's state on the 9+9+9+2 register holds about 123
-#: amplitudes, kept in about 3.0 KB a node (see :class:`_Node`).  A fresh
+#: that walks it (a process's runs walk one).  A node's state on the
+#: 9+9+9+2 register holds about 123 amplitudes, kept in about 3.0 KB a node
+#: once the run that made it ends (see :class:`_Node`).  A fresh
 #: 256-shot exchange call makes at most 247 nodes (reference errors at p =
 #: 0.01; 36-86 corrected and 14-60 uncorrected at p = 0.002 and 0.01;
 #: seeds 0-19).  Over the 256-shot calls of a 20-s ``bench/run.py`` run
 #: the process's memo grows to 122 nodes corrected and 433 uncorrected
 #: without starting over, and starts over about every 14 calls with
 #: reference errors (33 times in 453 calls); the peak RSS of
-#: ``bench/run.py`` was 42.3 MB (exchange_corrected), 42.0 MB
-#: (exchange_uncorrected) and 44.1 MB (exchange_reference), medians of
-#: five runs on a 2-vCPU host, the process's one code included.
+#: ``bench/run.py`` was 42.0 MB (exchange_corrected), 41.9 MB
+#: (exchange_uncorrected) and 44.9 MB (exchange_reference), medians of
+#: three to six runs on a 2-vCPU host, the process's one code included.
 _MEMO_CAP = 512
-
-#: Most shot plans a memo holds before it drops them all: a plan holds
-#: closures worth 19-33 KB (three and five layers), so a process that
-#: sweeps many error rates holds at most about 1 MB of them.
-_PLAN_CAP = 32
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
 #: ``syndrome`` holds the last two outcomes (a block's readouts, for its
@@ -414,7 +412,7 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
 class _PlanShape(NamedTuple):
     """What a shot plan follows besides its error rate: the fields of an
     :class:`ExperimentConfig` that set its steps.  Runs of one shape walk
-    the same nodes of the process's memo."""
+    the same nodes of the process's memo, whatever their error rates."""
 
     num_error_layers: int
     correction_enabled: bool
@@ -429,11 +427,13 @@ def _plan_shape(config: ExperimentConfig) -> _PlanShape:
 
 
 class _Plan(NamedTuple):
-    """One shot: ``head``, the gates before the first event, then
-    ``steps``, each event with the gates after it.  ``width`` is the number
-    of doubles a shot draws: each error layer draws one per noise mode,
-    every other event one."""
+    """One shot of ``shape``: ``head``, the gates before the first event,
+    then ``steps``, each event with the gates after it.  ``width`` is the
+    number of doubles a shot draws: each error layer draws one per noise
+    mode, every other event one.  A run builds the plan of each of its
+    points (about 60 us corrected, 15 us uncorrected)."""
 
+    shape: _PlanShape
     head: tuple[_Gate, ...]
     steps: tuple[_Step, ...]
     width: int
@@ -491,7 +491,7 @@ def _shot_plan(code: RepetitionCode, shape: _PlanShape, p: float) -> _Plan:
         _Step(**{**e, "gates": tuple(e["gates"]), "defers": e["defers"] & ~e["touches"]})
         for e in steps
     )
-    return _Plan(tuple(head), steps, width)
+    return _Plan(shape, tuple(head), steps, width)
 
 
 class _Node:
@@ -502,31 +502,42 @@ class _Node:
     needed them (``None`` until then), and the node each outcome leads
     to.
 
-    The state is kept compactly, as an array of its labels and one of its
-    amplitudes in entry order, and :attr:`state` rebuilds it, equal entry
-    for entry and in the same order, where a step needs it: a first visit,
-    a split, a new edge, or the compare on an index hit.  A walk over known
-    edges rebuilds none.  A node of the five-layer p = 0.1 reference run
-    holds 3.0 KB this way, its state, edges, odds and index key included
+    A node holds the state it was made from, ``whole``, until the run that
+    made it ends; then :meth:`compact` keeps it as an array of its labels
+    and one of its amplitudes in entry order, and :attr:`state` rebuilds
+    it, equal entry for entry and in the same order, where a later run
+    needs it: a first visit, a split, a new edge, or the compare on an index
+    hit.  A walk over known edges rebuilds none.  A compact node of the
+    five-layer p = 0.1 reference run holds 3.0 KB, its state, edges, odds
+    and index key included, against 9.6 KB while it keeps its state
     (``tracemalloc`` over a memo filled to near its cap)."""
 
-    __slots__ = ("layout", "compressed", "labels", "amplitudes", "seen", "odds", "children")
+    __slots__ = (
+        "whole", "layout", "compressed", "labels", "amplitudes", "seen", "odds", "children"
+    )
 
     def __init__(self, state: SparseState):
-        entries = state.entries
-        labels = list(entries)
-        self.layout = state.layout
-        self.compressed = state.compressed
-        self.labels = np.array(labels, np.min_scalar_type(max(labels)))
-        self.amplitudes = np.fromiter(entries.values(), complex, len(entries))
+        self.whole: SparseState | None = state
         self.seen = False
         self.odds = None
         self.children: dict[object, _Node] = {}
 
     @property
     def state(self) -> SparseState:
+        if self.whole is not None:
+            return self.whole
         entries = dict(zip(self.labels.tolist(), self.amplitudes.tolist()))
         return SparseState(self.layout, entries, self.compressed)
+
+    def compact(self) -> None:
+        """Keep the state as label and amplitude arrays, and drop ``whole``."""
+        state, self.whole = self.whole, None
+        entries = state.entries
+        labels = list(entries)
+        self.layout = state.layout
+        self.compressed = state.compressed
+        self.labels = np.array(labels, np.min_scalar_type(max(labels)))
+        self.amplitudes = np.fromiter(entries.values(), complex, len(entries))
 
 
 def _canonical(state: SparseState) -> SparseState:
@@ -553,8 +564,7 @@ def _canonical(state: SparseState) -> SparseState:
 
 
 class _HistoryMemo:
-    """The nodes of a process's shots, which all start from ``base`` on
-    ``code``, and the shot plan of each shape and error rate.
+    """The nodes of a process's shots, which all start from ``base``.
 
     ``roots`` leads from a :class:`_PlanShape` to its first node, and a
     node's ``children`` from an outcome to the next node, or from
@@ -573,37 +583,38 @@ class _HistoryMemo:
     the sign of a zero part never changes the size of a sum or product, so
     it changes no probability.  The index holds every node, at most
     ``cap`` over every shape and run: a full memo that needs a new node
-    clears it and ``roots`` and starts over, while the block in progress
-    walks on from the nodes it holds.  The plans are kept apart, at most
-    ``_PLAN_CAP`` of them, and dropped together when one more is needed.
-    Node states do not depend on p, seed or shot, so the plans of every
-    error rate walk the same nodes, and a run walks those that earlier
-    runs of its shape built.  ``cap=0`` keeps no node and takes no
-    canonical form.
+    clears it and ``roots`` and starts over (:meth:`clear`), while the
+    block in progress walks on from the nodes it holds.  Node states do not
+    depend on p, seed or shot, so the plans of every error rate walk the
+    same nodes, and a run walks those that earlier runs of its shape built.
+    The nodes made since the last :meth:`compact` keep their states whole.
+    ``cap=0`` keeps no node, takes no canonical form and compacts nothing.
     """
 
-    def __init__(self, code: RepetitionCode, base: SparseState, cap: int):
+    def __init__(self, base: SparseState, cap: int):
         if cap < 0:
             raise ValueError("memo cap must be non-negative")
-        self.code = code
         self.base = base
         self.cap = cap
         self.roots: dict[_PlanShape, _Node] = {}
         self._states: dict[tuple, _Node] = {}
-        self._plans: dict[tuple[_PlanShape, float], _Plan] = {}
+        self._fresh: list[_Node] = []
 
     def __len__(self) -> int:
         return len(self._states)
 
-    def plan(self, shape: _PlanShape, p: float) -> _Plan:
-        """The :func:`_shot_plan` of ``shape`` at error rate ``p``, built
-        once."""
-        key = (shape, p)
-        if key not in self._plans:
-            if len(self._plans) >= _PLAN_CAP:
-                self._plans.clear()
-            self._plans[key] = _shot_plan(self.code, shape, p)
-        return self._plans[key]
+    def clear(self) -> None:
+        """Drop every node, in place (a caller may hold ``roots``)."""
+        self._states.clear()
+        self.roots.clear()
+        self._fresh.clear()
+
+    def compact(self) -> None:
+        """Keep the nodes made since the last call compactly
+        (:meth:`_Node.compact`)."""
+        for node in self._fresh:
+            node.compact()
+        self._fresh.clear()
 
     def node(
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
@@ -623,10 +634,9 @@ class _HistoryMemo:
         node = self._states.get(place)
         if node is None or node.state.entries != state.entries:
             if len(self._states) >= self.cap:
-                # in place: ``children`` may be ``roots`` itself
-                self._states.clear()
-                self.roots.clear()
+                self.clear()  # in place: ``children`` may be ``roots`` itself
             node = self._states[place] = _Node(state)
+            self._fresh.append(node)
         children[key] = node
         return node
 
@@ -656,12 +666,9 @@ def _branch(
     return _settle(branch(outcome), step.gates, syndrome)
 
 
-def _walk_block(
-    memo: _HistoryMemo, shape: _PlanShape, p: float, block: np.ndarray
-) -> np.ndarray:
-    """The y-basis outcome (+1 or -1) of each shot of ``block`` at error
-    rate ``p``, one shot per row of doubles, all following the plan of
-    ``shape``.
+def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarray:
+    """The y-basis outcome (+1 or -1) of each shot of ``block``, one shot
+    per row of doubles, all following ``plan``.
 
     Each shot starts from ``memo.base``, the prepared |1,1,0> logical state
     without ancilla activity.  Error layers cycle through their slots; with
@@ -693,10 +700,11 @@ def _walk_block(
     the outcome the plain measurement would give it, so the outcomes do not
     depend on the block's size or on what ``memo`` holds, such as the
     nodes that earlier runs built.  A walk over known edges builds no
-    state: a node's state is rebuilt from its compact form only for a
-    first visit, a split or a new edge (see :class:`_Node`).
+    state: a node that an earlier run made rebuilds its state from its
+    compact form only for a first visit, a split or a new edge (see
+    :class:`_Node`).
     """
-    head, steps, width = memo.plan(shape, p)
+    shape, head, steps, width = plan
     if block.ndim != 2 or block.shape[1] != width:
         raise ValueError(
             f"a shot of this plan reads {width} doubles, got a block of shape {block.shape}"
@@ -759,17 +767,15 @@ def _walk_block(
     return outcomes
 
 
-def run_exchange_shot(
-    memo: _HistoryMemo, shape: _PlanShape, p: float, block: np.ndarray
-) -> int:
+def run_exchange_shot(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> int:
     """The y-basis outcome (+1 or -1) of one interferometry shot of
-    ``shape`` at error rate ``p``, whose doubles are the one row of
-    ``block``: :func:`_walk_block` on a one-shot block.  At cap 0 the memo
+    ``plan``, whose doubles are the one row of ``block``:
+    :func:`_walk_block` on a one-shot block.  At cap 0 the memo
     caches nothing, every node is a first visit, and this is plain
     Monte-Carlo, with each flip still pending until a step changes its
     mode; ``tests/test_harness.py::_plain_shot`` is the loop that applies
     every flip at its layer."""
-    (outcome,) = _walk_block(memo, shape, p, block).tolist()
+    (outcome,) = _walk_block(memo, plan, block).tolist()
     return outcome
 
 
@@ -919,23 +925,26 @@ def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
     ``_exchange_start.cache_clear()`` drops all three."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    return code, base, _HistoryMemo(code, base, _MEMO_CAP)
+    return code, base, _HistoryMemo(base, _MEMO_CAP)
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
-    picklable work unit), walked over the process's one history memo, on
-    its one code and label maps."""
-    memo = _exchange_start()[2]
+    picklable work unit), walked with the point's shot plan over the
+    process's one history memo, on its one code and label maps.  The nodes
+    the range made keep their states whole until it ends, so its later
+    blocks rebuild none of them, and compactly from then on."""
+    code, _, memo = _exchange_start()
     shape = _plan_shape(config)
     counts = []
     for point_index, p in enumerate(config.p_values):
-        width = memo.plan(shape, p).width
+        plan = _shot_plan(code, shape, p)
         minus = 0
-        for block in _shot_draws(config.seed, point_index, start, stop, width):
-            minus += int(np.count_nonzero(_walk_block(memo, shape, p, block) < 0))
+        for block in _shot_draws(config.seed, point_index, start, stop, plan.width):
+            minus += int(np.count_nonzero(_walk_block(memo, plan, block) < 0))
             del block  # before the next block is drawn
         counts.append(minus)
+    memo.compact()
     return counts
 
 
@@ -950,21 +959,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run every noise point; estimate = -<Y> with an exact binomial CI at
     ``config.confidence``.
 
-    The shots of a worker walk its process's one history memo, with one
-    shot plan per plan shape and error rate, on the code that the process
-    builds once (:func:`_exchange_start`), so a run walks the nodes that
-    earlier runs in the process built.  ``threads`` only sets how many
-    processes share the shots, each taking a contiguous shot range of
-    every point; a worker forked from this process inherits its memo.  The
-    per-shot seeding makes the counts — and therefore every number in the
-    result — identical for any worker count and whatever a memo holds.  No
-    more workers start than there are shots or CPUs this process may use.
-    Fan-out does not pay at a few hundred shots per worker: at 256
+    The shots of a worker walk its process's one history memo, with the
+    shot plan of each point, on the code that the process builds once
+    (:func:`_exchange_start`), so a run walks the nodes that earlier runs
+    in the process built.  That pays only where one process makes several
+    runs: ``bench/run.py`` calls the CLI hundreds of times in one process,
+    while one ``fermiqec exchange`` call makes one run.  ``threads`` only
+    sets how many processes share the shots, each taking a contiguous shot
+    range of every point; a worker forked from this process inherits its
+    memo.  The per-shot seeding makes the counts — and therefore every
+    number in the result — identical for any worker count and whatever a
+    memo holds.  No more workers start than there are shots or CPUs this
+    process may use.  Fan-out does not pay at a few hundred shots per worker: at 256
     corrected shots per worker (p = 0.01, two workers on a 2-vCPU host),
     ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` reads 0.23-0.28 (seeds 0-4), as starting
-    the pool costs more than the shots, and the serial call walks a warm
-    memo.
+    exchange_corrected --trace 1`` reads 0.23-0.45 (seeds 0-4, two sets of
+    runs), as starting the pool costs more than the shots, and the serial
+    call walks a warm memo.
     """
     threads = _integer(threads, "threads")
     if threads < 1:

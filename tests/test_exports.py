@@ -286,8 +286,8 @@ def test_every_trace_target_resolves():
 
 
 def test_a_traced_exchange_run_calls_the_wrapped_readouts():
-    # A warm process memo rightly runs no readout: start from a cold one.
-    harness._exchange_start.cache_clear()
+    # A warm process memo rightly runs no readout: start from an empty one.
+    harness._exchange_start()[2].clear()
     spans = _load_spans()
     tracer = spans.Tracer()
     tracer.install()

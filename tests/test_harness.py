@@ -208,14 +208,14 @@ def test_pure_reference_noise_is_removed_exactly():
     # Both layers flip bank modes 9 and 11 alone; the bank count, the six
     # readouts after each layer and the final readout draw at random.
     shape = _shape(num_error_layers=2, include_reference_errors=True)
-    memo = harness._HistoryMemo(*_exchange_start()[:2], 0)
-    assert memo.plan(shape, 0.5).width == 51
+    memo, plan = harness._HistoryMemo(_exchange_start()[1], 0), _plan(shape, 0.5)
+    assert plan.width == 51
     layer = _flipping((9, 11), 18)
     rng = np.random.default_rng(5)
     for _ in range(40):
         rest = rng.random(15).tolist()
         block = np.array([layer + rest[:7] + layer + rest[7:]])
-        assert run_exchange_shot(memo, shape, 0.5, block) == +1
+        assert run_exchange_shot(memo, plan, block) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -296,18 +296,17 @@ def test_first_shots_are_pinned(case, correct, reference):
         include_reference_errors=reference,
     )
     shape = harness._plan_shape(config)
-    memo = harness._HistoryMemo(*_exchange_start()[:2], 0)
-    width = memo.plan(shape, 0.05).width
+    memo, plan = harness._HistoryMemo(_exchange_start()[1], 0), _plan(shape, 0.05)
     outcomes = []
     for shot in range(config.shots):
-        draws = _one_shot_draws(config.seed, 0, shot, width)
-        outcome = run_exchange_shot(memo, shape, 0.05, draws)
+        draws = _one_shot_draws(config.seed, 0, shot, plan.width)
+        outcome = run_exchange_shot(memo, plan, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
     # the same shots walked as one block over a memo
-    memo = harness._HistoryMemo(*_exchange_start()[:2], harness._MEMO_CAP)
-    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, width)
-    signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, shape, 0.05, block)]
+    memo = harness._HistoryMemo(_exchange_start()[1], harness._MEMO_CAP)
+    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, plan.width)
+    signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, plan, block)]
     assert "".join(signs) == PINNED_OUTCOMES[case]
 
 
@@ -394,7 +393,12 @@ _NO_START_OVER = 10**9
 def _memo(cap):
     """A history memo for the standard start, holding at most ``cap``
     nodes."""
-    return harness._HistoryMemo(_CODE, _BASE, cap)
+    return harness._HistoryMemo(_BASE, cap)
+
+
+def _plan(shape, p):
+    """The shot plan of ``shape`` at error rate ``p``."""
+    return harness._shot_plan(_CODE, shape, p)
 
 
 def _outcomes(memo, shape, p_values, shots, seed=0):
@@ -402,8 +406,9 @@ def _outcomes(memo, shape, p_values, shots, seed=0):
     in blocks as a run does it, sharing ``memo`` across the points."""
     out = []
     for point, p in enumerate(p_values):
-        for block in harness._shot_draws(seed, point, 0, shots, memo.plan(shape, p).width):
-            out += harness._walk_block(memo, shape, p, block).tolist()
+        plan = _plan(shape, p)
+        for block in harness._shot_draws(seed, point, 0, shots, plan.width):
+            out += harness._walk_block(memo, plan, block).tolist()
     return out
 
 
@@ -415,10 +420,10 @@ def _plain_outcomes(p_values, shots, seed=0, **fields):
     memo, shape = _memo(0), _shape(**fields)
     out = []
     for point, p in enumerate(p_values):
-        width = memo.plan(shape, p).width
+        plan = _plan(shape, p)
         for shot in range(shots):
-            block = _one_shot_draws(seed, point, shot, width)
-            out.append(run_exchange_shot(memo, shape, p, block))
+            block = _one_shot_draws(seed, point, shot, plan.width)
+            out.append(run_exchange_shot(memo, plan, block))
     return out
 
 
@@ -481,10 +486,6 @@ def test_memo_holds_no_more_than_its_cap():
         node = full.node(full.roots, step, lambda: _BASE, (step, None))
     assert len(full) == 1 and full.roots == {3: node}
     assert len(_memo(0)) == 0
-    # a process that sweeps error rates holds a bounded number of plans
-    for k in range(2 * harness._PLAN_CAP):
-        assert full.plan(shape, k / 1000).width > 0
-        assert 0 < len(full._plans) <= harness._PLAN_CAP
     with pytest.raises(ValueError, match="cap"):
         _memo(-1)
     with pytest.raises(TypeError):
@@ -499,7 +500,7 @@ def test_a_physical_base_draws_the_outcomes_of_the_compressed_base(case):
     # the physical vacuum and of both against the compressed shortcuts.
     shape = _shape(**MEMO_CASES[case])
     physical = logical_basis_state(_CODE, (1, 1, 0), compressed=False)
-    memo = harness._HistoryMemo(_CODE, physical, harness._MEMO_CAP)
+    memo = harness._HistoryMemo(physical, harness._MEMO_CAP)
     want = _outcomes(_memo(harness._MEMO_CAP), shape, (0.05,), 256, seed=7)
     assert -1 in want
     assert _outcomes(memo, shape, (0.05,), 256, seed=7) == want
@@ -633,9 +634,9 @@ def test_a_corrected_call_defers_its_flips(p, nodes):
     # flip waits for its block's readout, so the histories that differ
     # only there share the nodes of the readouts before it.
     shape = _shape()
-    memo = harness._HistoryMemo(*_exchange_start()[:2], harness._MEMO_CAP)
-    (block,) = harness._shot_draws(3, 0, 0, 256, memo.plan(shape, p).width)
-    harness._walk_block(memo, shape, p, block)
+    memo, plan = harness._HistoryMemo(_exchange_start()[1], harness._MEMO_CAP), _plan(shape, p)
+    (block,) = harness._shot_draws(3, 0, 0, 256, plan.width)
+    harness._walk_block(memo, plan, block)
     assert len(memo) == nodes
 
 
@@ -697,9 +698,9 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
     # a node's plain readout is run by the shot that reaches it first when
     # the shots walk one at a time: the lowest shot of the group there
     memo = _memo(harness._MEMO_CAP)
-    width = memo.plan(shape, 0.01).width
+    plan = _plan(shape, 0.01)
     for shot in range(40):
-        run_exchange_shot(memo, shape, 0.01, _one_shot_draws(0, 0, shot, width))
+        run_exchange_shot(memo, plan, _one_shot_draws(0, 0, shot, plan.width))
     assert sorted(args[4].doubles for args in calls) == first_visits
 
 
@@ -716,14 +717,14 @@ _PLAN_FIELDS = st.fixed_dictionaries(
 @given(p=st.floats(0.0, 1.0), fields=_PLAN_FIELDS)
 def test_no_noise_setting_crashes_a_shot(p, fields):
     memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**fields)
-    width = plain.plan(shape, p).width
+    plan = _plan(shape, p)
     block = np.concatenate(
-        [np.random.default_rng(shot).random((1, width)) for shot in range(3)]
+        [np.random.default_rng(shot).random((1, plan.width)) for shot in range(3)]
     )
-    want = [run_exchange_shot(plain, shape, p, row[None]) for row in block]
+    want = [run_exchange_shot(plain, plan, row[None]) for row in block]
     assert set(want) <= {-1, 1}
     for _ in range(2):  # the second pass replays the first from the memo
-        assert harness._walk_block(memo, shape, p, block).tolist() == want
+        assert harness._walk_block(memo, plan, block).tolist() == want
 
 
 @given(
@@ -742,11 +743,11 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values
         seeds.setdefault(point % len(p_values), []).append(seed)
     for point, listed in seeds.items():
         p = p_values[point]
-        width = plain.plan(shape, p).width
-        rows = [np.random.default_rng(seed).random((1, width)) for seed in listed]
-        want = [run_exchange_shot(plain, shape, p, row) for row in rows]
+        plan = _plan(shape, p)
+        rows = [np.random.default_rng(seed).random((1, plan.width)) for seed in listed]
+        want = [run_exchange_shot(plain, plan, row) for row in rows]
         for m in memos:
-            got = harness._walk_block(m, shape, p, np.concatenate(rows)).tolist()
+            got = harness._walk_block(m, plan, np.concatenate(rows)).tolist()
             assert got == want, point
 
 
@@ -757,12 +758,12 @@ def _warm_nodes(case, compressed=True):
     p = 0.05 and 0.2, from the compressed base or a physical one."""
     base = _BASE if compressed else logical_basis_state(_CODE, (1, 1, 0), compressed=False)
     shape = _shape(**MEMO_CASES[case])
-    memo = harness._HistoryMemo(_CODE, base, _NO_START_OVER)
+    memo = harness._HistoryMemo(base, _NO_START_OVER)
     _outcomes(memo, shape, (0.05, 0.2), 30)
     by_step = {}
     for (_, index, last, _), node in memo._states.items():
         by_step.setdefault(index, []).append((last, node.state))
-    return memo.plan(shape, 0.05), by_step
+    return _plan(shape, 0.05), by_step
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
@@ -912,7 +913,7 @@ def test_a_double_at_or_above_the_last_sum_selects_the_largest_count(probs):
 @pytest.mark.parametrize("compressed", [False, True])
 def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
     lay = RegisterLayout(3, 4, 4, num_ancilla_qubits=2)
-    read = _memo(0).plan(_shape(), 0.05).steps[-1].measure
+    read = _plan(_shape(), 0.05).steps[-1].measure
     for seed in range(6):
         state = spread_h_state(lay, seed)
         state = compress(state) if compressed else state
@@ -929,16 +930,16 @@ def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
 def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case):
     shape = _shape(**MEMO_CASES[case])
     memo, plain = _memo(_NO_START_OVER), _memo(0)
-    plan = plain.plan(shape, 0.5)
+    plan = _plan(shape, 0.5)
     first = plan.steps[0].columns
     width = first.stop - first.start
     # row 0 flips nothing in the first layer and row i + 1 flips mode i
     # alone; at p = 0.5 the later events part the rows further
     block = np.random.default_rng(3).random((width + 1, plan.width))
     block[:, first] = np.vstack([np.full(width, _TOP), np.where(np.eye(width), 0.0, _TOP)])
-    want = [run_exchange_shot(plain, shape, 0.5, row[None]) for row in block]
+    want = [run_exchange_shot(plain, plan, row[None]) for row in block]
     for _ in range(2):  # first visits, then a replay on the warm memo
-        assert harness._walk_block(memo, shape, 0.5, block).tolist() == want
+        assert harness._walk_block(memo, plan, block).tolist() == want
     # every shot its own history: the root has an edge for each flip the
     # layer applies at once, and the rows whose flip it leaves pending (on
     # every block in the corrected plan) share the no-flip edge, each with
@@ -993,7 +994,7 @@ def test_any_shot_draws_what_numpy_draws(seed, point, start):
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_plan_width_is_what_a_shot_draws(case):
     memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**MEMO_CASES[case])
-    plan = memo.plan(shape, 0.2)
+    plan = _plan(shape, 0.2)
     # the events read the columns of a row in order, each its own, and
     # nothing past the width
     columns = [step.columns for step in plan.steps]
@@ -1004,15 +1005,15 @@ def test_plan_width_is_what_a_shot_draws(case):
         for m in (plain, memo, memo):
             # a plain measurement draws exactly its event's columns
             # (``_StepDraws`` raises otherwise)
-            assert run_exchange_shot(m, shape, 0.2, block) in (-1, 1)
+            assert run_exchange_shot(m, plan, block) in (-1, 1)
 
 
 def test_a_shot_cannot_draw_past_its_width():
-    memo, shape = _memo(0), _shape()
-    width = memo.plan(shape, 0.05).width
+    memo, plan = _memo(0), _plan(_shape(), 0.05)
+    width = plan.width
     for size in ((1, width - 1), (1, width + 1), (width,), (1, 1, width)):
         with pytest.raises(ValueError, match=f"reads {width} doubles"):
-            run_exchange_shot(memo, shape, 0.05, np.zeros(size))
+            run_exchange_shot(memo, plan, np.zeros(size))
     # an event's plain measurement draws its own doubles and no others
     for doubles, ask in (([0.5], 2), ([0.5, 0.25], None), ([0.5, 0.25], 3)):
         with pytest.raises(ValueError, match="asked for"):
@@ -1032,16 +1033,16 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
         include_reference_errors=reference,
         seed=9,
     )
-    memo, shape = harness._HistoryMemo(*_exchange_start()[:2], 0), harness._plan_shape(config)
+    memo, shape = harness._HistoryMemo(_exchange_start()[1], 0), harness._plan_shape(config)
     plain = []
     for point, p in enumerate(config.p_values):
-        width = memo.plan(shape, p).width
+        plan = _plan(shape, p)
         outcomes = [
             run_exchange_shot(
-                memo, shape, p,
+                memo, plan,
                 np.random.default_rng(
                     np.random.SeedSequence([config.seed, point, shot])
-                ).random((1, width)),
+                ).random((1, plan.width)),
             )
             for shot in range(config.shots)
         ]
@@ -1052,8 +1053,8 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
 def test_draws_held_do_not_grow_with_the_shot_count(monkeypatch):
     # Shots seed and walk in blocks: the memory a range holds for its draws
     # is one block's, however many shots it runs.
-    def take_all(memo, shape, p, block):
-        assert block.shape == (len(block), memo.plan(shape, p).width)
+    def take_all(memo, plan, block):
+        assert block.shape == (len(block), plan.width)
         return np.ones(len(block), np.int64)
 
     monkeypatch.setattr(harness, "_walk_block", take_all)
@@ -1103,6 +1104,8 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
     # code a long-lived process holds does not grow with the runs it makes,
     # even on the five-layer p = 0.1 reference run, where the memo hits least
     # (the slowest shape by far: 128 shots of it keep the test under a second).
+    # Each later run starts on an empty process memo, so it builds every
+    # state again from the reused code.
     slowest = case == "reference_p0.1_5layers"
     p_values, shots = ((0.1,), 128) if slowest else ((0.002, 0.01), 512)
     config = ExperimentConfig(p_values, shots=shots, **MEMO_CASES[case])
@@ -1117,7 +1120,11 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
 
     first = held()
     counts.update(codes=0, images=0)
+    memo = harness._exchange_start()[2]
+    memo.clear()
     assert run_experiment(config).points == fresh
+    assert len(memo) > 0
+    memo.clear()
     run_experiment(dataclasses.replace(config, seed=7))
     assert counts == {"codes": 0, "images": 0}
     assert held() == first
@@ -1127,7 +1134,8 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
 def test_a_warm_process_memo_changes_no_result():
     # Each shape's counts on a cold process memo equal its counts on the
     # memo that runs of every other shape and of seed 7 have warmed; the
-    # memo stays within its cap, and clearing the start drops it.
+    # memo stays within its cap, a run leaves every node it made compact,
+    # and clearing the start drops the memo.
     configs = {
         case: ExperimentConfig((0.01, 0.05), shots=64, **fields)
         for case, fields in MEMO_CASES.items()
@@ -1144,6 +1152,7 @@ def test_a_warm_process_memo_changes_no_result():
         assert len(memo) > 0
         assert [p.count_minus for p in run_experiment(config).points] == cold[case], case
     assert 0 < len(memo) <= harness._MEMO_CAP
+    assert all(node.whole is None for node in memo._states.values())
     harness._exchange_start.cache_clear()
     fresh = harness._exchange_start()[2]
     assert fresh is not memo
@@ -1151,26 +1160,26 @@ def test_a_warm_process_memo_changes_no_result():
 
 
 def test_a_node_holds_its_state_in_under_4_kb():
-    # A memo filled to near its cap on the shape where it hits least: 3.0
-    # KB a node, against 9.6 KB while a node kept a dict of Python complexes.
+    # A memo filled to near its cap on the shape where it hits least, then
+    # compacted as the end of a run compacts it: 3.0 KB a node, against 9.6
+    # KB while a node keeps a dict of Python complexes.
     shape, p, cap = _shape(**MEMO_CASES["reference_p0.1_5layers"]), 0.1, harness._MEMO_CAP
     # the blocks that fill an uncapped memo to between 90% of the cap and
     # the cap, walked there first so the code's label maps grow outside
     # the count
-    warm, blocks = _memo(_NO_START_OVER), []
-    width = warm.plan(shape, p).width
+    warm, blocks, plan = _memo(_NO_START_OVER), [], _plan(shape, p)
     for shot in range(4096):
-        block = _one_shot_draws(0, 0, shot, width)
-        harness._walk_block(warm, shape, p, block)
+        block = _one_shot_draws(0, 0, shot, plan.width)
+        harness._walk_block(warm, plan, block)
         if len(warm) > cap:
             break
         blocks.append(block)
     memo = _memo(cap)
-    memo.plan(shape, p)
     tracemalloc.start()
     try:
         for block in blocks:
-            harness._walk_block(memo, shape, p, block)
+            harness._walk_block(memo, plan, block)
+        memo.compact()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
