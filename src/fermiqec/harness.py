@@ -7,60 +7,30 @@ ancilla therefore ends in |+i> and the y-basis estimate sits at exactly -1
 in the noiseless case; phase errors push it up, and the deviation epsilon
 scales linearly in the error rate without correction and quadratically with
 the repetition-code rounds enabled, unless the reference modes dephase too
-(then it stays linear; see :func:`_walk_block`).  Every run uses one register,
-:data:`EXCHANGE_REGISTER`, and cycles its error layers through the four
-slots before each tunneling and before the readout.  Its
-:class:`ExperimentConfig` is the one description of a run.  A process
-builds the code, the base state and one history memo once
-(:func:`_exchange_start`), and every run walks that memo, with a shot
-plan it builds for each point (its :class:`_PlanShape`, the layers, the
-correction and the reference errors, and its error rate).  A node's state
-depends on neither p, seed nor shot, so a run walks the nodes that earlier
-runs of its shape built, and a worker forked from a warm process inherits
-them.  Only a process that makes several runs gains, such as
-``bench/run.py``, which calls the CLI hundreds of times in one process, or
-a Python session calling :func:`run_experiment` in a loop.  No command of
-the package does: one ``fermiqec exchange`` call makes one run, whose
-points already shared one memo, and the test suite does not get faster.
+(see :func:`_shot_plan`).  Every run uses one register,
+:data:`EXCHANGE_REGISTER`, and its :class:`ExperimentConfig` is the one
+description of a run.
 
-Every shot's randomness is a fixed number of doubles (its plan's ``width``),
-the first ``width`` draws of ``default_rng(SeedSequence([seed, point,
-shot]))``, so results are independent of how shots are distributed over
-worker processes.  :func:`_shot_draws` seeds a block of up to
-``_SEED_BLOCK`` shots at once and draws them into one array, a row per
-shot; each event reads its own columns of a row.
+A shot walks the steps of its plan (:func:`_shot_plan`) on a row of
+doubles fixed by ``(seed, point, shot)`` alone (:func:`_shot_draws`), so
+no result depends on how shots are spread over workers.  The shots of a
+block walk together (:func:`_walk_block`) over a history memo
+(:class:`_HistoryMemo`), a graph with one node per state at each step,
+however many histories reach it.  A process builds the code, the base state
+and one memo once (:func:`_exchange_start`), and every run walks that memo,
+so a run walks the nodes that earlier runs of its shape built.  Only a
+process that makes several runs gains, such as ``bench/run.py``, which
+calls the CLI hundreds of times in one process, or a Python session calling
+:func:`run_experiment` in a loop.  No command of the package does: one
+``fermiqec exchange`` call makes one run, whose points already share one
+memo.
 
-A shot is a walk over the fixed list of steps of its error rate's plan
-(:func:`_shot_plan`): gates, which map a state to a state, and events,
-which draw an outcome from probabilities that the state fixes (an error
-layer's flips, the bank atom count, a stabilizer readout, the final y-basis
-readout).  The shots of a block walk together, breadth first
-(:func:`_walk_block`): at each step the shots at one node move as one
-group and part by outcome, and groups that reach one node merge.  The
-walk runs over a memo (:class:`_HistoryMemo`), a graph whose
-nodes are states, one per state at one step, however many histories reach
-it: each outcome of a node's event leads to the next node, and a
-repetition-code round sends a corrected flip back to the code state, so
-many error histories meet there.  A history seen for the first time builds
-its state and, if a node at the same step holds that state up to a global
-phase ``k`` in {1, -1, i, -i} (the same labels with amplitudes equal after
-the turn, in whatever order), leads to that node; at a correction's step
-the node must also have the same last outcome.  At a node's first visit
-the lowest shot of the group there runs the plain measurement on its
-doubles (:func:`sample_phase_error_layer`, ``measure_mode_number``,
-``measure_stabilizer``, and for the final readout the outcome
-``measure_qubit`` draws, without the post state no step reads).  Any other
-shot computes the event's outcome probabilities with the ``split_*``
-helper that measurement calls, and the node keeps them, so a group that
-reaches a known state only compares its doubles and looks up, one
-vectorized comparison per node.  Outcomes do not change: each shot's
-doubles are compared with the probabilities the plain measurement forms,
-the way it compares them.  A node's state does not depend on the error
-rate, so the plans of every rate walk the same nodes.  Two histories filed
-under one node carry the same step and the same state up to ``k``, and at
-a correction's step the same last outcome, which is all a later gate reads
-(a correction reads the block's two readouts; no other gate reads an
-outcome).  Neither the order of their entries nor ``k`` changes a later
+Neither merging histories nor deferring flips changes a bit of any shot.
+
+Two histories filed under one node carry the same step and the same state
+up to a global phase ``k`` in {1, -1, i, -i}, in whatever entry order, and
+at a correction's step the same last outcome, which is all a later gate
+reads.  Neither the order of their entries nor ``k`` changes a later
 probability: every gate and branch of a plan makes each amplitude from at
 most two terms, chosen by label, and two terms add the same either way
 round; every probability is a ``math.fsum``, exact whatever the order (the
@@ -72,31 +42,15 @@ each weight ``re * re + im * im`` is the same.  So every later
 probability, branch and draw is the same, up to the sign of a zero part,
 which no probability sees.
 
-A shot carries its phase flips as a Pauli frame (Knill, Nature 434, 39
-(2005); Gidney, Quantum 5, 497 (2021)): a pi flip on a system mode
+A shot carries its system phase flips as a Pauli frame (Knill, Nature 434,
+39 (2005); Gidney, Quantum 5, 497 (2021)): a pi flip on a system mode
 multiplies each amplitude by exactly +1 or -1, by that mode's bit, so it
-commutes with every step that keeps the bit, such as another block's
-readout, a correction, the bank count or the y rotation.  A layer applies
-its reference flips and the flips its own gates touch, and a group applies
-due flips on arrival.  The reference flips go at once, as a compressed
-label's sign there depends on the system atom count, which readouts
-change; the others wait, a bitmask the shot's group carries, and a group
-arriving at a step that changes one of their modes (:attr:`_Step.touches`)
-applies those in one pass.  The final readout drops those still pending.
-Shots that differ only in pending flips share every node in between, so
-corrected calls build far fewer nodes (see ``_MEMO_CAP``).  No bit
-changes: a step that keeps a mode's bit maps each label only to labels of
-the same sign under its flip, so every later product, sum, quotient and
-magnitude is that sign times the one built with the flip applied (rounding
-to nearest is symmetric under negation), each weight is the same, and two
-flips of one mode cancel exactly.
-
-The memo holds at most ``_MEMO_CAP`` nodes, over every shape and run of
-the process; one that is full and needs another drops them all and starts
-over, and the groups walk on from the nodes they hold.  At cap 0 it holds
-nothing and every node is new; a one-shot block then runs the plain
-measurement at every event, on states whose pending flips wait as at any
-cap, which is plain Monte-Carlo.
+commutes with every step that keeps the bit, and it waits until a step
+changes its mode.  Such a step maps each label only to labels of the same
+sign under the flip, so every later product, sum, quotient and magnitude is
+that sign times the one built with the flip applied (rounding to nearest is
+symmetric under negation), each weight is the same, and two flips of one
+mode cancel exactly.
 """
 
 from __future__ import annotations
@@ -256,18 +210,9 @@ def _integer(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 #: Most nodes a memo holds before it starts over, over every shape and run
-#: that walks it (a process's runs walk one).  A node's state on the
-#: 9+9+9+2 register holds about 123 amplitudes, kept in about 3.0 KB a node
-#: once the run that made it ends (see :class:`_Node`).  A fresh
-#: 256-shot exchange call makes at most 247 nodes (reference errors at p =
-#: 0.01; 36-86 corrected and 14-60 uncorrected at p = 0.002 and 0.01;
-#: seeds 0-19).  Over the 256-shot calls of a 20-s ``bench/run.py`` run
-#: the process's memo grows to 122 nodes corrected and 433 uncorrected
-#: without starting over, and starts over about every 14 calls with
-#: reference errors (33 times in 453 calls); the peak RSS of
-#: ``bench/run.py`` was 42.0 MB (exchange_corrected), 41.9 MB
-#: (exchange_uncorrected) and 44.9 MB (exchange_reference), medians of
-#: three to six runs on a 2-vCPU host, the process's one code included.
+#: that walks it (a node's size: :class:`_Node`).  A fresh 256-shot exchange
+#: call makes 14-60 nodes uncorrected and 36-86 corrected at p = 0.002 and
+#: 0.01, and 168-249 with reference errors at p = 0.01 (seeds 0-19).
 _MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -294,27 +239,25 @@ class _Step(NamedTuple):
 
     A shot reads the doubles at ``columns`` of its row for this event.
     ``measure(state, draws) -> (outcome, post)`` is the plain step: one
-    measurement, drawing one shot's doubles from ``draws``
-    (:class:`_StepDraws`).  ``split(state) -> (odds, branch)`` gives the
-    outcome probabilities and ``branch(outcome)``, the post state;
+    measurement on one shot's doubles.  ``split(state) -> (odds, branch)``
+    gives the outcome probabilities and ``branch(outcome)``, the post state;
     ``pick(odds, u)`` compares the doubles ``u`` of a group of shots, one
     row each, as ``measure`` compares its draw, and gives each outcome with
-    a selector of the rows that take it.  An error layer's odds are its p,
-    which ``pick`` carries, so its ``split`` gives ``None`` for them.
+    a selector of the rows that take it.  No ``split`` reads the error rate
+    (an error layer's odds are its noise modes, and its ``pick`` brings p),
+    so the odds a node keeps serve every plan that walks it.
     ``reads_last`` is set where the gates read the outcome before this
     event's (a block's s12 readout, for the correction after its s23).
 
     ``touches`` is the bitmask of the system modes whose occupation bit the
     event or its gates may change: a stabilizer readout its block, a
     controlled tunneling its two blocks, ``recover_codespace`` every system
-    mode; the other events and gates (the corrections, the bank count, the y
-    rotation, the final readout) are diagonal on the modes or act on an
-    ancilla alone.  A pi flip on any other system mode commutes with the
-    step, so the walk leaves it pending until a step touches its mode.
-    ``defers`` is the bitmask of the modes whose flips an error layer leaves
-    pending: its system modes that its own gates do not touch, and 0 at
-    every other event.  A layer applies its reference flips and the flips
-    its own gates touch, and a group applies due flips on arrival.
+    mode; the other events and gates are diagonal on the modes or act on an
+    ancilla alone.  ``defers`` is the bitmask of the modes whose flips an
+    error layer leaves pending: its system modes that its own gates do not
+    touch, and 0 at every other event.  A reference flip never waits, as its
+    sign on a compressed label depends on the system atom count, which
+    readouts change.
     """
 
     measure: Callable[[SparseState, _StepDraws], tuple]
@@ -366,8 +309,8 @@ def _error_layer(p: float, modes: tuple[int, ...]) -> tuple:
     """``(measure, split, pick)`` of an error layer."""
     return (
         lambda s, draws: sample_phase_error_layer(s, p, modes, draws)[::-1],
-        lambda s: (None, lambda flipped: _apply_flips(s, _mask(flipped))),
-        lambda _, u: _pick_flips(modes, p, u),
+        lambda s: (modes, lambda flipped: _apply_flips(s, _mask(flipped))),
+        lambda odds, u: _pick_flips(odds, p, u),
     )
 
 
@@ -411,8 +354,8 @@ def _correct(code: RepetitionCode, block: int) -> _Gate:
 
 class _PlanShape(NamedTuple):
     """What a shot plan follows besides its error rate: the fields of an
-    :class:`ExperimentConfig` that set its steps.  Runs of one shape walk
-    the same nodes of the process's memo, whatever their error rates."""
+    :class:`ExperimentConfig` that set its steps, and the key of its root
+    in the memo."""
 
     num_error_layers: int
     correction_enabled: bool
@@ -430,8 +373,7 @@ class _Plan(NamedTuple):
     """One shot of ``shape``: ``head``, the gates before the first event,
     then ``steps``, each event with the gates after it.  ``width`` is the
     number of doubles a shot draws: each error layer draws one per noise
-    mode, every other event one.  A run builds the plan of each of its
-    points (about 60 us corrected, 15 us uncorrected)."""
+    mode, every other event one."""
 
     shape: _PlanShape
     head: tuple[_Gate, ...]
@@ -442,7 +384,17 @@ class _Plan(NamedTuple):
 def _shot_plan(code: RepetitionCode, shape: _PlanShape, p: float) -> _Plan:
     """The :class:`_Plan` of one shot of ``shape`` at error rate ``p``.
     Slots 0..2 precede the three tunnelings and slot 3 the final readout;
-    error layer ``i`` goes in slot ``i % 4``."""
+    error layer ``i`` goes in slot ``i % 4``.
+
+    With correction enabled each layer is followed by a full round,
+    preceded by a bank count and a re-encoding (``recover_codespace``) when
+    the layer can dephase the reference.  That re-encoding is exact for
+    reference flips alone, but it turns a single system flip of the same
+    layer into a logical error that the round after it cannot see.  So with
+    reference errors the deviation epsilon is linear in p, not quadratic:
+    about 11-13 p at three layers (10,000 shots at p = 0.002 and 0.01), and
+    as large when only the system modes flip on the same plan.
+    """
     reference = shape.include_reference_errors
     modes = noise_modes(code.layout, reference)
     every = code.layout.system_mask
@@ -495,22 +447,17 @@ def _shot_plan(code: RepetitionCode, shape: _PlanShape, p: float) -> _Plan:
 
 
 class _Node:
-    """One state at one event of a shot plan, reached by any history that
-    leads to that state up to a quarter-turn global phase, held in
-    :func:`_canonical` form; whether a shot has been here before, the
-    event's outcome probabilities once a shot other than the first one
-    needed them (``None`` until then), and the node each outcome leads
-    to.
+    """One state at one event of a shot plan, in :func:`_canonical` form:
+    whether a shot has been here before, the event's odds once a split
+    made them (``None`` until then), and the node each outcome leads to.
 
     A node holds the state it was made from, ``whole``, until the run that
     made it ends; then :meth:`compact` keeps it as an array of its labels
     and one of its amplitudes in entry order, and :attr:`state` rebuilds
     it, equal entry for entry and in the same order, where a later run
     needs it: a first visit, a split, a new edge, or the compare on an index
-    hit.  A walk over known edges rebuilds none.  A compact node of the
-    five-layer p = 0.1 reference run holds 3.0 KB, its state, edges, odds
-    and index key included, against 9.6 KB while it keeps its state
-    (``tracemalloc`` over a memo filled to near its cap)."""
+    hit.  A compact node of the five-layer p = 0.1 reference run holds
+    about 3.0 KB, its state, edges, odds and index key included."""
 
     __slots__ = (
         "whole", "layout", "compressed", "labels", "amplitudes", "seen", "odds", "children"
@@ -569,26 +516,12 @@ class _HistoryMemo:
     ``roots`` leads from a :class:`_PlanShape` to its first node, and a
     node's ``children`` from an outcome to the next node, or from
     ``("flips", due)`` to the node of its state with the pending flips
-    ``due`` applied, at the same step (see :func:`_walk_block`).  A history
-    seen for the first time builds its state, takes its :func:`_canonical`
-    form and looks that up in the state index, keyed on ``(shape, step
-    index, last outcome, hash of the entries as a set)``, where the last
-    outcome is ``None`` unless the step's gates read it
-    (:attr:`_Step.reads_last`): a node there whose entries equal the
-    canonical state's as dicts (the same labels and amplitudes, in any
-    order; see the module docstring for why order and a quarter-turn phase
-    do not matter) becomes the end of the new edge, else a new node holding
-    the canonical state does.  The index keeps the hash, not the entries,
-    and compares them on a hit.  That compare takes 0.0 and -0.0 as equal;
-    the sign of a zero part never changes the size of a sum or product, so
-    it changes no probability.  The index holds every node, at most
+    ``due`` applied, at the same step.  The index holds every node, at most
     ``cap`` over every shape and run: a full memo that needs a new node
-    clears it and ``roots`` and starts over (:meth:`clear`), while the
-    block in progress walks on from the nodes it holds.  Node states do not
-    depend on p, seed or shot, so the plans of every error rate walk the
-    same nodes, and a run walks those that earlier runs of its shape built.
-    The nodes made since the last :meth:`compact` keep their states whole.
-    ``cap=0`` keeps no node, takes no canonical form and compacts nothing.
+    drops them all and starts over, while the block in progress walks on
+    from the nodes it holds.  The nodes made since the last :meth:`compact`
+    keep their states whole.  ``cap=0`` keeps no node, takes no canonical
+    form and compacts nothing, so every visit is a first one.
     """
 
     def __init__(self, base: SparseState, cap: int):
@@ -620,9 +553,13 @@ class _HistoryMemo:
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
     ) -> _Node:
         """The node ``children[key]`` leads to.  On a miss, ``make()``
-        builds the state, and ``key`` is made to lead to the node already
-        holding its canonical form at ``place`` (shape, step index, and the
-        last outcome or ``None``), or to a new one if there is none."""
+        builds the state, and ``key`` leads to the node at ``place`` (shape,
+        step index, and the last outcome where the step's gates read it,
+        else ``None``) whose entries equal the state's :func:`_canonical`
+        form as dicts, the same labels and amplitudes in any order, or to a
+        new node holding that form.  The index keys on a hash of the entries
+        and compares them on a hit; the compare takes 0.0 and -0.0 as equal,
+        and the sign of a zero part changes no probability."""
         node = children.get(key)
         if node is not None:
             return node
@@ -668,41 +605,25 @@ def _branch(
 
 def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarray:
     """The y-basis outcome (+1 or -1) of each shot of ``block``, one shot
-    per row of doubles, all following ``plan``.
-
-    Each shot starts from ``memo.base``, the prepared |1,1,0> logical state
-    without ancilla activity.  Error layers cycle through their slots; with
-    correction enabled each layer is followed by a full round, preceded by
-    a bank number measurement plus re-encoding when the layer can dephase
-    the reference.  That re-encoding is exact for reference phases alone,
-    but it turns a single system flip of the same layer into a logical
-    error that the round after it cannot see.  So with reference errors
-    the deviation epsilon is linear in p, not quadratic: about 11-13 p at
-    three layers (10,000 shots at p = 0.002 and 0.01), and as large when
-    only the system modes flip on the same plan.
+    per row of doubles, all following ``plan`` from ``memo.base``.
 
     The shots walk the plan's steps together, breadth first: at each step
     the shots standing at one node with the same pending flips move as one
-    group, and groups that reach one node with the same pending flips
-    merge.  A group's ``pending`` is the bitmask of the system modes whose
-    pi flip it has drawn but not applied.  A layer applies its reference
-    flips and the flips its own gates touch, and leaves the others pending
-    (:attr:`_Step.defers`); a group applies due flips on arrival: where an
-    outcome leads to the next step, the pending flips that step touches
-    (:attr:`_Step.touches`) are applied in one pass, by the edge
-    ``("flips", due)`` of the node reached, filed like any other state,
-    and the group arrives at the node that edge leads to.  The flips still
-    pending at the final readout are dropped, as the y rotation acts on the
-    ancilla alone and the readout reads weights.  Groups move
-    lowest row first.  At a node not visited before, the group's lowest row
-    runs the plain measurement on its doubles, and the other rows pick from
-    the node's split; at a visited node every row picks.  Each row takes
-    the outcome the plain measurement would give it, so the outcomes do not
-    depend on the block's size or on what ``memo`` holds, such as the
-    nodes that earlier runs built.  A walk over known edges builds no
-    state: a node that an earlier run made rebuilds its state from its
-    compact form only for a first visit, a split or a new edge (see
-    :class:`_Node`).
+    group, lowest row first, and groups that reach one node with the same
+    pending flips merge.  At a node not visited before, the group's lowest
+    row runs the plain measurement on its doubles; the other rows, and
+    every row at a visited node, pick from the node's odds, split once and
+    kept.  Each row takes the outcome the plain measurement would give it,
+    so no outcome depends on the block's size or on what ``memo`` holds.
+
+    A group's ``pending`` is the bitmask of the system modes whose pi flip
+    it has drawn but not applied: an error layer applies every flip but
+    those of :attr:`_Step.defers`.  Where an outcome leads to the next
+    step, the pending flips that step touches are applied in one pass, by
+    the edge ``("flips", due)`` of the node reached, and the group arrives
+    where that edge leads.  The final readout drops the flips still
+    pending, as the y rotation acts on the ancilla alone and the readout
+    reads weights.
     """
     shape, head, steps, width = plan
     if block.ndim != 2 or block.shape[1] != width:
@@ -768,13 +689,9 @@ def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarra
 
 
 def run_exchange_shot(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> int:
-    """The y-basis outcome (+1 or -1) of one interferometry shot of
-    ``plan``, whose doubles are the one row of ``block``:
-    :func:`_walk_block` on a one-shot block.  At cap 0 the memo
-    caches nothing, every node is a first visit, and this is plain
-    Monte-Carlo, with each flip still pending until a step changes its
-    mode; ``tests/test_harness.py::_plain_shot`` is the loop that applies
-    every flip at its layer."""
+    """The y-basis outcome (+1 or -1) of one shot of ``plan``, whose
+    doubles are the one row of ``block``: :func:`_walk_block` on a one-shot
+    block, which over a memo of cap 0 is plain Monte-Carlo."""
     (outcome,) = _walk_block(memo, plan, block).tolist()
     return outcome
 
@@ -915,13 +832,11 @@ def _draw_rows(
 def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
     """The code and the compressed |1,1,0> base state that every exchange
     shot starts from, and the history memo over them, built once per
-    process: all three depend on :data:`EXCHANGE_REGISTER` alone, so every
-    later run reuses the code's label maps, codewords and codespace table
-    and walks the nodes earlier runs built.  Sharing them is safe: every
-    entry of the code's one cache is a pure function of its key and is
-    never replaced (see :meth:`~fermiqec.codes.RepetitionCode.cached`), so
-    no run sees an image other than the one a fresh code derives, and no
-    outcome depends on what the memo holds (see :func:`_walk_block`).
+    process: all three depend on :data:`EXCHANGE_REGISTER` alone.  Sharing
+    the code is safe: every entry of its one cache is a pure function of
+    its key and is never replaced (see
+    :meth:`~fermiqec.codes.RepetitionCode.cached`), so no run sees an image
+    other than the one a fresh code derives.
     ``_exchange_start.cache_clear()`` drops all three."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
@@ -931,9 +846,8 @@ def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
     picklable work unit), walked with the point's shot plan over the
-    process's one history memo, on its one code and label maps.  The nodes
-    the range made keep their states whole until it ends, so its later
-    blocks rebuild none of them, and compactly from then on."""
+    process's memo, which compacts the nodes the range made once it
+    ends."""
     code, _, memo = _exchange_start()
     shape = _plan_shape(config)
     counts = []
@@ -959,23 +873,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run every noise point; estimate = -<Y> with an exact binomial CI at
     ``config.confidence``.
 
-    The shots of a worker walk its process's one history memo, with the
-    shot plan of each point, on the code that the process builds once
-    (:func:`_exchange_start`), so a run walks the nodes that earlier runs
-    in the process built.  That pays only where one process makes several
-    runs: ``bench/run.py`` calls the CLI hundreds of times in one process,
-    while one ``fermiqec exchange`` call makes one run.  ``threads`` only
-    sets how many processes share the shots, each taking a contiguous shot
-    range of every point; a worker forked from this process inherits its
-    memo.  The per-shot seeding makes the counts — and therefore every
-    number in the result — identical for any worker count and whatever a
-    memo holds.  No more workers start than there are shots or CPUs this
-    process may use.  Fan-out does not pay at a few hundred shots per worker: at 256
-    corrected shots per worker (p = 0.01, two workers on a 2-vCPU host),
-    ``harness.fanout.speedup`` from ``bench/run.py --workload
-    exchange_corrected --trace 1`` reads 0.23-0.45 (seeds 0-4, two sets of
-    runs), as starting the pool costs more than the shots, and the serial
-    call walks a warm memo.
+    ``threads`` sets how many processes share the shots, each taking a
+    contiguous shot range of every point; no more start than there are
+    shots or CPUs this process may use, and a worker forked from this
+    process inherits its memo.  The per-shot seeding makes every number in
+    the result identical for any worker count.  Fan-out does not pay at a
+    few hundred shots per worker, as starting the pool costs more than the
+    shots (``harness.fanout.speedup`` of ``bench/run.py --trace 1``).
     """
     threads = _integer(threads, "threads")
     if threads < 1:

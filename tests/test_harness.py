@@ -667,7 +667,7 @@ def test_no_step_changes_a_mode_bit_outside_what_it_touches(case, compressed):
             for label in state.entries:
                 one = SparseState(layout, {label: 1.0 + 0j}, compressed)
                 odds, branch = step.split(one)
-                for outcome in _some_outcomes(odds, modes, rnd):
+                for outcome in _some_outcomes(odds, rnd):
                     after = harness._settle(branch(outcome), step.gates, (last, outcome))
                     moved = {l ^ label for l in after.entries}
                     assert all(not bits & kept for bits in moved), (index, label, outcome)
@@ -780,11 +780,11 @@ def test_a_node_keys_on_the_last_outcome_only_where_a_correction_reads_it(case):
         assert lasts <= {-1, 1} if corrections[index] else lasts == {None}, index
 
 
-def _some_outcomes(odds, modes, rnd):
-    """Outcomes an event with these odds can end in: for an error layer
-    (odds ``None``) three random flip patterns of ``modes``."""
-    if odds is None:
-        return [tuple(m for m in modes if rnd.random() < 0.2) for _ in range(3)]
+def _some_outcomes(odds, rnd):
+    """Outcomes an event with these odds can end in: for an error layer,
+    whose odds are its noise modes, three random flip patterns of them."""
+    if isinstance(odds, tuple):
+        return [tuple(m for m in odds if rnd.random() < 0.2) for _ in range(3)]
     if isinstance(odds, dict):  # the bank count
         return list(odds)
     return [o for o, q in ((1, odds), (-1, 1 - odds)) if q > 0]  # a readout
@@ -797,7 +797,6 @@ def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
     # gates that follow, states with the same labels and amplitudes.
     plan, by_step = _warm_nodes(case)
     rnd = random.Random(seed)
-    modes = noise_modes(_CODE.layout, MEMO_CASES[case].get("include_reference_errors", False))
     for index, step in enumerate(plan.steps):
         last, state = rnd.choice(by_step[index])
         entries = list(state.entries.items())
@@ -807,7 +806,7 @@ def test_entry_order_changes_no_odds_and_no_later_state(case, seed):
             SparseState(state.layout, dict(entries), state.compressed)
         )
         assert permuted_odds == odds, index
-        for outcome in _some_outcomes(odds, modes, rnd):
+        for outcome in _some_outcomes(odds, rnd):
             after = [
                 harness._settle(b(outcome), step.gates, (last, outcome)).entries
                 for b in (branch, permuted_branch)
@@ -824,11 +823,10 @@ def test_a_quarter_turn_changes_no_odds_and_turns_every_later_state(case, seed):
     # follow, k times the state it gives, part by part.
     plan, by_step = _warm_nodes(case)
     rnd = random.Random(seed)
-    modes = noise_modes(_CODE.layout, MEMO_CASES[case].get("include_reference_errors", False))
     for index, step in enumerate(plan.steps):
         last, state = rnd.choice(by_step[index])
         odds, branch = step.split(state)
-        outcomes = _some_outcomes(odds, modes, rnd)
+        outcomes = _some_outcomes(odds, rnd)
         for k in (-1, 1j, -1j):
             turned_odds, turned_branch = step.split(_turned(state, k))
             assert turned_odds == odds, (index, k)
@@ -838,6 +836,64 @@ def test_a_quarter_turn_changes_no_odds_and_turns_every_later_state(case, seed):
                     for b in (branch, turned_branch)
                 )
                 assert got.entries == _turned(want, k).entries, (index, k, outcome)
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_no_split_depends_on_p(case):
+    # Why a node keeps its split: the step at one index of the plans of two
+    # error rates gives a node the same odds, never None, so the odds a
+    # node keeps serve every rate that walks it.
+    plan, by_step = _warm_nodes(case)
+    low, high = _plan(plan.shape, 0.002), _plan(plan.shape, 0.1)
+    rnd = random.Random(11)
+    for index, (a, b) in enumerate(zip(low.steps, high.steps, strict=True)):
+        for _, state in rnd.sample(by_step[index], min(5, len(by_step[index]))):
+            odds = a.split(state)[0]
+            assert odds is not None and b.split(state)[0] == odds, index
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, case):
+    # Three identical runs over one memo, compacted after each as a run
+    # compacts it.  The first leaves a node unsplit where one row visited
+    # it, and the second splits it; every node then keeps its odds, an
+    # error layer's included, so the third only follows known edges.
+    counts = dict.fromkeys(("builds", "splits", "rebuilds"), 0)
+
+    def counted(name, f):
+        def wrapped(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapped
+
+    rebuild = harness._Node.state.fget
+
+    def state(node):
+        counts["rebuilds"] += node.whole is None
+        return rebuild(node)
+
+    monkeypatch.setattr(harness, "_canonical", counted("builds", harness._canonical))
+    monkeypatch.setattr(harness._Node, "state", property(state))
+    shape, memo = _shape(**MEMO_CASES[case]), _memo(_NO_START_OVER)
+    plans = [
+        plan._replace(steps=tuple(s._replace(split=counted("splits", s.split)) for s in plan.steps))
+        for plan in (_plan(shape, p) for p in (0.002, 0.01))
+    ]
+    runs = []
+    for _ in range(3):
+        counts.update(builds=0, splits=0, rebuilds=0)
+        runs.append([
+            harness._walk_block(memo, plan, block).tolist()
+            for point, plan in enumerate(plans)
+            for block in harness._shot_draws(0, point, 0, 256, plan.width)
+        ])
+        memo.compact()
+        if len(runs) == 1:
+            nodes = len(memo)
+            assert counts["builds"] >= nodes > 0 and counts["splits"] > 0
+    assert runs[0] == runs[1] == runs[2]
+    assert len(memo) == nodes
+    assert counts == {"builds": 0, "splits": 0, "rebuilds": 0}
 
 
 # ---------------------------------------------------------------------------
