@@ -210,9 +210,10 @@ def _integer(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 #: Most nodes a memo holds before it starts over, over every shape and run
-#: that walks it (a node's size: :class:`_Node`).  A fresh 256-shot exchange
-#: call makes 14-60 nodes uncorrected and 36-86 corrected at p = 0.002 and
-#: 0.01, and 168-249 with reference errors at p = 0.01 (seeds 0-19).
+#: that walks it: its one size rule, read by :meth:`_HistoryMemo.node` (a
+#: node's size: :class:`_Node`).  A fresh 256-shot exchange call makes 14-60
+#: nodes uncorrected and 36-86 corrected at p = 0.002 and 0.01, and 168-249
+#: with reference errors at p = 0.01 (seeds 0-19).
 _MEMO_CAP = 512
 
 #: A deterministic step of a shot: ``(state, syndrome) -> state``, where
@@ -517,21 +518,16 @@ class _HistoryMemo:
     node's ``children`` from an outcome to the next node, or from
     ``("flips", due)`` to the node of its state with the pending flips
     ``due`` applied, at the same step.  The index holds every node, at most
-    ``cap`` over every shape and run: a full memo that needs a new node
-    drops them all and starts over, while the block in progress walks on
-    from the nodes it holds.  The nodes made since the last :meth:`compact`
-    keep their states whole.  ``cap=0`` keeps no node, takes no canonical
-    form and compacts nothing, so every visit is a first one.
+    :data:`_MEMO_CAP` over every shape and run: a full memo that needs a new
+    node drops them all and starts over, while the block in progress walks
+    on from the nodes it holds.  A node keeps its state whole until
+    :meth:`compact`.
     """
 
-    def __init__(self, base: SparseState, cap: int):
-        if cap < 0:
-            raise ValueError("memo cap must be non-negative")
+    def __init__(self, base: SparseState):
         self.base = base
-        self.cap = cap
         self.roots: dict[_PlanShape, _Node] = {}
         self._states: dict[tuple, _Node] = {}
-        self._fresh: list[_Node] = []
 
     def __len__(self) -> int:
         return len(self._states)
@@ -540,14 +536,13 @@ class _HistoryMemo:
         """Drop every node, in place (a caller may hold ``roots``)."""
         self._states.clear()
         self.roots.clear()
-        self._fresh.clear()
 
     def compact(self) -> None:
-        """Keep the nodes made since the last call compactly
+        """Keep every indexed node whose state is still whole compactly
         (:meth:`_Node.compact`)."""
-        for node in self._fresh:
-            node.compact()
-        self._fresh.clear()
+        for node in self._states.values():
+            if node.whole is not None:
+                node.compact()
 
     def node(
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
@@ -563,17 +558,13 @@ class _HistoryMemo:
         node = children.get(key)
         if node is not None:
             return node
-        state = make()
-        if self.cap == 0:
-            return _Node(state)
-        state = _canonical(state)
+        state = _canonical(make())
         place = (*place, hash(frozenset(state.entries.items())))
         node = self._states.get(place)
         if node is None or node.state.entries != state.entries:
-            if len(self._states) >= self.cap:
+            if len(self._states) >= _MEMO_CAP:
                 self.clear()  # in place: ``children`` may be ``roots`` itself
             node = self._states[place] = _Node(state)
-            self._fresh.append(node)
         children[key] = node
         return node
 
@@ -678,7 +669,10 @@ def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarra
                 child = memo.node(node.children, outcome, make, place)
                 held = pending ^ later
                 due = held & steps[index + 1].touches
-                if due:  # ("flips", due) is no outcome: those are ints and tuples
+                # ("flips", due) is no outcome (ints and tuples).  It leaves the
+                # unflipped child, where groups from several parents merge
+                # before their flips; an (outcome, due) edge on node builds more.
+                if due:
                     child = memo.node(
                         child.children, ("flips", due),
                         functools.partial(_flipped, child, due), place,
@@ -691,7 +685,8 @@ def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarra
 def run_exchange_shot(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> int:
     """The y-basis outcome (+1 or -1) of one shot of ``plan``, whose
     doubles are the one row of ``block``: :func:`_walk_block` on a one-shot
-    block, which over a memo of cap 0 is plain Monte-Carlo."""
+    block, which over a fresh memo visits every node for the first time and
+    so runs each plain measurement, as plain Monte-Carlo does."""
     (outcome,) = _walk_block(memo, plan, block).tolist()
     return outcome
 
@@ -840,7 +835,7 @@ def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
     ``_exchange_start.cache_clear()`` drops all three."""
     code = RepetitionCode(RegisterLayout(*EXCHANGE_REGISTER, num_ancilla_qubits=2))
     base = logical_basis_state(code, (1, 1, 0), compressed=True)
-    return code, base, _HistoryMemo(base, _MEMO_CAP)
+    return code, base, _HistoryMemo(base)
 
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:

@@ -208,14 +208,14 @@ def test_pure_reference_noise_is_removed_exactly():
     # Both layers flip bank modes 9 and 11 alone; the bank count, the six
     # readouts after each layer and the final readout draw at random.
     shape = _shape(num_error_layers=2, include_reference_errors=True)
-    memo, plan = harness._HistoryMemo(_exchange_start()[1], 0), _plan(shape, 0.5)
+    base, plan = _exchange_start()[1], _plan(shape, 0.5)
     assert plan.width == 51
     layer = _flipping((9, 11), 18)
     rng = np.random.default_rng(5)
     for _ in range(40):
         rest = rng.random(15).tolist()
         block = np.array([layer + rest[:7] + layer + rest[7:]])
-        assert run_exchange_shot(memo, plan, block) == +1
+        assert run_exchange_shot(harness._HistoryMemo(base), plan, block) == +1
 
 
 def test_worker_count_does_not_change_the_counts(monkeypatch):
@@ -296,15 +296,15 @@ def test_first_shots_are_pinned(case, correct, reference):
         include_reference_errors=reference,
     )
     shape = harness._plan_shape(config)
-    memo, plan = harness._HistoryMemo(_exchange_start()[1], 0), _plan(shape, 0.05)
+    base, plan = _exchange_start()[1], _plan(shape, 0.05)
     outcomes = []
     for shot in range(config.shots):
         draws = _one_shot_draws(config.seed, 0, shot, plan.width)
-        outcome = run_exchange_shot(memo, plan, draws)
+        outcome = run_exchange_shot(harness._HistoryMemo(base), plan, draws)
         outcomes.append("+" if outcome > 0 else "-")
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
     # the same shots walked as one block over a memo
-    memo = harness._HistoryMemo(_exchange_start()[1], harness._MEMO_CAP)
+    memo = harness._HistoryMemo(base)
     (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, plan.width)
     signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, plan, block)]
     assert "".join(signs) == PINNED_OUTCOMES[case]
@@ -390,10 +390,17 @@ _BASE = logical_basis_state(_CODE, (1, 1, 0), compressed=True)
 _NO_START_OVER = 10**9
 
 
-def _memo(cap):
-    """A history memo for the standard start, holding at most ``cap``
-    nodes."""
-    return harness._HistoryMemo(_BASE, cap)
+def _memo():
+    """An empty history memo for the standard start."""
+    return harness._HistoryMemo(_BASE)
+
+
+@contextlib.contextmanager
+def _cap(cap):
+    """Every memo holds at most ``cap`` nodes inside this block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_MEMO_CAP", cap)
+        yield
 
 
 def _plan(shape, p):
@@ -414,16 +421,16 @@ def _outcomes(memo, shape, p_values, shots, seed=0):
 
 def _plain_outcomes(p_values, shots, seed=0, **fields):
     """The outcomes of :func:`_outcomes` from the same shots, each walked
-    alone as a one-shot block over a memo of cap 0, so every visit is a
-    first one and runs the plain measurement (its flips still wait as in
-    any walk; :func:`_oracle_outcomes` applies each at its layer)."""
-    memo, shape = _memo(0), _shape(**fields)
+    alone as a one-shot block over a fresh memo, so every visit is a first
+    one and runs the plain measurement (its flips still wait as in any
+    walk; :func:`_oracle_outcomes` applies each at its layer)."""
+    shape = _shape(**fields)
     out = []
     for point, p in enumerate(p_values):
         plan = _plan(shape, p)
         for shot in range(shots):
             block = _one_shot_draws(seed, point, shot, plan.width)
-            out.append(run_exchange_shot(memo, plan, block))
+            out.append(run_exchange_shot(_memo(), plan, block))
     return out
 
 
@@ -458,13 +465,13 @@ MEMO_CASES = {
 def test_memo_leaves_every_outcome_unchanged(case):
     # cap 2 starts over in the middle of the block
     shape = _shape(**MEMO_CASES[case])
-    runs = {
-        cap: _outcomes(_memo(cap), shape, (0.01, 0.05), 200)
-        for cap in (_NO_START_OVER, 0, 2)
-    }
+    runs = {}
+    for cap in (_NO_START_OVER, 2):
+        with _cap(cap):
+            runs[cap] = _outcomes(_memo(), shape, (0.01, 0.05), 200)
     plain = _oracle_outcomes((0.01, 0.05), 200, **MEMO_CASES[case])
     assert set(plain) <= {-1, 1}
-    assert runs[_NO_START_OVER] == runs[0] == runs[2] == plain
+    assert runs[_NO_START_OVER] == runs[2] == plain
 
 
 def test_memo_holds_no_more_than_its_cap():
@@ -473,23 +480,19 @@ def test_memo_holds_no_more_than_its_cap():
     # 300 shots no longer do: 124-126 nodes at p = 0.15-0.5, where p = 0.15
     # made 588 before flips waited for the step that touches their mode.
     shape = _shape(include_reference_errors=True)
-    capped, tiny = _memo(harness._MEMO_CAP), _memo(2)
-    uncapped = _memo(_NO_START_OVER)
-    for memo in (capped, tiny, uncapped):
-        _outcomes(memo, shape, (0.05,), 300)
+    capped, tiny, uncapped = _memo(), _memo(), _memo()
+    for memo, cap in ((capped, harness._MEMO_CAP), (tiny, 2), (uncapped, _NO_START_OVER)):
+        with _cap(cap):
+            _outcomes(memo, shape, (0.05,), 300)
     assert len(uncapped) > harness._MEMO_CAP, "the load no longer overflows the cap"
     assert len(tiny) <= 2
     assert len(capped) <= harness._MEMO_CAP
     # a full memo that needs one more node starts over with that node alone
-    full = _memo(3)
-    for step in range(4):
-        node = full.node(full.roots, step, lambda: _BASE, (step, None))
+    full = _memo()
+    with _cap(3):
+        for step in range(4):
+            node = full.node(full.roots, step, lambda: _BASE, (step, None))
     assert len(full) == 1 and full.roots == {3: node}
-    assert len(_memo(0)) == 0
-    with pytest.raises(ValueError, match="cap"):
-        _memo(-1)
-    with pytest.raises(TypeError):
-        _memo(None)
 
 
 @pytest.mark.slow
@@ -500,15 +503,16 @@ def test_a_physical_base_draws_the_outcomes_of_the_compressed_base(case):
     # the physical vacuum and of both against the compressed shortcuts.
     shape = _shape(**MEMO_CASES[case])
     physical = logical_basis_state(_CODE, (1, 1, 0), compressed=False)
-    memo = harness._HistoryMemo(physical, harness._MEMO_CAP)
-    want = _outcomes(_memo(harness._MEMO_CAP), shape, (0.05,), 256, seed=7)
+    memo = harness._HistoryMemo(physical)
+    want = _outcomes(_memo(), shape, (0.05,), 256, seed=7)
     assert -1 in want
     assert _outcomes(memo, shape, (0.05,), 256, seed=7) == want
 
 
-def test_histories_that_reach_one_state_share_its_node():
+def test_histories_that_reach_one_state_share_its_node(monkeypatch):
+    monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
     fields = {"include_reference_errors": True}
-    memo = _memo(_NO_START_OVER)
+    memo = _memo()
     assert _outcomes(memo, _shape(**fields), (0.01,), 256) == _plain_outcomes(
         (0.01,), 256, **fields
     )
@@ -538,7 +542,7 @@ def _turned(state, k):
 
 
 def test_a_node_is_shared_only_by_exactly_equal_states_at_one_place():
-    memo = _memo(harness._MEMO_CAP)
+    memo = _memo()
     place = (0, None)
     edges = {}
     first = memo.node(edges, "a", lambda: _BASE, place)
@@ -596,7 +600,7 @@ def test_every_quarter_turn_of_a_state_takes_one_canonical_form(amplitude):
     assert lowest.real > 0.0 and lowest.imag >= 0.0
     # the form is one quarter turn of the state, part by part
     assert any(canonical.entries == _turned(state, k).entries for k in _TURNS)
-    memo = _memo(harness._MEMO_CAP)
+    memo = _memo()
     edges = {}
     node = memo.node(edges, "state", lambda: state, (0, None))
     for k in _TURNS:
@@ -610,19 +614,21 @@ def test_every_quarter_turn_of_a_state_takes_one_canonical_form(amplitude):
     assert harness._canonical(canonical) is canonical  # no copy when k = 1
 
 
-def test_a_fresh_corrected_call_makes_few_nodes():
+def test_a_fresh_corrected_call_makes_few_nodes(monkeypatch):
     # One 256-shot call at corrected p = 0.01, seed 0, as a run makes it:
     # 299 nodes while nodes merged only states in the same entry order, 150
     # while they merged only equal states.
-    memo = _memo(_NO_START_OVER)
+    monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
+    memo = _memo()
     _outcomes(memo, _shape(), (0.01,), 256)
     assert len(memo) < 145
 
 
-def test_a_fresh_reference_call_makes_few_nodes():
+def test_a_fresh_reference_call_makes_few_nodes(monkeypatch):
     # The same call with reference errors made 307 nodes while nodes merged
     # only equal states, each keyed on the last outcome.
-    memo = _memo(_NO_START_OVER)
+    monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
+    memo = _memo()
     _outcomes(memo, _shape(include_reference_errors=True), (0.01,), 256)
     assert len(memo) < 250
 
@@ -634,7 +640,7 @@ def test_a_corrected_call_defers_its_flips(p, nodes):
     # flip waits for its block's readout, so the histories that differ
     # only there share the nodes of the readouts before it.
     shape = _shape()
-    memo, plan = harness._HistoryMemo(_exchange_start()[1], harness._MEMO_CAP), _plan(shape, p)
+    memo, plan = harness._HistoryMemo(_exchange_start()[1]), _plan(shape, p)
     (block,) = harness._shot_draws(3, 0, 0, 256, plan.width)
     harness._walk_block(memo, plan, block)
     assert len(memo) == nodes
@@ -687,7 +693,7 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
     plain = _plain_outcomes((0.01,), 40)
     assert len(calls) == 40 * 3 * 6  # every readout of every shot
     calls.clear()
-    memo, shape = _memo(harness._MEMO_CAP), _shape()
+    memo, shape = _memo(), _shape()
     warm = _outcomes(memo, shape, (0.01,), 40)
     first_visits = sorted(args[4].doubles for args in calls)  # each reader's doubles
     calls.clear()
@@ -697,7 +703,7 @@ def test_only_a_first_visit_runs_the_plain_readout(monkeypatch):
     assert calls == []  # the replay only revisits nodes
     # a node's plain readout is run by the shot that reaches it first when
     # the shots walk one at a time: the lowest shot of the group there
-    memo = _memo(harness._MEMO_CAP)
+    memo = _memo()
     plan = _plan(shape, 0.01)
     for shot in range(40):
         run_exchange_shot(memo, plan, _one_shot_draws(0, 0, shot, plan.width))
@@ -716,12 +722,12 @@ _PLAN_FIELDS = st.fixed_dictionaries(
 
 @given(p=st.floats(0.0, 1.0), fields=_PLAN_FIELDS)
 def test_no_noise_setting_crashes_a_shot(p, fields):
-    memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**fields)
+    memo, shape = _memo(), _shape(**fields)
     plan = _plan(shape, p)
     block = np.concatenate(
         [np.random.default_rng(shot).random((1, plan.width)) for shot in range(3)]
     )
-    want = [run_exchange_shot(plain, plan, row[None]) for row in block]
+    want = [run_exchange_shot(_memo(), plan, row[None]) for row in block]
     assert set(want) <= {-1, 1}
     for _ in range(2):  # the second pass replays the first from the memo
         assert harness._walk_block(memo, plan, block).tolist() == want
@@ -735,9 +741,10 @@ def test_no_noise_setting_crashes_a_shot(p, fields):
 def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values, shots):
     # Caps this small start over in the middle of nearly every block; seeds
     # repeat, so shots also revisit nodes that survived a start-over.  Each
-    # point's shots walk as one block, against one-shot blocks at cap 0.
-    memos = [_memo(cap) for cap in (0, 1, 2, 3, 5)]
-    plain, shape = _memo(0), _shape(**fields)
+    # point's shots walk as one block, over a fresh memo and over each
+    # capped one, against one-shot blocks over fresh memos.
+    memos = {cap: _memo() for cap in (1, 2, 3, 5)}
+    shape = _shape(**fields)
     seeds = {}
     for point, seed in shots:
         seeds.setdefault(point % len(p_values), []).append(seed)
@@ -745,10 +752,13 @@ def test_a_memo_that_starts_over_leaves_every_outcome_unchanged(fields, p_values
         p = p_values[point]
         plan = _plan(shape, p)
         rows = [np.random.default_rng(seed).random((1, plan.width)) for seed in listed]
-        want = [run_exchange_shot(plain, plan, row) for row in rows]
-        for m in memos:
-            got = harness._walk_block(m, plan, np.concatenate(rows)).tolist()
-            assert got == want, point
+        want = [run_exchange_shot(_memo(), plan, row) for row in rows]
+        block = np.concatenate(rows)
+        assert harness._walk_block(_memo(), plan, block).tolist() == want
+        for cap, m in memos.items():
+            with _cap(cap):
+                got = harness._walk_block(m, plan, block).tolist()
+            assert got == want, (point, cap)
 
 
 @functools.cache
@@ -758,8 +768,9 @@ def _warm_nodes(case, compressed=True):
     p = 0.05 and 0.2, from the compressed base or a physical one."""
     base = _BASE if compressed else logical_basis_state(_CODE, (1, 1, 0), compressed=False)
     shape = _shape(**MEMO_CASES[case])
-    memo = harness._HistoryMemo(base, _NO_START_OVER)
-    _outcomes(memo, shape, (0.05, 0.2), 30)
+    memo = harness._HistoryMemo(base)
+    with _cap(_NO_START_OVER):
+        _outcomes(memo, shape, (0.05, 0.2), 30)
     by_step = {}
     for (_, index, last, _), node in memo._states.items():
         by_step.setdefault(index, []).append((last, node.state))
@@ -874,7 +885,8 @@ def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, c
 
     monkeypatch.setattr(harness, "_canonical", counted("builds", harness._canonical))
     monkeypatch.setattr(harness._Node, "state", property(state))
-    shape, memo = _shape(**MEMO_CASES[case]), _memo(_NO_START_OVER)
+    monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
+    shape, memo = _shape(**MEMO_CASES[case]), _memo()
     plans = [
         plan._replace(steps=tuple(s._replace(split=counted("splits", s.split)) for s in plan.steps))
         for plan in (_plan(shape, p) for p in (0.002, 0.01))
@@ -983,9 +995,10 @@ def test_the_final_readout_draws_the_outcome_measure_qubit_draws(compressed):
 
 
 @pytest.mark.parametrize("case", ["corrected", "uncorrected", "reference"])
-def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case):
+def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(monkeypatch, case):
+    monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
     shape = _shape(**MEMO_CASES[case])
-    memo, plain = _memo(_NO_START_OVER), _memo(0)
+    memo = _memo()
     plan = _plan(shape, 0.5)
     first = plan.steps[0].columns
     width = first.stop - first.start
@@ -993,7 +1006,7 @@ def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(case)
     # alone; at p = 0.5 the later events part the rows further
     block = np.random.default_rng(3).random((width + 1, plan.width))
     block[:, first] = np.vstack([np.full(width, _TOP), np.where(np.eye(width), 0.0, _TOP)])
-    want = [run_exchange_shot(plain, plan, row[None]) for row in block]
+    want = [run_exchange_shot(_memo(), plan, row[None]) for row in block]
     for _ in range(2):  # first visits, then a replay on the warm memo
         assert harness._walk_block(memo, plan, block).tolist() == want
     # every shot its own history: the root has an edge for each flip the
@@ -1049,7 +1062,7 @@ def test_any_shot_draws_what_numpy_draws(seed, point, start):
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_plan_width_is_what_a_shot_draws(case):
-    memo, plain, shape = _memo(harness._MEMO_CAP), _memo(0), _shape(**MEMO_CASES[case])
+    memo, shape = _memo(), _shape(**MEMO_CASES[case])
     plan = _plan(shape, 0.2)
     # the events read the columns of a row in order, each its own, and
     # nothing past the width
@@ -1058,18 +1071,18 @@ def test_plan_width_is_what_a_shot_draws(case):
     assert columns[-1].stop == plan.width
     for seed in range(3):  # first visits, then second visits on the memo
         block = np.random.default_rng(seed).random((1, plan.width))
-        for m in (plain, memo, memo):
+        for m in (_memo(), memo, memo):
             # a plain measurement draws exactly its event's columns
             # (``_StepDraws`` raises otherwise)
             assert run_exchange_shot(m, plan, block) in (-1, 1)
 
 
 def test_a_shot_cannot_draw_past_its_width():
-    memo, plan = _memo(0), _plan(_shape(), 0.05)
+    plan = _plan(_shape(), 0.05)
     width = plan.width
     for size in ((1, width - 1), (1, width + 1), (width,), (1, 1, width)):
         with pytest.raises(ValueError, match=f"reads {width} doubles"):
-            run_exchange_shot(memo, plan, np.zeros(size))
+            run_exchange_shot(_memo(), plan, np.zeros(size))
     # an event's plain measurement draws its own doubles and no others
     for doubles, ask in (([0.5], 2), ([0.5, 0.25], None), ([0.5, 0.25], 3)):
         with pytest.raises(ValueError, match="asked for"):
@@ -1089,13 +1102,13 @@ def test_a_run_counts_what_plain_numpy_shots_count(correct, reference):
         include_reference_errors=reference,
         seed=9,
     )
-    memo, shape = harness._HistoryMemo(_exchange_start()[1], 0), harness._plan_shape(config)
+    base, shape = _exchange_start()[1], harness._plan_shape(config)
     plain = []
     for point, p in enumerate(config.p_values):
         plan = _plan(shape, p)
         outcomes = [
             run_exchange_shot(
-                memo, plan,
+                harness._HistoryMemo(base), plan,
                 np.random.default_rng(
                     np.random.SeedSequence([config.seed, point, shot])
                 ).random((1, plan.width)),
@@ -1215,6 +1228,30 @@ def test_a_warm_process_memo_changes_no_result():
     assert len(fresh) == 0 and fresh.roots == {}
 
 
+def test_a_run_whose_memo_starts_over_compacts_every_node_it_holds(monkeypatch):
+    # A cap of 40 makes the process memo start over several times within
+    # one run; the run still ends with every node its index holds compact,
+    # and counts what a run at the default cap counts.
+    config = ExperimentConfig((0.05, 0.01), shots=256, include_reference_errors=True)
+    harness._exchange_start.cache_clear()
+    cold = [p.count_minus for p in run_experiment(config).points]
+    starts, clear = [], harness._HistoryMemo.clear
+
+    def counted(memo):
+        starts.append(len(memo))
+        clear(memo)
+
+    monkeypatch.setattr(harness._HistoryMemo, "clear", counted)
+    monkeypatch.setattr(harness, "_MEMO_CAP", 40)
+    harness._exchange_start.cache_clear()
+    memo = harness._exchange_start()[2]
+    assert [p.count_minus for p in run_experiment(config).points] == cold
+    assert len(starts) > 1 and set(starts) == {40}
+    assert 0 < len(memo) <= 40
+    assert all(node.whole is None for node in memo._states.values())
+    harness._exchange_start.cache_clear()
+
+
 def test_a_node_holds_its_state_in_under_4_kb():
     # A memo filled to near its cap on the shape where it hits least, then
     # compacted as the end of a run compacts it: 3.0 KB a node, against 9.6
@@ -1223,14 +1260,15 @@ def test_a_node_holds_its_state_in_under_4_kb():
     # the blocks that fill an uncapped memo to between 90% of the cap and
     # the cap, walked there first so the code's label maps grow outside
     # the count
-    warm, blocks, plan = _memo(_NO_START_OVER), [], _plan(shape, p)
-    for shot in range(4096):
-        block = _one_shot_draws(0, 0, shot, plan.width)
-        harness._walk_block(warm, plan, block)
-        if len(warm) > cap:
-            break
-        blocks.append(block)
-    memo = _memo(cap)
+    warm, blocks, plan = _memo(), [], _plan(shape, p)
+    with _cap(_NO_START_OVER):
+        for shot in range(4096):
+            block = _one_shot_draws(0, 0, shot, plan.width)
+            harness._walk_block(warm, plan, block)
+            if len(warm) > cap:
+                break
+            blocks.append(block)
+    memo = _memo()
     tracemalloc.start()
     try:
         for block in blocks:
