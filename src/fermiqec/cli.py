@@ -10,8 +10,8 @@ Three subcommands:
 
 Output files contain no timing or worker-count information, so a rerun with
 the same flags and seed reproduces them byte for byte regardless of
-``--threads``.  Exit status: 0 on success, 1 when a check fails, 2 on bad
-arguments.
+``--threads``.  Exit status: 0 on success, 1 when a check fails or an
+output file cannot be written after the run, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -186,15 +186,20 @@ def cmd_exchange(args: argparse.Namespace) -> int:
             f"(shots={pt.shots}, {'corrected' if config.correction_enabled else 'uncorrected'})"
         )
     print(f"completed in {result.elapsed_seconds:.1f} s", file=sys.stderr)
+    outputs = []
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(_csv_text(config, result))
+        outputs.append((args.out, _csv_text(config, result)))
     if args.json_out:
-        with open(args.json_out, "w", newline="") as fh:
-            fh.write(
-                json.dumps(_run_record(config, result), indent=2, sort_keys=True)
-                + "\n"
-            )
+        record = json.dumps(_run_record(config, result), indent=2, sort_keys=True)
+        outputs.append((args.json_out, record + "\n"))
+    for path, text in outputs:
+        # the probe above cannot foresee a full disk
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 1
     return 0
 
 

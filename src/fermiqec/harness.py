@@ -12,15 +12,16 @@ the repetition-code rounds enabled, unless the reference modes dephase too
 description of a run.
 
 A shot walks the steps of its plan (:func:`_shot_plan`) on a row of
-doubles fixed by ``(seed, point, shot)`` alone (:func:`_shot_draws`), so
-no result depends on how shots are spread over workers.  The shots of a
-block walk together (:func:`_walk_block`) over a history memo
-(:class:`_HistoryMemo`), a graph with one node per state at each step,
-however many histories reach it.  A process builds the code, the base state
-and one memo once (:func:`_exchange_start`), and every run walks that memo,
-so a run walks the nodes that earlier runs of its shape built.  Only a
-process that makes several runs gains, such as ``bench/run.py``, which
-calls the CLI hundreds of times in one process, or a Python session calling
+doubles fixed by ``(seed, point, shot)`` alone
+(:func:`~fermiqec.draws.shot_draws`), so no result depends on how shots
+are spread over workers.  The shots of a block walk together
+(:func:`_walk_block`) over a history memo (:class:`_HistoryMemo`), a graph
+with one node per state at each step, however many histories reach it.  A
+process builds the code, the base state and one memo once
+(:func:`_exchange_start`), and every run walks that memo, so a run walks
+the nodes that earlier runs of its shape built.  Only a process that makes
+several runs gains, such as ``bench/run.py``, which calls the CLI hundreds
+of times in one process, or a Python session calling
 :func:`run_experiment` in a loop.  No command of the package does: one
 ``fermiqec exchange`` call makes one run, whose points already share one
 memo.
@@ -65,11 +66,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .codes import RepetitionCode, logical_basis_state
+from .draws import shot_draws
 from .gates import (
     apply_qubit_gate,
     draw_sign,
@@ -712,117 +714,6 @@ class ExperimentResult:
     elapsed_seconds: float
 
 
-#: Shots seeded at once: the seeds held do not grow with a range's length.
-#: 256 is one benchmark call.
-_SEED_BLOCK = 256
-
-# numpy's SeedSequence (pool of 4 words, hash and mix constants) and
-# PCG64's 128-bit multiplier, fixed by numpy's stream-compatibility policy
-# (NEP 19).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence reads an int: 32-bit words, least significant
-    first, at least one."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's hash of one uint32 word per shot, with the running
-    hash constant starting at ``const``; the constant does not depend on
-    the data, so one hasher serves every shot of a block."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two pool words."""
-    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return out ^ out >> 16
-
-
-def _pcg64_states(seed: int, point: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64's ``(state, inc)`` in ``default_rng(SeedSequence([seed, point,
-    shot]))`` for each shot ``start..stop-1``.  The shots must share every
-    word but the lowest, so the range lies in one 2**32-aligned window.
-
-    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run as
-    uint32 array arithmetic over the shots; PCG64's seeding,
-    ``pcg_setseq_128_srandom_r``, runs on Python ints per shot.
-    """
-    n = stop - start
-    low = np.arange(n, dtype=np.uint32) + np.uint32(start & _MASK32)
-    entropy = [np.full(n, w, np.uint32) for w in (*_words(seed), *_words(point))]
-    entropy += [low, *(np.full(n, w, np.uint32) for w in _words(start)[1:])]
-    zero = np.zeros(n, np.uint32)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    halves = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = (halves[0::2] | halves[1::2] << 32).tolist()
-    out = []
-    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        out.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return out
-
-
-def _shot_draws(
-    seed: int, point: int, start: int, stop: int, width: int
-) -> Iterator[np.ndarray]:
-    """The doubles of shots ``start..stop-1`` at ``point``, in blocks of at
-    most ``_SEED_BLOCK`` shots: one row per shot, in order, holding the
-    first ``width`` doubles of ``default_rng(SeedSequence([seed, point,
-    shot]))``, fixed by the run's seed and the shot's point and index
-    alone.  Seeds each block at once and draws each row in one call into
-    one reused generator; holds no block once it has handed it out."""
-    generator = np.random.Generator(np.random.PCG64())
-    while start < stop:
-        end = min(start + _SEED_BLOCK, stop, (start >> 32) + 1 << 32)
-        yield _draw_rows(generator, _pcg64_states(seed, point, start, end), width)
-        start = end
-
-
-def _draw_rows(
-    generator: np.random.Generator, states: list[tuple[int, int]], width: int
-) -> np.ndarray:
-    """One row of ``width`` doubles per PCG64 ``(state, inc)``, drawn by
-    ``generator`` from that state."""
-    rows = np.empty((len(states), width))
-    for row, (state, inc) in zip(rows, states):
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.random(out=row)
-    return rows
-
-
 @functools.cache
 def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
     """The code and the compressed |1,1,0> base state that every exchange
@@ -840,16 +731,17 @@ def _exchange_start() -> tuple[RepetitionCode, SparseState, _HistoryMemo]:
 
 def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int]:
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
-    picklable work unit), walked with the point's shot plan over the
-    process's memo, which compacts the nodes the range made once it
-    ends."""
+    picklable work unit): each block of the point's draws from
+    :func:`~fermiqec.draws.shot_draws`, which are numpy's own, walked with
+    the point's shot plan over the process's memo, which compacts the nodes
+    the range made once it ends."""
     code, _, memo = _exchange_start()
     shape = _plan_shape(config)
     counts = []
     for point_index, p in enumerate(config.p_values):
         plan = _shot_plan(code, shape, p)
         minus = 0
-        for block in _shot_draws(config.seed, point_index, start, stop, plan.width):
+        for block in shot_draws(config.seed, point_index, start, stop, plan.width):
             minus += int(np.count_nonzero(_walk_block(memo, plan, block) < 0))
             del block  # before the next block is drawn
         counts.append(minus)
@@ -871,8 +763,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ``threads`` sets how many processes share the shots, each taking a
     contiguous shot range of every point; no more start than there are
     shots or CPUs this process may use, and a worker forked from this
-    process inherits its memo.  The per-shot seeding makes every number in
-    the result identical for any worker count.  Fan-out does not pay at a
+    process inherits its memo.  Each shot draws from
+    ``default_rng(SeedSequence([config.seed, point, shot]))``'s stream, so
+    every number in the result is identical for any worker count.  Fan-out does not pay at a
     few hundred shots per worker, as starting the pool costs more than the
     shots (``harness.fanout.speedup`` of ``bench/run.py --trace 1``).
     """

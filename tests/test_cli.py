@@ -1,6 +1,9 @@
 """Command-line entry points, exercised in-process through main()."""
 
+import errno
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -188,3 +191,74 @@ def test_an_existing_output_file_is_replaced_not_appended(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "p,shots,layers,corrected,estimate,ci_lo,ci_hi,seed"
     assert len(lines) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_write_that_fails_after_the_run_is_reported_in_one_line(capsys):
+    # /dev/full takes the probe's open and fails the write itself (ENOSPC)
+    for flag in ("--out", "--json"):
+        assert main(["exchange", "--p", "0", "--shots", "2", flag, "/dev/full"]) == 1, flag
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("completed in"), flag
+        assert err[1:] == [f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}"], flag
+
+
+#: sha256 of the CSV, the JSON and stdout of ``exchange`` at seeds 0 and 13,
+#: per invocation.  A change that alters a shot, a count or an output byte on
+#: purpose updates these and says why.
+PINNED_EXCHANGE_BYTES = {
+    ("corrected", 0): (
+        "e31fcd6a75f3d7dff00e0d468c3c56370b130940c2f01fe720db0844e5171e76",
+        "ef94a184418bccffa649f6f738045ab9fa20dcd19608eba8dc3e864021bc3222",
+        "b6dc2d9b8d1eddbf922ba978db7ba05f94972d223fc2a4613ac72e713528027d",
+    ),
+    ("corrected", 13): (
+        "1928d5df969aedac9a0f1958836d845b0896bcc23ef34de93dcc286708e07450",
+        "d809f45c8725774d2ec2586d6a04c5d7cdabfadef11b89ce8cfb574440030d3f",
+        "64ac4d1d84dd4b4edba622c6c9541a613a8a8ce8cef440d6427c867aec0972b7",
+    ),
+    ("uncorrected", 0): (
+        "ae6deb2fbe2d7dd2b911f9055ce7398745bf8f4feff98766ca8cfd6cdbe59eb5",
+        "6a5ea9e92f0185de85f557fd6c332fa148de471f5951db98e20864473fa576ae",
+        "310cdc268c316a219b59f553e6ba55d619060670c6cac1024bc5b7df6e66504b",
+    ),
+    ("uncorrected", 13): (
+        "a6985bfbc290a30dd3afcf8ed7d68110836803654e6667adbae7dbce1f9cae41",
+        "dd168405e22ea2efffe65f3dadda83259405290679765b8180001bb204496cd7",
+        "6b14cba05d2f15243469d1d33d58a3f9417e7b3ff983285713a017363cacdbc3",
+    ),
+    ("reference", 0): (
+        "6f6296ef79e27655a723b1964d2937c0f5b4d54cb651d1d945577a27ac78a56b",
+        "5aad6a861537aac735bbbc76375dc5a21993903b5c85be9865eb0881f15d2004",
+        "01bdb5acc85a14730c988da560ccbee20adaddf8d1b762246e227956434c1a6b",
+    ),
+    ("reference", 13): (
+        "6137241f9d7198563460c297be534df8f53118bddb1ceb77f2af61f8e9ca9756",
+        "0d3b1ead9d21048ba476a2a47a74d4bef60cfa1b436f47d247a8347848067e93",
+        "01793138ec7a8fe63f196f4a1d97f6fecd722e42112df71da81cc86ad961e8bd",
+    ),
+}
+
+_PINNED_INVOCATIONS = {
+    "corrected": ["--p", "0.002,0.01", "--shots", "2000"],
+    "uncorrected": ["--p", "0.002,0.01", "--shots", "2000", "--no-correct"],
+    "reference": [
+        "--p", "0.01", "--shots", "1000", "--reference-errors", "--layers", "4",
+        "--threads", "2",
+    ],
+}
+
+
+def test_exchange_output_bytes_are_pinned(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "points.csv", tmp_path / "run.json"
+    got = {}
+    for name, seed in PINNED_EXCHANGE_BYTES:
+        argv = [*_PINNED_INVOCATIONS[name], "--seed", str(seed)]
+        capsys.readouterr()
+        assert main(["exchange", *argv, "--out", str(csv_path), "--json", str(json_path)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        got[name, seed] = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (csv_path.read_bytes(), json_path.read_bytes(), stdout)
+        )
+    assert got == PINNED_EXCHANGE_BYTES

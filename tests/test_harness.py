@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from fermiqec import harness
 from fermiqec.backend import compress
 from fermiqec.codes import LabelMap, RepetitionCode, logical_basis_state
+from fermiqec.draws import shot_draws
 from fermiqec.gates import (
     apply_qubit_gate,
     draw_sign,
@@ -186,7 +187,7 @@ def test_any_field_value_builds_and_runs_or_raises_value_error(name, value):
 def _one_shot_draws(seed, point, shot, width):
     """The ``width`` doubles of one shot as a one-shot block, a one-shot
     range of the run's own."""
-    (block,) = harness._shot_draws(seed, point, shot, shot + 1, width)
+    (block,) = shot_draws(seed, point, shot, shot + 1, width)
     return block
 
 
@@ -305,7 +306,7 @@ def test_first_shots_are_pinned(case, correct, reference):
     assert "".join(outcomes) == PINNED_OUTCOMES[case]
     # the same shots walked as one block over a memo
     memo = harness._HistoryMemo(base)
-    (block,) = harness._shot_draws(config.seed, 0, 0, config.shots, plan.width)
+    (block,) = shot_draws(config.seed, 0, 0, config.shots, plan.width)
     signs = ["+" if o > 0 else "-" for o in harness._walk_block(memo, plan, block)]
     assert "".join(signs) == PINNED_OUTCOMES[case]
 
@@ -414,7 +415,7 @@ def _outcomes(memo, shape, p_values, shots, seed=0):
     out = []
     for point, p in enumerate(p_values):
         plan = _plan(shape, p)
-        for block in harness._shot_draws(seed, point, 0, shots, plan.width):
+        for block in shot_draws(seed, point, 0, shots, plan.width):
             out += harness._walk_block(memo, plan, block).tolist()
     return out
 
@@ -641,7 +642,7 @@ def test_a_corrected_call_defers_its_flips(p, nodes):
     # only there share the nodes of the readouts before it.
     shape = _shape()
     memo, plan = harness._HistoryMemo(_exchange_start()[1]), _plan(shape, p)
-    (block,) = harness._shot_draws(3, 0, 0, 256, plan.width)
+    (block,) = shot_draws(3, 0, 0, 256, plan.width)
     harness._walk_block(memo, plan, block)
     assert len(memo) == nodes
 
@@ -897,7 +898,7 @@ def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, c
         runs.append([
             harness._walk_block(memo, plan, block).tolist()
             for point, plan in enumerate(plans)
-            for block in harness._shot_draws(0, point, 0, 256, plan.width)
+            for block in shot_draws(0, point, 0, 256, plan.width)
         ])
         memo.compact()
         if len(runs) == 1:
@@ -1017,47 +1018,6 @@ def test_a_block_where_every_shot_branches_gives_each_shot_its_own_outcome(monke
     (root,) = memo.roots.values()
     assert set(root.children) == {(), *((m,) for m in range(width) if not defers >> m & 1)}
     assert set(want) == {-1, 1}
-
-
-# ---------------------------------------------------------------------------
-# a shot's draws
-# ---------------------------------------------------------------------------
-
-
-def _numpy_doubles(seed, point, shot, width):
-    """The oracle: a shot's first ``width`` doubles from numpy's own seeding."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, point, shot]))
-    return rng.random(width).tolist()
-
-
-@pytest.mark.parametrize(
-    "seed, point, start, stop",
-    [
-        (0, 0, 0, 600),  # three seed blocks
-        (2**32 + 7, 0, 0, 5),  # a two-word seed
-        (2**64 + 7, 0, 3, 8),  # a three-word seed
-        (5, 3, 100, 110),
-        (5, 2**40, 100, 103),  # a two-word point
-        (1, 1, 2**32 - 4, 2**32 + 4),  # one- then two-word shots
-        (1, 0, 2**64 - 2, 2**64 + 2),  # two- then three-word shots
-    ],
-)
-def test_batched_draws_are_numpys_per_shot_draws(seed, point, start, stop):
-    blocks = list(harness._shot_draws(seed, point, start, stop, 11))
-    assert all(0 < len(b) <= harness._SEED_BLOCK for b in blocks)
-    got = np.concatenate(blocks).tolist()
-    assert got == [_numpy_doubles(seed, point, s, 11) for s in range(start, stop)]
-
-
-@given(
-    seed=st.integers(0, 2**96),
-    point=st.integers(0, 2**40),
-    start=st.integers(0, 2**70),
-)
-def test_any_shot_draws_what_numpy_draws(seed, point, start):
-    blocks = harness._shot_draws(seed, point, start, start + 3, 4)
-    got = np.concatenate(list(blocks)).tolist()
-    assert got == [_numpy_doubles(seed, point, s, 4) for s in range(start, start + 3)]
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
