@@ -17,6 +17,7 @@ output file cannot be written after the run, 2 on bad arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -44,10 +45,10 @@ def _p_list(text: str) -> tuple[float, ...]:
 def _nonnegative_int(text: str) -> int:
     """``verify --seed``: the ``steane`` suite ignores its seed, so nothing
     else would reject a negative one."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError("must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,9 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     )
     # a path that cannot be written fails here, before any shot runs; append
     # mode truncates nothing, and a file the probe made is removed again
+    if args.out and args.json_out:
+        if os.path.realpath(args.out) == os.path.realpath(args.json_out):
+            raise ValueError(f"--out and --json name one file: {args.json_out}")
     for path in filter(None, (args.out, args.json_out)):
         made = not os.path.exists(path)
         try:

@@ -450,44 +450,20 @@ def _shot_plan(code: RepetitionCode, shape: _PlanShape, p: float) -> _Plan:
 
 
 class _Node:
-    """One state at one event of a shot plan, in :func:`_canonical` form:
-    whether a shot has been here before, the event's odds once a split
-    made them (``None`` until then), and the node each outcome leads to.
+    """One state at one event of a shot plan, in :func:`_canonical` form,
+    held for as long as the memo holds the node: whether a shot has been
+    here before, the event's odds once a split made them (``None`` until
+    then), and the node each outcome leads to.  A node of the five-layer
+    p = 0.1 reference run holds about 9.6 KB, its state, edges, odds and
+    index key included."""
 
-    A node holds the state it was made from, ``whole``, until the run that
-    made it ends; then :meth:`compact` keeps it as an array of its labels
-    and one of its amplitudes in entry order, and :attr:`state` rebuilds
-    it, equal entry for entry and in the same order, where a later run
-    needs it: a first visit, a split, a new edge, or the compare on an index
-    hit.  A compact node of the five-layer p = 0.1 reference run holds
-    about 3.0 KB, its state, edges, odds and index key included."""
-
-    __slots__ = (
-        "whole", "layout", "compressed", "labels", "amplitudes", "seen", "odds", "children"
-    )
+    __slots__ = ("state", "seen", "odds", "children")
 
     def __init__(self, state: SparseState):
-        self.whole: SparseState | None = state
+        self.state = state
         self.seen = False
         self.odds = None
         self.children: dict[object, _Node] = {}
-
-    @property
-    def state(self) -> SparseState:
-        if self.whole is not None:
-            return self.whole
-        entries = dict(zip(self.labels.tolist(), self.amplitudes.tolist()))
-        return SparseState(self.layout, entries, self.compressed)
-
-    def compact(self) -> None:
-        """Keep the state as label and amplitude arrays, and drop ``whole``."""
-        state, self.whole = self.whole, None
-        entries = state.entries
-        labels = list(entries)
-        self.layout = state.layout
-        self.compressed = state.compressed
-        self.labels = np.array(labels, np.min_scalar_type(max(labels)))
-        self.amplitudes = np.fromiter(entries.values(), complex, len(entries))
 
 
 def _canonical(state: SparseState) -> SparseState:
@@ -522,8 +498,7 @@ class _HistoryMemo:
     ``due`` applied, at the same step.  The index holds every node, at most
     :data:`_MEMO_CAP` over every shape and run: a full memo that needs a new
     node drops them all and starts over, while the block in progress walks
-    on from the nodes it holds.  A node keeps its state whole until
-    :meth:`compact`.
+    on from the nodes it holds.
     """
 
     def __init__(self, base: SparseState):
@@ -539,13 +514,6 @@ class _HistoryMemo:
         self._states.clear()
         self.roots.clear()
 
-    def compact(self) -> None:
-        """Keep every indexed node whose state is still whole compactly
-        (:meth:`_Node.compact`)."""
-        for node in self._states.values():
-            if node.whole is not None:
-                node.compact()
-
     def node(
         self, children: dict, key, make: Callable[[], SparseState], place: tuple
     ) -> _Node:
@@ -553,10 +521,10 @@ class _HistoryMemo:
         builds the state, and ``key`` leads to the node at ``place`` (shape,
         step index, and the last outcome where the step's gates read it,
         else ``None``) whose entries equal the state's :func:`_canonical`
-        form as dicts, the same labels and amplitudes in any order, or to a
-        new node holding that form.  The index keys on a hash of the entries
-        and compares them on a hit; the compare takes 0.0 and -0.0 as equal,
-        and the sign of a zero part changes no probability."""
+        form as dicts, the same entries in any order, or to a new node
+        holding that form.  The index keys on a hash of the entries and
+        compares them on a hit; the compare takes 0.0 and -0.0 as equal, and
+        the sign of a zero part changes no probability."""
         node = children.get(key)
         if node is not None:
             return node
@@ -578,11 +546,6 @@ def _settle(
     for gate in gates:
         state = gate(state, syndrome)
     return state
-
-
-def _flipped(node: _Node, flips: int) -> SparseState:
-    """``node``'s state with the pi flips of the bitmask ``flips``."""
-    return _apply_flips(node.state, flips)
 
 
 def _branch(
@@ -677,7 +640,7 @@ def _walk_block(memo: _HistoryMemo, plan: _Plan, block: np.ndarray) -> np.ndarra
                 if due:
                     child = memo.node(
                         child.children, ("flips", due),
-                        functools.partial(_flipped, child, due), place,
+                        functools.partial(_apply_flips, child.state, due), place,
                     )
                     held ^= due
                 arrivals.setdefault((child, held), (child, outcome, held, []))[3].append(taken)
@@ -733,8 +696,7 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
     """Count -1 outcomes of shots ``start..stop-1`` at every point (one
     picklable work unit): each block of the point's draws from
     :func:`~fermiqec.draws.shot_draws`, which are numpy's own, walked with
-    the point's shot plan over the process's memo, which compacts the nodes
-    the range made once it ends."""
+    the point's shot plan over the process's memo."""
     code, _, memo = _exchange_start()
     shape = _plan_shape(config)
     counts = []
@@ -745,7 +707,6 @@ def _run_shot_range(config: ExperimentConfig, start: int, stop: int) -> list[int
             minus += int(np.count_nonzero(_walk_block(memo, plan, block) < 0))
             del block  # before the next block is drawn
         counts.append(minus)
-    memo.compact()
     return counts
 
 

@@ -38,6 +38,16 @@ def test_verify_rejects_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
+def test_a_bad_verify_seed_exits_2_naming_no_private_function(capsys):
+    for bad in ("abc", "-1", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "codes", "--seed", bad])
+        assert exc.value.code == 2, bad
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer" in err, bad
+        assert "_nonnegative_int" not in err, bad
+
+
 def test_syndrome_table_text(capsys):
     assert main(["syndrome-table"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -173,6 +183,21 @@ def test_an_unwritable_output_path_fails_before_any_shot(tmp_path, monkeypatch, 
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {missing}: "), flag
     assert not missing.parent.exists()
+
+
+def test_out_and_json_naming_one_file_fail_before_any_shot(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "x"
+    for other in (path, tmp_path / "sub" / ".." / "x"):
+        argv = ["exchange", "--p", "0.01", "--shots", "64", "--out", str(path),
+                "--json", str(other)]
+        assert main(argv) == 2, other
+        assert capsys.readouterr().err == f"error: --out and --json name one file: {other}\n"
+    assert not path.exists()
 
 
 def test_a_run_refused_after_the_path_check_leaves_no_file(tmp_path, capsys):

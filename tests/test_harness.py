@@ -865,12 +865,12 @@ def test_no_split_depends_on_p(case):
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
-def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, case):
-    # Three identical runs over one memo, compacted after each as a run
-    # compacts it.  The first leaves a node unsplit where one row visited
-    # it, and the second splits it; every node then keeps its odds, an
-    # error layer's included, so the third only follows known edges.
-    counts = dict.fromkeys(("builds", "splits", "rebuilds"), 0)
+def test_a_third_identical_run_builds_and_splits_nothing(monkeypatch, case):
+    # Three identical runs over one memo.  The first leaves a node unsplit
+    # where one row visited it, and the second splits it; every node then
+    # keeps its odds, an error layer's included, so the third only follows
+    # known edges.
+    counts = dict.fromkeys(("builds", "splits"), 0)
 
     def counted(name, f):
         def wrapped(*args):
@@ -878,14 +878,7 @@ def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, c
             return f(*args)
         return wrapped
 
-    rebuild = harness._Node.state.fget
-
-    def state(node):
-        counts["rebuilds"] += node.whole is None
-        return rebuild(node)
-
     monkeypatch.setattr(harness, "_canonical", counted("builds", harness._canonical))
-    monkeypatch.setattr(harness._Node, "state", property(state))
     monkeypatch.setattr(harness, "_MEMO_CAP", _NO_START_OVER)
     shape, memo = _shape(**MEMO_CASES[case]), _memo()
     plans = [
@@ -894,19 +887,18 @@ def test_a_third_identical_run_builds_splits_and_rebuilds_nothing(monkeypatch, c
     ]
     runs = []
     for _ in range(3):
-        counts.update(builds=0, splits=0, rebuilds=0)
+        counts.update(builds=0, splits=0)
         runs.append([
             harness._walk_block(memo, plan, block).tolist()
             for point, plan in enumerate(plans)
             for block in shot_draws(0, point, 0, 256, plan.width)
         ])
-        memo.compact()
         if len(runs) == 1:
             nodes = len(memo)
             assert counts["builds"] >= nodes > 0 and counts["splits"] > 0
     assert runs[0] == runs[1] == runs[2]
     assert len(memo) == nodes
-    assert counts == {"builds": 0, "splits": 0, "rebuilds": 0}
+    assert counts == {"builds": 0, "splits": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -1163,8 +1155,7 @@ def test_a_reused_code_changes_no_result(monkeypatch, case):
 def test_a_warm_process_memo_changes_no_result():
     # Each shape's counts on a cold process memo equal its counts on the
     # memo that runs of every other shape and of seed 7 have warmed; the
-    # memo stays within its cap, a run leaves every node it made compact,
-    # and clearing the start drops the memo.
+    # memo stays within its cap, and clearing the start drops the memo.
     configs = {
         case: ExperimentConfig((0.01, 0.05), shots=64, **fields)
         for case, fields in MEMO_CASES.items()
@@ -1181,17 +1172,16 @@ def test_a_warm_process_memo_changes_no_result():
         assert len(memo) > 0
         assert [p.count_minus for p in run_experiment(config).points] == cold[case], case
     assert 0 < len(memo) <= harness._MEMO_CAP
-    assert all(node.whole is None for node in memo._states.values())
     harness._exchange_start.cache_clear()
     fresh = harness._exchange_start()[2]
     assert fresh is not memo
     assert len(fresh) == 0 and fresh.roots == {}
 
 
-def test_a_run_whose_memo_starts_over_compacts_every_node_it_holds(monkeypatch):
+def test_a_run_whose_memo_starts_over_at_its_cap_keeps_its_counts(monkeypatch):
     # A cap of 40 makes the process memo start over several times within
-    # one run; the run still ends with every node its index holds compact,
-    # and counts what a run at the default cap counts.
+    # one run, each time at the cap; the run ends with at most 40 nodes and
+    # counts what a run at the default cap counts.
     config = ExperimentConfig((0.05, 0.01), shots=256, include_reference_errors=True)
     harness._exchange_start.cache_clear()
     cold = [p.count_minus for p in run_experiment(config).points]
@@ -1208,14 +1198,13 @@ def test_a_run_whose_memo_starts_over_compacts_every_node_it_holds(monkeypatch):
     assert [p.count_minus for p in run_experiment(config).points] == cold
     assert len(starts) > 1 and set(starts) == {40}
     assert 0 < len(memo) <= 40
-    assert all(node.whole is None for node in memo._states.values())
     harness._exchange_start.cache_clear()
 
 
-def test_a_node_holds_its_state_in_under_4_kb():
-    # A memo filled to near its cap on the shape where it hits least, then
-    # compacted as the end of a run compacts it: 3.0 KB a node, against 9.6
-    # KB while a node keeps a dict of Python complexes.
+def test_a_node_holds_its_state_in_under_12_kb():
+    # A memo filled to near its cap on the shape where it hits least, each
+    # node holding its state as a dict of Python complexes: 9.6 KB a node,
+    # so a full memo holds about 5 MB.
     shape, p, cap = _shape(**MEMO_CASES["reference_p0.1_5layers"]), 0.1, harness._MEMO_CAP
     # the blocks that fill an uncapped memo to between 90% of the cap and
     # the cap, walked there first so the code's label maps grow outside
@@ -1233,9 +1222,8 @@ def test_a_node_holds_its_state_in_under_4_kb():
     try:
         for block in blocks:
             harness._walk_block(memo, plan, block)
-        memo.compact()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert 0.9 * cap <= len(memo) <= cap
-    assert held / len(memo) < 4096
+    assert held / len(memo) < 12 * 1024
